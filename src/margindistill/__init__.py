@@ -4,7 +4,6 @@ from .data import (
     HierarchySpec,
     IdentityDataset,
     PkBatch,
-    Sample,
     generate_hierarchical,
     load_dataset_jsonl,
     mine_triplets,
@@ -67,14 +66,12 @@ from .teacher import (
     CalibrationReport,
     TeacherOracle,
     calibrate_margins,
-    gaps_for_batch,
     load_embedding_table,
     load_embedding_table_jsonl,
     save_embedding_table,
     save_embedding_table_jsonl,
     tabulate,
-    teacher_embed,
-    teacher_gap,
+    triplet_gaps,
 )
 from .training import DistillConfig, TeacherTrainConfig, TrainLog, distill, train_teacher
 

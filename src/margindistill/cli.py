@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, evaluation
-from .data import HierarchySpec, generate_hierarchical, load_dataset_jsonl, save_dataset_jsonl
+from .data import (HierarchySpec, IdentityDataset, generate_hierarchical, load_dataset_jsonl,
+                   save_dataset_jsonl)
 from .errors import FormatError, MarginDistillError
 from .loss import MarginConfig
 from .mlp import CHECKPOINT_MAGIC, init_mlp, load_checkpoint, save_checkpoint
@@ -36,6 +37,7 @@ from .teacher import (
     load_embedding_table,
     load_embedding_table_jsonl,
     save_embedding_table,
+    tabulate,
 )
 from .training import DistillConfig, TeacherTrainConfig, distill, train_teacher
 
@@ -179,20 +181,22 @@ def _require_input(path_str: str, what: str) -> Path:
     return p
 
 
-def _load_teacher_any(path: Path) -> TeacherOracle:
-    """Accept a TFMLP1 checkpoint, a TFEMB1 table, or a JSONL table."""
+def _load_model_file(path: Path, teacher_of: IdentityDataset | None = None):
+    """TFMLP1 -> MlpModel; TFEMB1 or JSON lines -> table.  A teacher is a table,
+    so given ``teacher_of`` a checkpoint is tabulated against that dataset."""
     with path.open("rb") as fh:
-        head = fh.read(6)
+        head = fh.read(len(CHECKPOINT_MAGIC))
+    if head == CHECKPOINT_MAGIC:
+        model = load_checkpoint(path)
+        if teacher_of is None:
+            return model
+        return tabulate(TeacherOracle.from_model(model), teacher_of)
     if head == TABLE_MAGIC:
         return load_embedding_table(path)
-    if head == CHECKPOINT_MAGIC:
-        return TeacherOracle.from_model(load_checkpoint(path))
     try:
         return load_embedding_table_jsonl(path)
     except (FormatError, UnicodeDecodeError) as exc:
-        raise FormatError(
-            f"{path}: not a recognized checkpoint or embedding table"
-        ) from exc
+        raise FormatError(f"{path}: not a recognized checkpoint or embedding table") from exc
 
 
 def _say(quiet: bool, *parts) -> None:
@@ -261,7 +265,7 @@ def cmd_train_teacher(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
 
 def cmd_calibrate(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
     ds = load_dataset_jsonl(_require_input(cfg["io.dataset"], "io.dataset"))
-    oracle = _load_teacher_any(_require_input(cfg["io.teacher"], "io.teacher"))
+    oracle = _load_model_file(_require_input(cfg["io.teacher"], "io.teacher"), teacher_of=ds)
     report = calibrate_margins(
         oracle, ds, cfg["calibrate.n_triplets"],
         Rng(derive_subseed(cfg["run.seed"], "calibrate")),
@@ -291,7 +295,7 @@ def _margin_from_config(cfg: ExperimentConfig) -> MarginConfig:
 
 def cmd_distill(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
     ds = load_dataset_jsonl(_require_input(cfg["io.dataset"], "io.dataset"))
-    oracle = _load_teacher_any(_require_input(cfg["io.teacher"], "io.teacher"))
+    oracle = _load_model_file(_require_input(cfg["io.teacher"], "io.teacher"), teacher_of=ds)
     margin = _margin_from_config(cfg)
     student = init_mlp(
         (ds.input_dim, *cfg["student.hidden_dims"], cfg["student.embed_dim"]),
@@ -323,13 +327,7 @@ def cmd_distill(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
 
 def cmd_evaluate(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
     ds = load_dataset_jsonl(_require_input(cfg["io.dataset"], "io.dataset"))
-    model_path = _require_input(cfg["io.model"], "io.model")
-    with model_path.open("rb") as fh:
-        head = fh.read(6)
-    if head == CHECKPOINT_MAGIC:
-        embedder = load_checkpoint(model_path)
-    else:
-        embedder = _load_teacher_any(model_path)
+    embedder = _load_model_file(_require_input(cfg["io.model"], "io.model"))
     if cfg["io.pairs"]:
         pairs = evaluation.load_pairs_jsonl(_require_input(cfg["io.pairs"], "io.pairs"))
     else:
@@ -340,7 +338,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
     report = evaluation.verify(embedder, ds, pairs)
     structure = None
     if cfg["io.teacher"]:
-        oracle = _load_teacher_any(_require_input(cfg["io.teacher"], "io.teacher"))
+        oracle = _load_model_file(_require_input(cfg["io.teacher"], "io.teacher"), teacher_of=ds)
         _, tmat = evaluation.centroid_distance_matrix(oracle, ds)
         _, smat = evaluation.centroid_distance_matrix(embedder, ds)
         structure = evaluation.structure_correlation(tmat, smat)

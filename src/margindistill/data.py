@@ -26,13 +26,6 @@ from .numerics import Rng, pairwise_sq_euclidean
 MINING_STRATEGIES = ("all", "random_per_anchor", "semi_hard")
 
 
-@dataclass(frozen=True, eq=False)
-class Sample:
-    sample_id: int
-    identity: int
-    x: np.ndarray
-
-
 @dataclass(frozen=True)
 class HierarchySpec:
     n_superclusters: int = 4
@@ -122,21 +115,15 @@ class IdentityDataset:
         except KeyError:
             raise UnknownSampleError(f"unknown sample id {sample_id}") from None
 
-    def sample(self, sample_id: int) -> Sample:
-        r = self.row(sample_id)
-        return self.sample_at_row(r)
-
-    def sample_at_row(self, row: int) -> Sample:
-        return Sample(
-            sample_id=int(self.sample_ids[row]),
-            identity=int(self.labels[row]),
-            x=self.X[row],
-        )
-
     def rows_of(self, identity: int) -> np.ndarray:
         if identity not in self._rows_by_identity:
             raise CapacityError(f"unknown identity {identity}")
         return self._rows_by_identity[identity]
+
+    def pair_capacity(self) -> tuple[int, int]:
+        """Distinct unordered (same-identity, different-identity) sample pairs."""
+        same = sum(r.size * (r.size - 1) // 2 for r in self._rows_by_identity.values())
+        return same, self.n_samples * (self.n_samples - 1) // 2 - same
 
 
 def generate_hierarchical(spec: HierarchySpec) -> IdentityDataset:
@@ -338,13 +325,17 @@ def load_dataset_jsonl(path) -> IdentityDataset:
             f"{path}: header declares {header['n_samples']} samples, "
             f"found {len(sample_ids)}"
         )
+    try:
+        features = np.array(feats, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: x must be equal-length number lists: {exc}") from exc
     spec = None
     if header.get("spec"):
         spec = HierarchySpec(**header["spec"])
     ds = IdentityDataset(
         sample_ids=sample_ids,
         labels=labels,
-        features=np.array(feats, dtype=np.float64),
+        features=features,
         spec=spec,
         seed=header.get("seed"),
     )

@@ -84,10 +84,7 @@ def build_pairs(
     """
     if n_pos < 0 or n_neg < 0:
         raise ContractViolation("pair counts must be >= 0")
-    per_identity = [ds.rows_of(i).size for i in ds.identity_list]
-    pos_available = sum(k * (k - 1) // 2 for k in per_identity)
-    total_pairs = ds.n_samples * (ds.n_samples - 1) // 2
-    neg_available = total_pairs - pos_available
+    pos_available, neg_available = ds.pair_capacity()
     if n_pos > pos_available:
         raise CapacityError(f"requested {n_pos} positive pairs, only {pos_available} exist")
     if n_neg > neg_available:
@@ -163,33 +160,34 @@ def _pair_cosine_distances(embedder, ds: IdentityDataset, pairs: PairSet) -> np.
 
 
 def threshold_sweep(distances: np.ndarray, same: np.ndarray) -> VerificationReport:
-    """Best-accuracy threshold search on precomputed pair distances."""
+    """Best-accuracy threshold search on precomputed pair distances.
+
+    A pair is predicted "same" when its distance is strictly below the
+    threshold, so the count of such pairs per class is a left-sided
+    ``searchsorted`` into that class's sorted distances; every rate is an
+    exact count divided by its class size.
+    """
     d = np.asarray(distances, dtype=np.float64)
     same = np.asarray(same, dtype=bool)
     if d.size == 0:
         raise ContractViolation("cannot sweep an empty pair set")
+    if not np.all(np.isfinite(d)):
+        raise DegenerateInput("pair distances must be finite")
     levels = np.unique(d)
-    candidates = [float(levels[0])]
-    candidates.extend(float(0.5 * (levels[i] + levels[i + 1])) for i in range(levels.size - 1))
-    candidates.append(float(levels[-1]) + 1.0)
-    thresholds = np.array(candidates, dtype=np.float64)
-
-    pred = d[None, :] < thresholds[:, None]          # (T, n_pairs)
-    correct = pred == same[None, :]
-    accuracy = correct.mean(axis=1)
+    thresholds = np.concatenate(
+        [levels[:1], 0.5 * (levels[:-1] + levels[1:]), levels[-1:] + 1.0])
+    pos = np.sort(d[same])
+    neg = np.sort(d[~same])
+    true_accepts = np.searchsorted(pos, thresholds, side="left")
+    false_accepts = np.searchsorted(neg, thresholds, side="left")
+    accuracy = (true_accepts + (neg.size - false_accepts)) / d.size
     best = int(np.argmax(accuracy))                   # first max = smallest threshold
-
-    n_pos = int(same.sum())
-    n_neg = int((~same).sum())
-    roc = []
-    for t in range(thresholds.size):
-        tar = float(pred[t, same].mean()) if n_pos else 0.0
-        far = float(pred[t, ~same].mean()) if n_neg else 0.0
-        roc.append((far, tar))
+    tar = true_accepts / max(pos.size, 1)             # a class with no pairs reads 0
+    far = false_accepts / max(neg.size, 1)
     return VerificationReport(
         best_accuracy=float(accuracy[best]),
         best_threshold=float(thresholds[best]),
-        roc_points=roc,
+        roc_points=list(zip(far.tolist(), tar.tolist())),
     )
 
 

@@ -76,15 +76,6 @@ def l2_normalize(a) -> np.ndarray:
     return a / n
 
 
-def normalize_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise L2 normalization of a 2-d array."""
-    x = np.asarray(x, dtype=np.float64)
-    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-    if np.any(norms == 0.0):
-        raise DegenerateInput("cannot normalize zero-norm rows")
-    return x / norms[:, None]
-
-
 def pairwise_sq_euclidean(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     """All-pairs squared Euclidean distances between rows of x and y.
 

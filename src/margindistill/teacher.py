@@ -1,22 +1,22 @@
 """Frozen teacher oracle, teacher distance gaps, and margin calibration.
 
-A TeacherOracle answers embedding queries but is never updated; its distance
-is fixed to squared Euclidean on unit-norm outputs, the same convention the
-student trains under, so teacher gaps and the student's hinge live on one
-scale.  Oracles are either a precomputed embedding table or a frozen MLP;
-tables are preferred during training (no repeated forward cost, exactly
-reproducible answers).
+The teacher is frozen and is only asked for distances between training
+samples, so a TeacherOracle is an embedding table keyed by sample id.  A
+model recorded with ``from_model`` is forwarded once, in one batch, by
+``tabulate``; every query then reads the table.  The distance is fixed to
+squared Euclidean on unit-norm outputs, the same convention the student
+trains under, so teacher gaps and the student's hinge live on one scale.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import IdentityDataset, Sample
+from .data import IdentityDataset
 from .errors import (
     CapacityError,
     ContractViolation,
@@ -24,136 +24,95 @@ from .errors import (
     UnknownSampleError,
 )
 from .mlp import MlpModel, forward_batch
-from .numerics import Rng, pairwise_sq_euclidean, sq_euclidean
+from .numerics import Rng
 
 TABLE_MAGIC = b"TFEMB1"
 UNIT_NORM_TOL = 1e-6
+_TABLE_HEADER = struct.Struct("<II")
+
+
+def _table_record(dim: int) -> np.dtype:
+    """One TFEMB1 record: u32 identity, u32 sample id, dim little-endian f32 values."""
+    return np.dtype([("identity", "<u4"), ("sample", "<u4"), ("vector", "<f4", (dim,))])
 
 
 class TeacherOracle:
-    """Immutable embedding oracle; construct via from_model / from_table."""
+    """Immutable embedding table; construct via from_table, or from_model + tabulate."""
 
-    def __init__(self, dim: int, backing: str, *, model=None, sample_ids=None,
-                 identities=None, vectors=None, warning: str | None = None):
-        if backing not in ("model", "table"):
-            raise ContractViolation("backing must be 'model' or 'table'")
+    def __init__(self, dim: int, *, model=None, sample_ids=None, identities=None,
+                 vectors=None, warning: str | None = None):
         self.dim = int(dim)
-        self.backing = backing
         self.model = model
         self.warning = warning
-        if backing == "table":
-            self.sample_ids = np.asarray(sample_ids, dtype=np.int64)
-            self.identities = np.asarray(identities, dtype=np.int64)
-            self.vectors = np.asarray(vectors, dtype=np.float64)
-            if self.vectors.ndim != 2 or self.vectors.shape[1] != self.dim:
-                raise ContractViolation("table vectors must be (n, dim)")
-            n = self.vectors.shape[0]
-            if self.sample_ids.shape != (n,) or self.identities.shape != (n,):
-                raise ContractViolation("table arrays must align")
-            norms = np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors))
-            if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
-                raise ContractViolation("table vectors must be unit-norm")
-            self._pos_of = {int(s): i for i, s in enumerate(self.sample_ids)}
-            if len(self._pos_of) != n:
-                raise ContractViolation("duplicate sample id in table")
+        self.sample_ids = self.identities = self.vectors = None
+        if vectors is None:
+            return
+        self.sample_ids = np.asarray(sample_ids, dtype=np.int64)
+        self.identities = np.asarray(identities, dtype=np.int64)
+        self.vectors = np.asarray(vectors, dtype=np.float64)
+        if self.vectors.ndim != 2 or self.vectors.shape[1] != self.dim:
+            raise ContractViolation("table vectors must be (n, dim)")
+        n = self.vectors.shape[0]
+        if self.sample_ids.shape != (n,) or self.identities.shape != (n,):
+            raise ContractViolation("table arrays must align")
+        norms = np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors))
+        if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
+            raise ContractViolation("table vectors must be unit-norm")
+        self._pos_of = {int(s): i for i, s in enumerate(self.sample_ids)}
+        if len(self._pos_of) != n:
+            raise ContractViolation("duplicate sample id in table")
 
     @classmethod
     def from_model(cls, model: MlpModel, warning: str | None = None) -> "TeacherOracle":
+        """Record a frozen model; ``tabulate`` turns it into a queryable table."""
         if not model.normalize_output:
             raise ContractViolation("teacher models must L2-normalize their output")
-        return cls(dim=model.embed_dim, backing="model", model=model, warning=warning)
+        return cls(dim=model.embed_dim, model=model, warning=warning)
 
     @classmethod
     def from_table(cls, sample_ids, identities, vectors,
                    model=None, warning: str | None = None) -> "TeacherOracle":
         vectors = np.asarray(vectors, dtype=np.float64)
         return cls(
-            dim=vectors.shape[1], backing="table", model=model,
-            sample_ids=sample_ids, identities=identities, vectors=vectors,
-            warning=warning,
+            dim=vectors.shape[1], model=model, sample_ids=sample_ids,
+            identities=identities, vectors=vectors, warning=warning,
         )
 
     # -- queries ------------------------------------------------------------
 
-    def embed(self, sample: Sample | int) -> np.ndarray:
-        """Unit-norm embedding of one sample; table lookups accept bare ids."""
-        if self.backing == "table":
-            sid = sample.sample_id if isinstance(sample, Sample) else int(sample)
-            pos = self._pos_of.get(sid)
-            if pos is None:
-                raise UnknownSampleError(f"sample id {sid} not in embedding table")
-            return self.vectors[pos].copy()
-        if not isinstance(sample, Sample):
-            raise ContractViolation("model-backed oracles need a Sample with features")
-        emb, _ = forward_batch(self.model, sample.x[None, :])
-        return emb[0]
+    def _lookup(self, sample_ids) -> np.ndarray:
+        if self.vectors is None:
+            raise ContractViolation("teacher model is not tabulated; call tabulate first")
+        try:
+            positions = [self._pos_of[int(s)] for s in sample_ids]
+        except KeyError as exc:
+            raise UnknownSampleError(f"sample id {exc.args[0]} not in embedding table") from None
+        return self.vectors[positions]
+
+    def embed(self, sample_id: int) -> np.ndarray:
+        """Unit-norm embedding of one sample id."""
+        return self._lookup([sample_id])[0]
 
     def embed_rows(self, ds: IdentityDataset, rows: np.ndarray) -> np.ndarray:
         """Embeddings for dataset rows, one per row, as an (n, dim) matrix."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if self.backing == "model":
-            emb, _ = forward_batch(self.model, ds.X[rows])
-            return emb
-        positions = np.array(
-            [self._pos_of.get(int(s), -1) for s in ds.sample_ids[rows]],
-            dtype=np.int64,
-        )
-        if np.any(positions < 0):
-            missing = int(ds.sample_ids[rows][positions < 0][0])
-            raise UnknownSampleError(f"sample id {missing} not in embedding table")
-        return self.vectors[positions]
-
-    def distance(self, u, v) -> float:
-        """The oracle's fixed metric: squared Euclidean."""
-        return sq_euclidean(u, v)
+        return self._lookup(ds.sample_ids[np.asarray(rows, dtype=np.int64)])
 
 
-def teacher_embed(oracle: TeacherOracle, sample: Sample | int) -> np.ndarray:
-    return oracle.embed(sample)
-
-
-def teacher_gap(oracle: TeacherOracle, a: Sample, p: Sample, n: Sample) -> float:
-    """max(T(a,n) - T(a,p), 0): how much farther the teacher puts the negative.
-
-    The label contract is enforced: p must share a's identity, n must not.
-    """
-    if p.identity != a.identity:
-        raise ContractViolation("positive must share the anchor's identity")
-    if n.identity == a.identity:
-        raise ContractViolation("negative must have a different identity")
-    ea = oracle.embed(a)
-    ep = oracle.embed(p)
-    en = oracle.embed(n)
-    return max(oracle.distance(ea, en) - oracle.distance(ea, ep), 0.0)
-
-
-def gaps_for_batch(
-    oracle: TeacherOracle,
-    ds: IdentityDataset,
-    batch_rows: np.ndarray,
-    triplets: np.ndarray,
-) -> np.ndarray:
-    """Vectorized teacher gaps for mined triplet positions within a batch."""
-    vec = oracle.embed_rows(ds, np.asarray(batch_rows, dtype=np.int64))
-    dmat = pairwise_sq_euclidean(vec)
+def triplet_gaps(dmat: np.ndarray, triplets: np.ndarray) -> np.ndarray:
+    """max(T(a,n) - T(a,p), 0) per (a, p, n) row of triplets, read from the
+    teacher distance matrix ``dmat`` over the positions the triplets index."""
     tri = np.asarray(triplets, dtype=np.int64)
-    raw = dmat[tri[:, 0], tri[:, 2]] - dmat[tri[:, 0], tri[:, 1]]
-    return np.maximum(raw, 0.0)
+    return np.maximum(dmat[tri[:, 0], tri[:, 2]] - dmat[tri[:, 0], tri[:, 1]], 0.0)
 
 
 def tabulate(oracle: TeacherOracle, ds: IdentityDataset) -> TeacherOracle:
-    """Precompute every dataset embedding into a table-backed oracle."""
-    if oracle.backing == "table":
+    """Forward the teacher model over every dataset sample in one batch; the
+    only place a teacher model runs.  A table passes through."""
+    if oracle.vectors is not None:
         return oracle
-    rows = np.arange(ds.n_samples)
-    vectors = oracle.embed_rows(ds, rows)
-    return TeacherOracle.from_table(
-        sample_ids=ds.sample_ids,
-        identities=ds.labels,
-        vectors=vectors,
-        model=oracle.model,
-        warning=oracle.warning,
-    )
+    vectors, _ = forward_batch(oracle.model, ds.X)
+    return TeacherOracle.from_table(ds.sample_ids, ds.labels, vectors,
+                                    model=oracle.model, warning=oracle.warning)
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +136,7 @@ class CalibrationReport:
     triplets: list[tuple[int, int, int]] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "sample_count": self.sample_count,
-                "d_values": self.d_values,
-                "d_min_observed": self.d_min_observed,
-                "d_max_observed": self.d_max_observed,
-                "suggested_m_min": self.suggested_m_min,
-                "suggested_m_max": self.suggested_m_max,
-                "triplets": [list(t) for t in self.triplets],
-            }
-        )
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "CalibrationReport":
@@ -227,6 +176,7 @@ def calibrate_margins(
     ]
     if not eligible_rows or ds.n_identities < 2:
         raise CapacityError("calibration needs >= 2 identities, one with >= 2 samples")
+    vectors = oracle.embed_rows(ds, np.arange(ds.n_samples))
     d_values = []
     triplets = []
     for _ in range(n_triplets):
@@ -236,18 +186,15 @@ def calibrate_margins(
         p_row = same[rng.randint(len(same))]
         other = np.where(ds.labels != ident)[0]
         n_row = int(other[rng.randint(other.size)])
-        a, p, n = ds.sample_at_row(a_row), ds.sample_at_row(p_row), ds.sample_at_row(n_row)
-        d_values.append(teacher_gap(oracle, a, p, n))
-        triplets.append((a.sample_id, p.sample_id, n.sample_id))
-    d_min = min(d_values)
-    d_max = max(d_values)
+        # one np.dot per distance: the report must be recomputable bit for bit
+        d_an = vectors[a_row] - vectors[n_row]
+        d_ap = vectors[a_row] - vectors[p_row]
+        d_values.append(max(float(np.dot(d_an, d_an)) - float(np.dot(d_ap, d_ap)), 0.0))
+        triplets.append(tuple(int(ds.sample_ids[r]) for r in (a_row, p_row, n_row)))
+    d_min, d_max = min(d_values), max(d_values)
     return CalibrationReport(
-        sample_count=n_triplets,
-        d_values=d_values,
-        d_min_observed=d_min,
-        d_max_observed=d_max,
-        suggested_m_min=d_min,
-        suggested_m_max=d_max,
+        sample_count=n_triplets, d_values=d_values, d_min_observed=d_min,
+        d_max_observed=d_max, suggested_m_min=d_min, suggested_m_max=d_max,
         triplets=triplets,
     )
 
@@ -256,22 +203,26 @@ def calibrate_margins(
 # embedding table files: binary "TFEMB1" or JSON lines
 # ---------------------------------------------------------------------------
 
+def _saved_order(oracle: TeacherOracle) -> np.ndarray:
+    """Record order of a saved table: ascending sample id."""
+    if oracle.vectors is None:
+        raise ContractViolation("only tabulated teachers can be saved")
+    return np.argsort(oracle.sample_ids, kind="stable")
+
+
 def save_embedding_table(oracle: TeacherOracle, path) -> None:
     """Binary table: magic, u32 count, u32 dim, then per record
     u32 identity, u32 sample, dim little-endian f32 values."""
-    if oracle.backing != "table":
-        raise ContractViolation("only table-backed oracles can be saved")
-    order = np.argsort(oracle.sample_ids, kind="stable")
+    order = _saved_order(oracle)
+    ids = np.stack([oracle.identities[order], oracle.sample_ids[order]])
+    if np.any((ids < 0) | (ids >= 2**32)):
+        raise ContractViolation("table ids must fit in u32")
+    records = np.empty(order.size, dtype=_table_record(oracle.dim))
+    records["identity"], records["sample"] = ids
+    records["vector"] = oracle.vectors[order]
     with open(path, "wb") as fh:
-        fh.write(TABLE_MAGIC)
-        fh.write(struct.pack("<II", oracle.sample_ids.size, oracle.dim))
-        for i in order:
-            sid = int(oracle.sample_ids[i])
-            ident = int(oracle.identities[i])
-            if not (0 <= sid < 2**32 and 0 <= ident < 2**32):
-                raise ContractViolation("table ids must fit in u32")
-            fh.write(struct.pack("<II", ident, sid))
-            fh.write(oracle.vectors[i].astype("<f4").tobytes())
+        fh.write(TABLE_MAGIC + _TABLE_HEADER.pack(order.size, oracle.dim))
+        fh.write(records.tobytes())
 
 
 def load_embedding_table(path) -> TeacherOracle:
@@ -279,32 +230,22 @@ def load_embedding_table(path) -> TeacherOracle:
         blob = fh.read()
     if not blob.startswith(TABLE_MAGIC):
         raise FormatError(f"{path}: bad embedding-table magic (expected TFEMB1)")
-    off = len(TABLE_MAGIC)
-    try:
-        count, dim = struct.unpack_from("<II", blob, off)
-        off += 8
-        sample_ids = np.empty(count, dtype=np.int64)
-        identities = np.empty(count, dtype=np.int64)
-        vectors = np.empty((count, dim), dtype=np.float64)
-        for i in range(count):
-            ident, sid = struct.unpack_from("<II", blob, off)
-            off += 8
-            vec = np.frombuffer(blob, dtype="<f4", count=dim, offset=off)
-            off += 4 * dim
-            sample_ids[i] = sid
-            identities[i] = ident
-            vectors[i] = vec.astype(np.float64)
-    except (struct.error, ValueError) as exc:
-        raise FormatError(f"{path}: truncated embedding table: {exc}") from exc
-    if off != len(blob):
-        raise FormatError(f"{path}: {len(blob) - off} trailing bytes")
-    return TeacherOracle.from_table(sample_ids, identities, vectors)
+    off = len(TABLE_MAGIC) + _TABLE_HEADER.size
+    if len(blob) < off:
+        raise FormatError(f"{path}: truncated embedding-table header")
+    count, dim = _TABLE_HEADER.unpack_from(blob, len(TABLE_MAGIC))
+    expected = off + count * (8 + 4 * dim)   # checked before the dtype or any array is built
+    if len(blob) != expected:
+        raise FormatError(
+            f"{path}: header declares {count} x {dim} values in {expected} bytes, "
+            f"file has {len(blob)}"
+        )
+    records = np.frombuffer(blob, dtype=_table_record(dim), count=count, offset=off)
+    return TeacherOracle.from_table(records["sample"], records["identity"], records["vector"])
 
 
 def save_embedding_table_jsonl(oracle: TeacherOracle, path) -> None:
-    if oracle.backing != "table":
-        raise ContractViolation("only table-backed oracles can be saved")
-    order = np.argsort(oracle.sample_ids, kind="stable")
+    order = _saved_order(oracle)
     with open(path, "w", encoding="utf-8") as fh:
         for i in order:
             rec = {

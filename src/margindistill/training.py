@@ -21,9 +21,19 @@ from .errors import ContractViolation, StagnationError
 from .loss import MarginConfig, batch_loss
 from .mlp import MlpModel, backward_batch, forward_batch, init_mlp, init_sgd, sgd_step
 from .numerics import Rng, derive_subseed, pairwise_sq_euclidean
-from .teacher import TeacherOracle, tabulate
+from .teacher import TeacherOracle, tabulate, triplet_gaps
 
 MAX_CONSECUTIVE_EMPTY = 50
+
+
+def _check_loop(cfg) -> None:
+    """Settings the training loop shares between teacher and distillation configs."""
+    if cfg.p < 2 or cfg.k < 2:
+        raise ContractViolation("training needs p >= 2 and k >= 2")
+    if cfg.iterations < 0:
+        raise ContractViolation("iterations must be >= 0")
+    if cfg.mining not in MINING_STRATEGIES:
+        raise ContractViolation(f"unknown mining strategy {cfg.mining!r}")
 
 
 @dataclass(frozen=True)
@@ -39,12 +49,7 @@ class DistillConfig:
     eval_every: int = 0   # 0 disables periodic verification logging
 
     def __post_init__(self):
-        if self.p < 2 or self.k < 2:
-            raise ContractViolation("distillation needs p >= 2 and k >= 2")
-        if self.iterations < 0:
-            raise ContractViolation("iterations must be >= 0")
-        if self.mining not in MINING_STRATEGIES:
-            raise ContractViolation(f"unknown mining strategy {self.mining!r}")
+        _check_loop(self)
         if self.eval_every < 0:
             raise ContractViolation("eval_every must be >= 0")
 
@@ -62,6 +67,14 @@ class TeacherTrainConfig:
     mining: str = "semi_hard"
     accuracy_floor: float = 0.95
     floor_pairs: int = 200
+
+    def __post_init__(self):
+        _check_loop(self)
+        MarginConfig.fixed(self.margin)           # finite and >= 0
+        if not 0.0 <= self.accuracy_floor <= 1.0:
+            raise ContractViolation("accuracy_floor must lie in [0, 1]")
+        if self.embed_dim < 1 or any(h < 1 for h in self.hidden_dims):
+            raise ContractViolation("teacher layer dims must be >= 1")
 
 
 @dataclass
@@ -157,10 +170,8 @@ def _run_triplet_loop(
         consecutive_empty = 0
         gaps = None
         if margin.mode == "dynamic":
-            tvec = teacher_vectors[batch.entries]
-            tdist = pairwise_sq_euclidean(tvec)
-            raw = tdist[triplets[:, 0], triplets[:, 2]] - tdist[triplets[:, 0], triplets[:, 1]]
-            gaps = np.maximum(raw, 0.0)
+            tdist = pairwise_sq_euclidean(teacher_vectors[batch.entries])
+            gaps = triplet_gaps(tdist, triplets)
         result = batch_loss(emb, triplets, gaps, margin)
         grads = backward_batch(model, cache, result.grad)
         sgd_step(sgd, model, grads)
@@ -171,6 +182,12 @@ def _run_triplet_loop(
             report = evaluation.verify(model, ds, eval_pairs)
             log.eval_points.append((it, report.best_accuracy))
     return log
+
+
+def _pairs_up_to(ds: IdentityDataset, n: int, rng: Rng):
+    """Up to n positive and n negative verification pairs, as many as ds holds."""
+    pos_available, neg_available = ds.pair_capacity()
+    return evaluation.build_pairs(ds, min(n, pos_available), min(n, neg_available), rng)
 
 
 def train_teacher(
@@ -205,13 +222,7 @@ def train_teacher(
         teacher_vectors=None,
     )
     oracle = tabulate(TeacherOracle.from_model(model), ds)
-    per_identity = [ds.rows_of(i).size for i in ds.identity_list]
-    pos_avail = sum(k * (k - 1) // 2 for k in per_identity)
-    neg_avail = ds.n_samples * (ds.n_samples - 1) // 2 - pos_avail
-    pairs = evaluation.build_pairs(
-        ds, min(cfg.floor_pairs, pos_avail), min(cfg.floor_pairs, neg_avail),
-        Rng(derive_subseed(seed, "teacher-floor")),
-    )
+    pairs = _pairs_up_to(ds, cfg.floor_pairs, Rng(derive_subseed(seed, "teacher-floor")))
     accuracy = evaluation.verify(oracle, ds, pairs).best_accuracy
     if cfg.iterations == 0 or accuracy < cfg.accuracy_floor:
         message = (
@@ -241,17 +252,10 @@ def distill(
     trained = student.copy()
     teacher_vectors = None
     if cfg.margin.mode == "dynamic":
-        table = tabulate(teacher, ds)
-        teacher_vectors = table.embed_rows(ds, np.arange(ds.n_samples))
+        teacher_vectors = tabulate(teacher, ds).embed_rows(ds, np.arange(ds.n_samples))
     eval_pairs = None
     if cfg.eval_every:
-        per_identity = [ds.rows_of(i).size for i in ds.identity_list]
-        pos_avail = sum(k * (k - 1) // 2 for k in per_identity)
-        neg_avail = ds.n_samples * (ds.n_samples - 1) // 2 - pos_avail
-        eval_pairs = evaluation.build_pairs(
-            ds, min(200, pos_avail), min(200, neg_avail),
-            Rng(derive_subseed(cfg.seed, "distill-eval")),
-        )
+        eval_pairs = _pairs_up_to(ds, 200, Rng(derive_subseed(cfg.seed, "distill-eval")))
     log = _run_triplet_loop(
         trained,
         ds,

@@ -6,6 +6,7 @@ from brute-force enumeration.
 """
 
 import math
+import struct
 
 import numpy as np
 
@@ -116,3 +117,35 @@ def exhaustive_sweep_best_accuracy(distances, same):
 def unit_vector(rng, dim):
     v = rng.normals(dim)
     return v / math.sqrt(float(np.dot(v, v)))
+
+
+def struct_embedding_table_bytes(sample_ids, identities, vectors):
+    """TFEMB1 bytes written record by record with struct, in sample-id order."""
+    vectors = np.asarray(vectors)
+    out = [b"TFEMB1", struct.pack("<II", len(sample_ids), vectors.shape[1])]
+    for i in sorted(range(len(sample_ids)), key=lambda i: sample_ids[i]):
+        out.append(struct.pack("<II", int(identities[i]), int(sample_ids[i])))
+        out.append(vectors[i].astype("<f4").tobytes())
+    return b"".join(out)
+
+
+def brute_force_sweep(distances, same):
+    """Candidate thresholds and, per threshold, (accuracy, false-accept rate,
+    true-accept rate) by counting every pair under "same iff distance < t".
+
+    Candidates: the smallest distance, each midpoint of consecutive distinct
+    distances, and the largest distance + 1.
+    """
+    levels = sorted(set(distances))
+    thresholds = [levels[0]]
+    thresholds += [0.5 * (lo + hi) for lo, hi in zip(levels, levels[1:])]
+    thresholds.append(levels[-1] + 1.0)
+    n_pos = sum(1 for s in same if s)
+    n_neg = len(same) - n_pos
+    rows = []
+    for t in thresholds:
+        tp = sum(1 for d, s in zip(distances, same) if s and d < t)
+        fp = sum(1 for d, s in zip(distances, same) if not s and d < t)
+        rows.append(((tp + n_neg - fp) / len(same),
+                     fp / n_neg if n_neg else 0.0, tp / n_pos if n_pos else 0.0))
+    return thresholds, rows

@@ -101,7 +101,8 @@ def test_criterion_1_gradient_suite():
             model = init_mlp(dims, True, Rng(3))
             emb, cache = forward_batch(model, x)
             triplets = md.mine_triplets(batch, emb, "semi_hard")
-            gaps = md.gaps_for_batch(frozen, ds, batch.entries, triplets)
+            tdist = md.pairwise_sq_euclidean(frozen.embed_rows(ds, batch.entries))
+            gaps = md.triplet_gaps(tdist, triplets)
             result = batch_loss(emb, triplets, gaps, cfg)
             grads = backward_batch(model, cache, result.grad)
             for layer in range(model.n_layers):

@@ -1,9 +1,13 @@
 import csv
 import json
+import struct
 from pathlib import Path
 
 from margindistill.cli import load_config, main
 from margindistill.data import load_dataset_jsonl
+from margindistill.mlp import load_checkpoint
+from margindistill.numerics import Rng, derive_subseed
+from margindistill.teacher import TeacherOracle, calibrate_margins, tabulate
 
 SMALL_CONFIG = """
 # small pipeline config for tests
@@ -119,6 +123,50 @@ def test_bad_checkpoint_magic_is_format_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "not a recognized checkpoint" in captured.err
+
+
+def test_oversized_table_header_is_format_error(tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert main(["gen-data", "--config", _write_config(tmp_path), "--out", str(out)]) == 0
+    dataset = _only_dir(out, "gen-data") / "dataset.jsonl"
+    huge = tmp_path / "huge.emb"
+    huge.write_bytes(b"TFEMB1" + struct.pack("<II", 200_000, 100_000))
+    config = _write_config(
+        tmp_path, **{"io_dot_dataset": str(dataset), "io_dot_teacher": str(huge)}
+    )
+    assert main(["calibrate", "--config", config, "--out", str(out)]) == 1
+    assert "header declares" in capsys.readouterr().err
+
+
+def test_ragged_dataset_rows_are_format_error(tmp_path, capsys):
+    dataset = tmp_path / "ragged.jsonl"
+    dataset.write_text(
+        json.dumps({"input_dim": 2, "n_samples": 2, "n_identities": 1}) + "\n"
+        + json.dumps({"sample": 0, "identity": 0, "x": [0.1, 0.2]}) + "\n"
+        + json.dumps({"sample": 1, "identity": 0, "x": [0.3]}) + "\n"
+    )
+    config = _write_config(tmp_path, **{"io_dot_dataset": str(dataset)})
+    assert main(["train-teacher", "--config", config, "--out", str(tmp_path / "runs")]) == 1
+    assert "equal-length" in capsys.readouterr().err
+
+
+def test_checkpoint_teacher_is_tabulated_against_the_dataset(tmp_path):
+    out = tmp_path / "runs"
+    assert main(["gen-data", "--config", _write_config(tmp_path), "--out", str(out)]) == 0
+    dataset = _only_dir(out, "gen-data") / "dataset.jsonl"
+    config_t = _write_config(tmp_path, **{"io_dot_dataset": str(dataset)})
+    assert main(["train-teacher", "--config", config_t, "--out", str(out), "--quiet"]) == 0
+    ckpt = _only_dir(out, "train-teacher") / "teacher.ckpt"
+    config_c = _write_config(
+        tmp_path, **{"io_dot_dataset": str(dataset), "io_dot_teacher": str(ckpt)}
+    )
+    assert main(["calibrate", "--config", config_c, "--out", str(out), "--quiet"]) == 0
+    report = json.loads((_only_dir(out, "calibrate") / "calibration.json").read_text())
+
+    ds = load_dataset_jsonl(dataset)
+    table = tabulate(TeacherOracle.from_model(load_checkpoint(ckpt)), ds)
+    want = calibrate_margins(table, ds, 50, Rng(derive_subseed(0, "calibrate")))
+    assert report["d_values"] == want.d_values
 
 
 def test_full_pipeline_and_compare(tmp_path, capsys):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from margindistill.data import HierarchySpec, IdentityDataset, generate_hierarchical
 from margindistill.errors import (
     CapacityError,
     ContractViolation,
+    DegenerateInput,
     FormatError,
     InsufficientData,
 )
@@ -24,7 +27,7 @@ from margindistill.mlp import init_mlp
 from margindistill.numerics import Rng, sq_euclidean
 from margindistill.teacher import TeacherOracle
 
-from oracles import exhaustive_sweep_best_accuracy, unit_vector
+from oracles import brute_force_sweep, exhaustive_sweep_best_accuracy, unit_vector
 
 
 def _table_ds(vectors, labels):
@@ -134,6 +137,30 @@ def test_threshold_sweep_tie_breaks_toward_smaller():
     # both extremes achieve accuracy 1/2; the smaller threshold must win
     report = threshold_sweep(np.array([0.3, 0.7]), np.array([False, True]))
     assert report.best_threshold == 0.3
+
+
+# distances from a coarse grid so that ties are common
+_pairs = st.lists(
+    st.tuples(st.integers(0, 6).map(lambda i: i / 4), st.booleans()), min_size=1, max_size=12
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairs)
+def test_threshold_sweep_matches_brute_force_counts(pairs):
+    d = [p[0] for p in pairs]
+    same = [p[1] for p in pairs]
+    report = threshold_sweep(np.array(d), np.array(same))
+    thresholds, rows = brute_force_sweep(d, same)
+    assert report.roc_points == [(far, tar) for _, far, tar in rows]
+    accuracies = [acc for acc, _, _ in rows]
+    assert report.best_accuracy == max(accuracies)
+    assert report.best_threshold == thresholds[accuracies.index(max(accuracies))]
+
+
+def test_threshold_sweep_rejects_non_finite_distances():
+    with pytest.raises(DegenerateInput):
+        threshold_sweep(np.array([0.1, np.nan]), np.array([True, False]))
 
 
 def test_best_accuracy_invariant_under_monotone_transform():

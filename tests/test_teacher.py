@@ -1,33 +1,33 @@
 import hashlib
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from margindistill.data import HierarchySpec, Sample, generate_hierarchical
+from margindistill.data import HierarchySpec, generate_hierarchical
 from margindistill.errors import (
     CapacityError,
     ContractViolation,
     FormatError,
     UnknownSampleError,
 )
-from margindistill.mlp import init_mlp
-from margindistill.numerics import Rng, sq_euclidean
+from margindistill.mlp import forward_batch, init_mlp
+from margindistill.numerics import Rng, pairwise_sq_euclidean, sq_euclidean
 from margindistill.teacher import (
     CalibrationReport,
     TeacherOracle,
     calibrate_margins,
-    gaps_for_batch,
     load_embedding_table,
     load_embedding_table_jsonl,
     save_embedding_table,
     save_embedding_table_jsonl,
     tabulate,
-    teacher_embed,
-    teacher_gap,
+    triplet_gaps,
 )
 
-from oracles import straightline_mlp_forward, unit_vector
+from oracles import struct_embedding_table_bytes, straightline_mlp_forward, unit_vector
 
 
 def _table_oracle(entries):
@@ -39,27 +39,30 @@ def _table_oracle(entries):
     )
 
 
-def _sample(sid, ident, dim=2):
-    return Sample(sample_id=sid, identity=ident, x=np.zeros(dim))
+def _tiny_dataset():
+    return generate_hierarchical(HierarchySpec(
+        n_superclusters=1, identities_per_supercluster=2, samples_per_identity=2,
+        input_dim=3, supercluster_spread=1.0, identity_spread=0.2,
+        sample_noise=0.05, seed=0,
+    ))
 
 
 def test_table_lookup_example():
     oracle = _table_oracle([(7, 1, [0.6, 0.8])])
-    np.testing.assert_array_equal(teacher_embed(oracle, 7), [0.6, 0.8])
-    np.testing.assert_array_equal(teacher_embed(oracle, _sample(7, 1)), [0.6, 0.8])
+    np.testing.assert_array_equal(oracle.embed(7), [0.6, 0.8])
 
 
 def test_table_lookup_deterministic_bitwise():
     oracle = _table_oracle([(0, 0, [1.0, 0.0]), (1, 1, [0.0, 1.0])])
-    a = teacher_embed(oracle, 0)
-    b = teacher_embed(oracle, 0)
+    a = oracle.embed(0)
+    b = oracle.embed(0)
     assert a.tobytes() == b.tobytes()
 
 
 def test_unknown_sample_id_raises():
     oracle = _table_oracle([(0, 0, [1.0, 0.0])])
     with pytest.raises(UnknownSampleError):
-        teacher_embed(oracle, 99)
+        oracle.embed(99)
 
 
 def test_table_requires_unit_norm():
@@ -68,12 +71,12 @@ def test_table_requires_unit_norm():
 
 
 def test_model_oracle_matches_straightline_forward():
-    model = init_mlp((4, 8, 3), normalize_output=True, rng=Rng(0))
-    oracle = TeacherOracle.from_model(model)
-    x = Rng(1).normals(4)
-    got = oracle.embed(Sample(sample_id=0, identity=0, x=x))
-    ref = straightline_mlp_forward(model.weights, model.biases, x, normalize=True)
-    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
+    ds = _tiny_dataset()
+    model = init_mlp((3, 8, 3), normalize_output=True, rng=Rng(0))
+    oracle = tabulate(TeacherOracle.from_model(model), ds)
+    for sid, x in zip(ds.sample_ids, ds.X):
+        ref = straightline_mlp_forward(model.weights, model.biases, x, normalize=True)
+        np.testing.assert_allclose(oracle.embed(sid), ref, rtol=1e-12, atol=1e-14)
 
 
 def test_model_oracle_requires_normalization():
@@ -95,7 +98,7 @@ def test_teacher_gap_direct_example():
         (1, 0, _vector_at_sq_distance(0.3)),
         (2, 1, _vector_at_sq_distance(0.9)),
     ])
-    gap = teacher_gap(oracle, _sample(0, 0), _sample(1, 0), _sample(2, 1))
+    (gap,) = triplet_gaps(pairwise_sq_euclidean(oracle.vectors), [(0, 1, 2)])
     assert gap == pytest.approx(0.6, abs=1e-12)
 
 
@@ -106,15 +109,7 @@ def test_teacher_gap_clamped_to_zero():
         (1, 0, _vector_at_sq_distance(0.5)),
         (2, 1, _vector_at_sq_distance(0.2)),
     ])
-    assert teacher_gap(oracle, _sample(0, 0), _sample(1, 0), _sample(2, 1)) == 0.0
-
-
-def test_teacher_gap_label_contract():
-    oracle = _table_oracle([(0, 0, [1, 0]), (1, 1, [0, 1]), (2, 2, [-1, 0])])
-    with pytest.raises(ContractViolation):
-        teacher_gap(oracle, _sample(0, 0), _sample(1, 1), _sample(2, 2))  # p wrong
-    with pytest.raises(ContractViolation):
-        teacher_gap(oracle, _sample(0, 0), _sample(0, 0), _sample(2, 0))  # n same
+    assert triplet_gaps(pairwise_sq_euclidean(oracle.vectors), [(0, 1, 2)]).tolist() == [0.0]
 
 
 def test_teacher_gap_matches_naive_recomputation():
@@ -123,13 +118,12 @@ def test_teacher_gap_matches_naive_recomputation():
     oracle = _table_oracle(entries)
     vecs = {sid: np.array(v) for sid, _, v in entries}
     idents = {sid: ident for sid, ident, _ in entries}
+    dmat = np.array([[sq_euclidean(u, v) for v in oracle.vectors] for u in oracle.vectors])
     for _ in range(20):
         a, p, n = rng.randint(20), rng.randint(20), rng.randint(20)
         if idents[p] != idents[a] or idents[n] == idents[a] or a == p:
             continue
-        got = teacher_gap(
-            oracle, _sample(a, idents[a]), _sample(p, idents[p]), _sample(n, idents[n])
-        )
+        (got,) = triplet_gaps(dmat, [(a, p, n)])
         ref = max(
             sq_euclidean(vecs[a], vecs[n]) - sq_euclidean(vecs[a], vecs[p]), 0.0
         )
@@ -172,31 +166,24 @@ def test_gaps_for_batch_matches_pointwise():
                     if ds.labels[n] != ds.labels[a]:
                         triplets.append((a, p, n))
     triplets = np.array(triplets[:50])
-    got = gaps_for_batch(oracle, ds, batch_rows, triplets)
+    got = triplet_gaps(pairwise_sq_euclidean(oracle.embed_rows(ds, batch_rows)), triplets)
+    vec = oracle.vectors
     for (a, p, n), g in zip(triplets, got):
-        ref = teacher_gap(
-            oracle, ds.sample_at_row(a), ds.sample_at_row(p), ds.sample_at_row(n)
-        )
+        ref = max(sq_euclidean(vec[a], vec[n]) - sq_euclidean(vec[a], vec[p]), 0.0)
         assert g == pytest.approx(ref, abs=1e-12)
 
 
 def test_tabulate_matches_model_forward():
-    spec = HierarchySpec(
-        n_superclusters=1, identities_per_supercluster=2, samples_per_identity=2,
-        input_dim=3, supercluster_spread=1.0, identity_spread=0.2,
-        sample_noise=0.05, seed=0,
-    )
-    ds = generate_hierarchical(spec)
-    model_oracle = TeacherOracle.from_model(init_mlp((3, 5, 2), True, Rng(4)))
+    ds = _tiny_dataset()
+    model = init_mlp((3, 5, 2), True, Rng(4))
+    model_oracle = TeacherOracle.from_model(model)
+    with pytest.raises(ContractViolation):
+        model_oracle.embed(int(ds.sample_ids[0]))   # a model answers only once tabulated
     table = tabulate(model_oracle, ds)
-    assert table.backing == "table"
+    assert table.model is model and tabulate(table, ds) is table
+    want, _ = forward_batch(model, ds.X)
     for i in range(ds.n_samples):
-        # batched and single-row BLAS paths may differ in the last ulp
-        np.testing.assert_allclose(
-            table.embed(int(ds.sample_ids[i])),
-            model_oracle.embed(ds.sample_at_row(i)),
-            rtol=0, atol=1e-14,
-        )
+        assert table.embed(int(ds.sample_ids[i])).tobytes() == want[i].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +229,9 @@ def test_calibrate_recomputation_oracle_seed0():
     # independent recomputation over the identical sampled triplets
     recomputed = []
     for a, p, n in report.triplets:
+        # the label contract of a triplet: p shares a's identity, n does not
+        la, lp, ln = (int(ds.labels[ds.row(s)]) for s in (a, p, n))
+        assert a != p and lp == la and ln != la
         ea = oracle.embed(a)
         ep = oracle.embed(p)
         en = oracle.embed(n)
@@ -313,3 +303,39 @@ def test_embedding_table_jsonl_roundtrip(tmp_path):
     (tmp_path / "bad.jsonl").write_text("nope\n")
     with pytest.raises(FormatError):
         load_embedding_table_jsonl(tmp_path / "bad.jsonl")
+
+
+def test_embedding_table_header_checked_before_allocation(tmp_path):
+    path = tmp_path / "huge.emb"
+    path.write_bytes(b"TFEMB1" + struct.pack("<II", 200_000, 100_000))   # 149 GiB of floats
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="header declares"):
+            load_embedding_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_embedding_table_trailing_and_missing_bytes(tmp_path):
+    oracle = _table_oracle([(0, 0, [1.0, 0.0]), (1, 1, [0.0, 1.0])])
+    save_embedding_table(oracle, tmp_path / "t.emb")
+    blob = (tmp_path / "t.emb").read_bytes()
+    for name, data in (("long", blob + b"\x00"), ("short", blob[:-1]), ("header", blob[:10])):
+        (tmp_path / name).write_bytes(data)
+        with pytest.raises(FormatError):
+            load_embedding_table(tmp_path / name)
+
+
+def test_embedding_table_bytes_match_record_writer(tmp_path):
+    ds = generate_hierarchical(HierarchySpec(seed=3))
+    oracle = tabulate(TeacherOracle.from_model(init_mlp((ds.input_dim, 8, 5), True, Rng(1))), ds)
+    perm = np.array(Rng(2).permutation(ds.n_samples))
+    shuffled = TeacherOracle.from_table(
+        oracle.sample_ids[perm], oracle.identities[perm], oracle.vectors[perm]
+    )
+    for table in (oracle, shuffled):
+        save_embedding_table(table, tmp_path / "t.emb")
+        want = struct_embedding_table_bytes(table.sample_ids, table.identities, table.vectors)
+        assert (tmp_path / "t.emb").read_bytes() == want

@@ -9,8 +9,8 @@ from margindistill.errors import ContractViolation, StagnationError
 from margindistill.evaluation import build_pairs, verify
 from margindistill.loss import MarginConfig, batch_loss
 from margindistill.mlp import backward_batch, forward_batch, init_mlp
-from margindistill.numerics import Rng
-from margindistill.teacher import TeacherOracle, gaps_for_batch, tabulate
+from margindistill.numerics import Rng, pairwise_sq_euclidean
+from margindistill.teacher import TeacherOracle, tabulate, triplet_gaps
 from margindistill.training import (
     DistillConfig,
     TeacherTrainConfig,
@@ -50,7 +50,7 @@ def test_full_model_gradcheck_through_batch_loss(dims):
     emb0, cache0 = forward_batch(model, x)
     triplets = mine_triplets(batch, emb0, "semi_hard")
     teacher = _teacher_for(ds)
-    gaps = gaps_for_batch(teacher, ds, batch.entries, triplets)
+    gaps = triplet_gaps(pairwise_sq_euclidean(teacher.embed_rows(ds, batch.entries)), triplets)
 
     result = batch_loss(emb0, triplets, gaps, cfg)
     grads = backward_batch(model, cache0, result.grad)
@@ -179,6 +179,23 @@ def test_distill_config_validation():
         DistillConfig(margin=MarginConfig.fixed(0.3), iterations=-1)
     with pytest.raises(ContractViolation):
         DistillConfig(margin=MarginConfig.fixed(0.3), mining="bogus")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mining", "bogus"),
+    ("p", 1),
+    ("k", 1),
+    ("iterations", -3),
+    ("accuracy_floor", 7.0),
+    ("accuracy_floor", -0.1),
+    ("margin", -0.1),
+    ("margin", float("inf")),
+    ("embed_dim", 0),
+    ("hidden_dims", (16, 0)),
+])
+def test_teacher_config_validation(field, value):
+    with pytest.raises(ContractViolation):
+        TeacherTrainConfig(**{field: value})
 
 
 def test_stagnation_error_after_50_empty_batches(monkeypatch):
