@@ -16,7 +16,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -209,16 +209,8 @@ def _say(quiet: bool, *parts) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
-    spec = HierarchySpec(
-        n_superclusters=cfg["data.n_superclusters"],
-        identities_per_supercluster=cfg["data.identities_per_supercluster"],
-        samples_per_identity=cfg["data.samples_per_identity"],
-        input_dim=cfg["data.input_dim"],
-        supercluster_spread=cfg["data.supercluster_spread"],
-        identity_spread=cfg["data.identity_spread"],
-        sample_noise=cfg["data.sample_noise"],
-        seed=derive_subseed(cfg["run.seed"], "data"),
-    )
+    shape = {f.name: cfg[f"data.{f.name}"] for f in fields(HierarchySpec) if f.name != "seed"}
+    spec = HierarchySpec(**shape, seed=derive_subseed(cfg["run.seed"], "data"))
     ds = generate_hierarchical(spec)
     d = _artifact_dir(out, "gen-data", cfg)
     target = d / "dataset.jsonl"

@@ -10,7 +10,8 @@ which makes generation a pure function of (spec, seed).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+import numbers
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -38,14 +39,13 @@ class HierarchySpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in (
-            "n_superclusters",
-            "identities_per_supercluster",
-            "samples_per_identity",
-            "input_dim",
-        ):
-            if getattr(self, name) < 1:
-                raise ContractViolation(f"{name} must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = numbers.Integral if f.type == "int" else numbers.Real
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ContractViolation(f"{f.name} must be {f.type}, got {value!r}")
+            if kind is numbers.Integral and f.name != "seed" and value < 1:
+                raise ContractViolation(f"{f.name} must be >= 1")
         if not (0.0 < self.sample_noise < self.identity_spread < self.supercluster_spread):
             raise ContractViolation(
                 "spreads must satisfy 0 < sample_noise < identity_spread "
@@ -59,6 +59,27 @@ class HierarchySpec:
     @property
     def n_samples(self) -> int:
         return self.n_identities * self.samples_per_identity
+
+
+class IdIndex:
+    """Positions of unique sample ids, looked up a whole id array at a time."""
+
+    def __init__(self, ids: np.ndarray, where: str):
+        if ids.size == 0:
+            raise ContractViolation(f"no sample ids in {where}")
+        self._order = np.argsort(ids, kind="stable")
+        self._sorted = ids[self._order]
+        self._where = where
+        if np.any(self._sorted[1:] == self._sorted[:-1]):
+            raise ContractViolation(f"duplicate sample id in {where}")
+
+    def positions(self, ids) -> np.ndarray:
+        ids = np.asarray(ids, dtype=np.int64)
+        at = np.minimum(np.searchsorted(self._sorted, ids), self._sorted.size - 1)
+        missing = self._sorted[at] != ids
+        if np.any(missing):
+            raise UnknownSampleError(f"sample id {ids[missing][0]} not in {self._where}")
+        return self._order[at]
 
 
 class IdentityDataset:
@@ -82,13 +103,11 @@ class IdentityDataset:
             raise ContractViolation("dataset must contain at least one sample")
         if self.sample_ids.shape != (n,) or self.labels.shape != (n,):
             raise ContractViolation("sample_ids/labels must align with features")
-        if len(set(self.sample_ids.tolist())) != n:
-            raise ContractViolation("sample ids must be unique")
         if not np.all(np.isfinite(self.X)):
             raise ContractViolation("features must be finite")
         self.spec = spec
         self.seed = seed
-        self._row_of = {int(s): i for i, s in enumerate(self.sample_ids)}
+        self._index = IdIndex(self.sample_ids, "dataset")
         self.identity_list = sorted(set(self.labels.tolist()))
         self._rows_by_identity = {
             ident: np.where(self.labels == ident)[0] for ident in self.identity_list
@@ -110,10 +129,11 @@ class IdentityDataset:
         return len(self.identity_list)
 
     def row(self, sample_id: int) -> int:
-        try:
-            return self._row_of[int(sample_id)]
-        except KeyError:
-            raise UnknownSampleError(f"unknown sample id {sample_id}") from None
+        return int(self.rows_for([sample_id])[0])
+
+    def rows_for(self, sample_ids) -> np.ndarray:
+        """Dataset rows of an array of sample ids; UnknownSampleError if one is absent."""
+        return self._index.positions(sample_ids)
 
     def rows_of(self, identity: int) -> np.ndarray:
         if identity not in self._rows_by_identity:
@@ -193,13 +213,10 @@ def sample_pk_batch(ds: IdentityDataset, p: int, k: int, rng: Rng) -> PkBatch:
         )
     chosen = [eligible[i] for i in rng.sample_indices(len(eligible), p)]
     entries = []
-    labels = []
     for ident in chosen:
         rows = ds.rows_of(ident)
-        picks = rng.sample_indices(rows.size, k)
-        entries.extend(int(rows[j]) for j in picks)
-        labels.extend([ident] * k)
-    return PkBatch(p=p, k=k, entries=np.array(entries), labels=np.array(labels))
+        entries.append(rows[rng.sample_indices(rows.size, k)])
+    return PkBatch(p=p, k=k, entries=np.concatenate(entries), labels=np.repeat(chosen, k))
 
 
 def mine_triplets(
@@ -228,48 +245,39 @@ def mine_triplets(
     if batch.p < 2:
         raise NoTripletsError("mining needs at least two identities in the batch")
     labels = batch.labels
-    positions = np.arange(b)
+    negative = labels[:, None] != labels[None, :]     # (B, B) other-identity mask
+    positive = ~negative
+    np.fill_diagonal(positive, False)
+    a_idx, p_idx = np.nonzero(positive)                # anchor-major, positives ascending
 
     if strategy == "all":
-        blocks = []
-        for a in range(b):
-            pos = positions[(labels == labels[a]) & (positions != a)]
-            neg = positions[labels != labels[a]]
-            pp = np.repeat(pos, neg.size)
-            nn = np.tile(neg, pos.size)
-            aa = np.full(pp.size, a, dtype=np.int64)
-            blocks.append(np.column_stack([aa, pp, nn]))
-        return np.concatenate(blocks, axis=0)
+        per_pair = b - batch.k                         # a PK batch gives every anchor B - k negatives
+        negatives = np.nonzero(negative)[1].reshape(b, per_pair)
+        return np.column_stack([
+            np.repeat(a_idx, per_pair), np.repeat(p_idx, per_pair), negatives[a_idx].ravel()
+        ])
 
     if strategy == "random_per_anchor":
         if rng is None:
             raise ContractViolation("random_per_anchor mining requires an rng")
         rows = []
         for a in range(b):
-            pos = positions[(labels == labels[a]) & (positions != a)]
+            pos = np.flatnonzero(positive[a])
             if pos.size == 0:  # k = 1: anchor has no positive
                 continue
-            neg = positions[labels != labels[a]]
+            neg = np.flatnonzero(negative[a])
             rows.append((a, pos[rng.randint(pos.size)], neg[rng.randint(neg.size)]))
         return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
     # semi_hard: vectorize over all (anchor, positive) pairs
     dmat = pairwise_sq_euclidean(emb)
-    a_idx = []
-    p_idx = []
-    for a in range(b):
-        pos = positions[(labels == labels[a]) & (positions != a)]
-        a_idx.extend([a] * pos.size)
-        p_idx.extend(pos.tolist())
-    a_idx = np.array(a_idx, dtype=np.int64)
-    p_idx = np.array(p_idx, dtype=np.int64)
     d_ap = dmat[a_idx, p_idx]
     rows = dmat[a_idx]                                # (T, B)
-    neg_mask = labels[a_idx][:, None] != labels[None, :]
+    neg_mask = negative[a_idx]
     violating = neg_mask & (rows > d_ap[:, None])
     has_violating = violating.any(axis=1)
     hardest_violating = np.where(violating, rows, np.inf).argmin(axis=1)
-    farthest = np.where(neg_mask, rows, -np.inf).argmax(axis=1)
+    farthest = np.where(negative, dmat, -np.inf).argmax(axis=1)[a_idx]   # one per anchor
     n_idx = np.where(has_violating, hardest_violating, farthest)
     return np.column_stack([a_idx, p_idx, n_idx])
 
@@ -295,6 +303,16 @@ def save_dataset_jsonl(ds: IdentityDataset, path) -> None:
                 "x": [float(v) for v in ds.X[i]],
             }
             fh.write(json.dumps(rec) + "\n")
+
+
+def _spec_from_header(path, spec) -> HierarchySpec | None:
+    keys = {f.name for f in fields(HierarchySpec)}
+    if spec and (not isinstance(spec, dict) or set(spec) != keys):
+        raise FormatError(f"{path}: header spec must have exactly the keys {sorted(keys)}")
+    try:
+        return HierarchySpec(**spec) if spec else None
+    except ContractViolation as exc:
+        raise FormatError(f"{path}: bad header spec: {exc}") from exc
 
 
 def load_dataset_jsonl(path) -> IdentityDataset:
@@ -329,14 +347,11 @@ def load_dataset_jsonl(path) -> IdentityDataset:
         features = np.array(feats, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: x must be equal-length number lists: {exc}") from exc
-    spec = None
-    if header.get("spec"):
-        spec = HierarchySpec(**header["spec"])
     ds = IdentityDataset(
         sample_ids=sample_ids,
         labels=labels,
         features=features,
-        spec=spec,
+        spec=_spec_from_header(path, header.get("spec")),
         seed=header.get("seed"),
     )
     if ds.input_dim != header["input_dim"] or ds.n_identities != header["n_identities"]:

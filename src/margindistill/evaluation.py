@@ -144,14 +144,11 @@ def build_pairs(
     return PairSet(a_ids=np.array(a_ids), b_ids=np.array(b_ids), same=np.array(same))
 
 
-def _pair_cosine_distances(embedder, ds: IdentityDataset, pairs: PairSet) -> np.ndarray:
-    rows_a = np.array([ds.row(s) for s in pairs.a_ids], dtype=np.int64)
-    rows_b = np.array([ds.row(s) for s in pairs.b_ids], dtype=np.int64)
-    unique_rows = np.unique(np.concatenate([rows_a, rows_b]))
+def _pair_cosine_distances(embedder, ds: IdentityDataset, rows_a, rows_b) -> np.ndarray:
+    unique_rows, position = np.unique(np.concatenate([rows_a, rows_b]), return_inverse=True)
     emb = _embeddings_for(embedder, ds, unique_rows)
-    position = {int(r): i for i, r in enumerate(unique_rows)}
-    ea = emb[[position[int(r)] for r in rows_a]]
-    eb = emb[[position[int(r)] for r in rows_b]]
+    ea = emb[position[:rows_a.size]]
+    eb = emb[position[rows_a.size:]]
     na = np.sqrt(np.einsum("ij,ij->i", ea, ea))
     nb = np.sqrt(np.einsum("ij,ij->i", eb, eb))
     if np.any(na == 0.0) or np.any(nb == 0.0):
@@ -195,12 +192,14 @@ def verify(embedder, ds: IdentityDataset, pairs: PairSet) -> VerificationReport:
     """Cosine-distance verification accuracy under the best swept threshold."""
     if len(pairs) == 0:
         raise ContractViolation("verify requires a non-empty pair set")
-    for a, b, s in zip(pairs.a_ids, pairs.b_ids, pairs.same):
-        if (ds.labels[ds.row(a)] == ds.labels[ds.row(b)]) != bool(s):
-            raise ContractViolation(
-                f"pair ({a}, {b}) label disagrees with the dataset identity map"
-            )
-    distances = _pair_cosine_distances(embedder, ds, pairs)
+    rows_a = ds.rows_for(pairs.a_ids)
+    rows_b = ds.rows_for(pairs.b_ids)
+    wrong = np.flatnonzero((ds.labels[rows_a] == ds.labels[rows_b]) != pairs.same)
+    if wrong.size:
+        i = wrong[0]
+        raise ContractViolation(f"pair ({pairs.a_ids[i]}, {pairs.b_ids[i]}) label disagrees "
+                                "with the dataset identity map")
+    distances = _pair_cosine_distances(embedder, ds, rows_a, rows_b)
     return threshold_sweep(distances, pairs.same)
 
 
@@ -227,16 +226,11 @@ def centroid_distance_matrix(
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with the average convention for ties."""
     order = np.argsort(values, kind="stable")
+    # tie groups: runs of equal sorted values, ranked start + 1 .. end + 1
+    _, start, count = np.unique(values[order], return_index=True, return_counts=True,
+                                equal_nan=False)
     ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = 0.5 * (i + j) + 1.0
-        for t in range(i, j + 1):
-            ranks[order[t]] = avg
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (2 * start + count - 1) + 1.0, count)
     return ranks
 
 

@@ -23,6 +23,7 @@ from .errors import ContractViolation
 from .numerics import as_vector, sq_euclidean
 
 MARGIN_MODES = ("fixed", "dynamic")
+_SCATTER_BLOCK = 1 << 16   # flat-index entries per gradient scatter call
 
 
 @dataclass(frozen=True)
@@ -154,6 +155,22 @@ def triplet_loss_dynamic(
     )
 
 
+def _scatter_rows(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """Set out[r] to the sum of values[i] over rows[i] == r, added in i order from 0.0.
+
+    One weighted bincount per block of columns; blocks narrow as rows grow, so
+    dense batches scatter a column at a time and never hold a (rows x dim) index.
+    """
+    n_out, dim = out.shape
+    width = max(1, _SCATTER_BLOCK // rows.size)
+    for c0 in range(0, dim, width):
+        block = values[:, c0:c0 + width]
+        w = block.shape[1]
+        flat = (rows[:, None] * w + np.arange(w)).ravel()
+        out[:, c0:c0 + w] = np.bincount(
+            flat, weights=block.ravel(), minlength=n_out * w).reshape(n_out, w)
+
+
 def batch_loss(
     embeddings: np.ndarray,
     triplets: np.ndarray,
@@ -185,10 +202,8 @@ def batch_loss(
         raise ContractViolation("triplet index out of range")
 
     anchors = emb[tri[:, 0]]
-    positives = emb[tri[:, 1]]
-    negatives = emb[tri[:, 2]]
-    dp = anchors - positives
-    dn = anchors - negatives
+    dp = anchors - emb[tri[:, 1]]
+    dn = anchors - emb[tri[:, 2]]
     d_ap = np.einsum("ij,ij->i", dp, dp)
     d_an = np.einsum("ij,ij->i", dn, dn)
 
@@ -218,12 +233,14 @@ def batch_loss(
     scale = 1.0 / n_triplets
     act = np.where(active)[0]
     if act.size:
-        ga = 2.0 * scale * (negatives[act] - positives[act])
-        gp = -2.0 * scale * dp[act]
-        gn = 2.0 * scale * dn[act]
-        np.add.at(grad, tri[act, 0], ga)
-        np.add.at(grad, tri[act, 1], gp)
-        np.add.at(grad, tri[act, 2], gn)
+        # anchor, then positive, then negative terms: the sums' bits depend on this order
+        t = tri[act]
+        contrib = np.empty((3, act.size, emb.shape[1]))
+        np.subtract(emb[t[:, 2]], emb[t[:, 1]], out=contrib[0])
+        contrib[0] *= 2.0 * scale
+        np.multiply(-2.0 * scale, dp[act], out=contrib[1])
+        np.multiply(2.0 * scale, dn[act], out=contrib[2])
+        _scatter_rows(grad, t.T.ravel(), contrib.reshape(-1, emb.shape[1]))
 
     return BatchLossResult(
         loss=loss, grad=grad, margins=margins, active=active, d_max=d_max

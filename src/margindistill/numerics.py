@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import ContractViolation, DegenerateInput
 
-_MASK64 = (1 << 64) - 1
+_SPAN64 = 1 << 64
+_MASK64 = _SPAN64 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +101,6 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return (z ^ (z >> 31)) & _MASK64, state
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 class Rng:
     """xoshiro256** pseudo-random generator with a fixed 64-bit seed.
 
@@ -125,15 +122,15 @@ class Rng:
 
     def next_uint64(self) -> int:
         s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
+        x = (s1 * 5) & _MASK64
+        result = (((x << 7) | (x >> 57)) * 9) & _MASK64   # rotl(s1 * 5, 7) * 9 mod 2^64
         t = (s1 << 17) & _MASK64
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
+        self._s = [s0, s1, s2, ((s3 << 45) | (s3 >> 19)) & _MASK64]   # s3 = rotl(s3, 45)
         return result
 
     def random(self) -> float:
@@ -146,12 +143,11 @@ class Rng:
             raise ContractViolation("randint requires n >= 1")
         if n == 1:
             return 0
-        span = _MASK64 + 1
-        limit = span - (span % n)
-        while True:
+        v = self.next_uint64()
+        limit = _SPAN64 - _SPAN64 % n
+        while v >= limit:
             v = self.next_uint64()
-            if v < limit:
-                return v % n
+        return v % n
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
@@ -165,11 +161,6 @@ class Rng:
         out = list(range(n))
         self.shuffle(out)
         return out
-
-    def choice(self, seq):
-        if len(seq) == 0:
-            raise ContractViolation("choice on an empty sequence")
-        return seq[self.randint(len(seq))]
 
     def sample_indices(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), via partial Fisher-Yates."""

@@ -16,15 +16,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import IdentityDataset
+from .data import IdentityDataset, IdIndex
 from .errors import (
     CapacityError,
     ContractViolation,
     FormatError,
-    UnknownSampleError,
 )
 from .mlp import MlpModel, forward_batch
-from .numerics import Rng
+from .numerics import Rng, pairwise_sq_euclidean
 
 TABLE_MAGIC = b"TFEMB1"
 UNIT_NORM_TOL = 1e-6
@@ -58,9 +57,7 @@ class TeacherOracle:
         norms = np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors))
         if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
             raise ContractViolation("table vectors must be unit-norm")
-        self._pos_of = {int(s): i for i, s in enumerate(self.sample_ids)}
-        if len(self._pos_of) != n:
-            raise ContractViolation("duplicate sample id in table")
+        self._index = IdIndex(self.sample_ids, "embedding table")
 
     @classmethod
     def from_model(cls, model: MlpModel, warning: str | None = None) -> "TeacherOracle":
@@ -83,11 +80,7 @@ class TeacherOracle:
     def _lookup(self, sample_ids) -> np.ndarray:
         if self.vectors is None:
             raise ContractViolation("teacher model is not tabulated; call tabulate first")
-        try:
-            positions = [self._pos_of[int(s)] for s in sample_ids]
-        except KeyError as exc:
-            raise UnknownSampleError(f"sample id {exc.args[0]} not in embedding table") from None
-        return self.vectors[positions]
+        return self.vectors[self._index.positions(sample_ids)]
 
     def embed(self, sample_id: int) -> np.ndarray:
         """Unit-norm embedding of one sample id."""
@@ -98,11 +91,20 @@ class TeacherOracle:
         return self._lookup(ds.sample_ids[np.asarray(rows, dtype=np.int64)])
 
 
-def triplet_gaps(dmat: np.ndarray, triplets: np.ndarray) -> np.ndarray:
-    """max(T(a,n) - T(a,p), 0) per (a, p, n) row of triplets, read from the
-    teacher distance matrix ``dmat`` over the positions the triplets index."""
+def triplet_gaps(vectors: np.ndarray, triplets: np.ndarray) -> np.ndarray:
+    """max(T(a,n) - T(a,p), 0) per (a, p, n) row of triplets, T the squared Euclidean
+    distance between rows of ``vectors``, reduced as ``pairwise_sq_euclidean`` does.
+    Few triplets (semi-hard) take row-wise differences; many (dense mining) read the
+    full matrix, which is then cheaper.  Both give the same bits."""
     tri = np.asarray(triplets, dtype=np.int64)
-    return np.maximum(dmat[tri[:, 0], tri[:, 2]] - dmat[tri[:, 0], tri[:, 1]], 0.0)
+    a, p, n = tri.T
+    if 3 * tri.shape[0] >= vectors.shape[0] ** 2:
+        dmat = pairwise_sq_euclidean(vectors)
+        return np.maximum(dmat[a, n] - dmat[a, p], 0.0)
+    anchors = vectors[a]
+    dn = anchors - vectors[n]
+    dp = anchors - vectors[p]
+    return np.maximum(np.einsum("ij,ij->i", dn, dn) - np.einsum("ij,ij->i", dp, dp), 0.0)
 
 
 def tabulate(oracle: TeacherOracle, ds: IdentityDataset) -> TeacherOracle:
@@ -273,4 +275,6 @@ def load_embedding_table_jsonl(path) -> TeacherOracle:
                 raise FormatError(f"{path}: bad table record: {exc}") from exc
     if not vectors:
         raise FormatError(f"{path}: empty embedding table")
+    if len({len(v) for v in vectors}) != 1:
+        raise FormatError(f"{path}: table vectors must all have one length")
     return TeacherOracle.from_table(sample_ids, identities, np.array(vectors))

@@ -20,7 +20,8 @@ from .data import IdentityDataset, MINING_STRATEGIES, mine_triplets, sample_pk_b
 from .errors import ContractViolation, StagnationError
 from .loss import MarginConfig, batch_loss
 from .mlp import MlpModel, backward_batch, forward_batch, init_mlp, init_sgd, sgd_step
-from .numerics import Rng, derive_subseed, pairwise_sq_euclidean
+# pairwise_sq_euclidean is unused here, but perfbench's tracer patches this name
+from .numerics import Rng, derive_subseed, pairwise_sq_euclidean  # noqa: F401
 from .teacher import TeacherOracle, tabulate, triplet_gaps
 
 MAX_CONSECUTIVE_EMPTY = 50
@@ -93,27 +94,12 @@ class TrainLog:
         self.active_frac.append(active_frac)
 
     def write_jsonl(self, path) -> None:
+        records = {it: {"iter": it, "skipped": True} for it in self.skipped}
+        for it, loss, margin, frac in zip(self.iterations, self.loss, self.mean_margin,
+                                          self.active_frac):
+            records[it] = {"iter": it, "loss": loss, "mean_margin": margin, "active_frac": frac}
         with open(path, "w", encoding="utf-8") as fh:
-            skipped = set(self.skipped)
-            rows = iter(zip(self.iterations, self.loss, self.mean_margin, self.active_frac))
-            row = next(rows, None)
-            for it in sorted(set(self.iterations) | skipped):
-                if it in skipped:
-                    fh.write(json.dumps({"iter": it, "skipped": True}) + "\n")
-                    continue
-                assert row is not None and row[0] == it
-                fh.write(
-                    json.dumps(
-                        {
-                            "iter": row[0],
-                            "loss": row[1],
-                            "mean_margin": row[2],
-                            "active_frac": row[3],
-                        }
-                    )
-                    + "\n"
-                )
-                row = next(rows, None)
+            fh.writelines(json.dumps(records[it]) + "\n" for it in sorted(records))
 
     @classmethod
     def read_jsonl(cls, path) -> "TrainLog":
@@ -170,8 +156,7 @@ def _run_triplet_loop(
         consecutive_empty = 0
         gaps = None
         if margin.mode == "dynamic":
-            tdist = pairwise_sq_euclidean(teacher_vectors[batch.entries])
-            gaps = triplet_gaps(tdist, triplets)
+            gaps = triplet_gaps(teacher_vectors[batch.entries], triplets)
         result = batch_loss(emb, triplets, gaps, margin)
         grads = backward_batch(model, cache, result.grad)
         sgd_step(sgd, model, grads)

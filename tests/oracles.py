@@ -2,13 +2,16 @@
 
 These deliberately avoid the library's code paths: gradients come from
 central finite differences, forwards from straight-line loops, selections
-from brute-force enumeration.
+from brute-force enumeration.  The last section is the exception: it keeps
+earlier library implementations that faster code must match bit for bit.
 """
 
 import math
 import struct
 
 import numpy as np
+
+from margindistill.numerics import pairwise_sq_euclidean
 
 
 def central_diff_grad(f, x, h=1e-5):
@@ -149,3 +152,66 @@ def brute_force_sweep(distances, same):
         rows.append(((tp + n_neg - fp) / len(same),
                      fp / n_neg if n_neg else 0.0, tp / n_pos if n_pos else 0.0))
     return thresholds, rows
+
+
+# ---------------------------------------------------------------------------
+# Earlier library implementations of the training loop's steps.  The fast
+# paths must reproduce them bit for bit, so these keep the old arithmetic
+# (and call pairwise_sq_euclidean where the old code did) instead of
+# deriving results independently.
+# ---------------------------------------------------------------------------
+
+def per_anchor_mining(labels, emb, strategy, rng=None):
+    """Semi-hard or random_per_anchor mining, one anchor at a time."""
+    labels = np.asarray(labels, dtype=np.int64)
+    b = labels.size
+    positions = np.arange(b)
+    if strategy == "random_per_anchor":
+        rows = []
+        for a in range(b):
+            pos = positions[(labels == labels[a]) & (positions != a)]
+            if pos.size == 0:
+                continue
+            neg = positions[labels != labels[a]]
+            rows.append((a, pos[rng.randint(pos.size)], neg[rng.randint(neg.size)]))
+        return np.array(rows, dtype=np.int64).reshape(-1, 3)
+    assert strategy == "semi_hard"
+    dmat = pairwise_sq_euclidean(np.asarray(emb, dtype=np.float64))
+    a_idx = []
+    p_idx = []
+    for a in range(b):
+        pos = positions[(labels == labels[a]) & (positions != a)]
+        a_idx.extend([a] * pos.size)
+        p_idx.extend(pos.tolist())
+    a_idx = np.array(a_idx, dtype=np.int64)
+    p_idx = np.array(p_idx, dtype=np.int64)
+    d_ap = dmat[a_idx, p_idx]
+    rows = dmat[a_idx]
+    neg_mask = labels[a_idx][:, None] != labels[None, :]
+    violating = neg_mask & (rows > d_ap[:, None])
+    has_violating = violating.any(axis=1)
+    hardest_violating = np.where(violating, rows, np.inf).argmin(axis=1)
+    farthest = np.where(neg_mask, rows, -np.inf).argmax(axis=1)
+    n_idx = np.where(has_violating, hardest_violating, farthest)
+    return np.column_stack([a_idx, p_idx, n_idx])
+
+
+def add_at_batch_grad(emb, triplets, active):
+    """batch_loss's per-sample gradient accumulated with three np.add.at calls."""
+    emb = np.asarray(emb, dtype=np.float64)
+    tri = np.asarray(triplets, dtype=np.int64)
+    scale = 1.0 / tri.shape[0]
+    act = np.where(active)[0]
+    anchors, positives, negatives = emb[tri[act, 0]], emb[tri[act, 1]], emb[tri[act, 2]]
+    grad = np.zeros_like(emb)
+    np.add.at(grad, tri[act, 0], 2.0 * scale * (negatives - positives))
+    np.add.at(grad, tri[act, 1], -2.0 * scale * (anchors - positives))
+    np.add.at(grad, tri[act, 2], 2.0 * scale * (anchors - negatives))
+    return grad
+
+
+def pairwise_matrix_gaps(vectors, triplets):
+    """Teacher gaps read from the full pairwise teacher-distance matrix."""
+    dmat = pairwise_sq_euclidean(vectors)
+    tri = np.asarray(triplets, dtype=np.int64)
+    return np.maximum(dmat[tri[:, 0], tri[:, 2]] - dmat[tri[:, 0], tri[:, 1]], 0.0)

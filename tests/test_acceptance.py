@@ -101,8 +101,7 @@ def test_criterion_1_gradient_suite():
             model = init_mlp(dims, True, Rng(3))
             emb, cache = forward_batch(model, x)
             triplets = md.mine_triplets(batch, emb, "semi_hard")
-            tdist = md.pairwise_sq_euclidean(frozen.embed_rows(ds, batch.entries))
-            gaps = md.triplet_gaps(tdist, triplets)
+            gaps = md.triplet_gaps(frozen.embed_rows(ds, batch.entries), triplets)
             result = batch_loss(emb, triplets, gaps, cfg)
             grads = backward_batch(model, cache, result.grad)
             for layer in range(model.n_layers):

@@ -150,6 +150,35 @@ def test_ragged_dataset_rows_are_format_error(tmp_path, capsys):
     assert "equal-length" in capsys.readouterr().err
 
 
+def test_ragged_table_jsonl_teacher_is_format_error(tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert main(["gen-data", "--config", _write_config(tmp_path), "--out", str(out)]) == 0
+    dataset = _only_dir(out, "gen-data") / "dataset.jsonl"
+    table = tmp_path / "ragged_table.jsonl"
+    table.write_text(
+        json.dumps({"identity": 0, "sample": 0, "vector": [0.6, 0.8]}) + "\n"
+        + json.dumps({"identity": 0, "sample": 1, "vector": [1.0]}) + "\n"
+    )
+    config = _write_config(
+        tmp_path, **{"io_dot_dataset": str(dataset), "io_dot_teacher": str(table)}
+    )
+    assert main(["calibrate", "--config", config, "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_dataset_spec_with_unknown_key_is_format_error(tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert main(["gen-data", "--config", _write_config(tmp_path), "--out", str(out)]) == 0
+    dataset = _only_dir(out, "gen-data") / "dataset.jsonl"
+    lines = dataset.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["spec"]["bogus"] = 1
+    dataset.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    config = _write_config(tmp_path, **{"io_dot_dataset": str(dataset)})
+    assert main(["train-teacher", "--config", config, "--out", str(out)]) == 1
+    assert "header spec" in capsys.readouterr().err
+
+
 def test_checkpoint_teacher_is_tabulated_against_the_dataset(tmp_path):
     out = tmp_path / "runs"
     assert main(["gen-data", "--config", _write_config(tmp_path), "--out", str(out)]) == 0

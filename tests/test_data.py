@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from margindistill.data import (
     HierarchySpec,
@@ -19,7 +22,7 @@ from margindistill.errors import (
 )
 from margindistill.numerics import Rng, pairwise_sq_euclidean
 
-from oracles import brute_force_all_triplets, brute_force_semi_hard
+from oracles import brute_force_all_triplets, brute_force_semi_hard, per_anchor_mining
 
 
 def small_spec(**kw):
@@ -205,6 +208,39 @@ def test_mine_rejects_unknown_strategy():
         mine_triplets(batch, emb, "hardest")
 
 
+@st.composite
+def _pk_cases(draw):
+    """A PK batch (identity-major or shuffled, k may be 1), embeddings of dim
+    1-64 (random reals, or a small grid full of exact distance ties), a seed."""
+    p, k, dim = draw(st.integers(2, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 64))
+    seed = draw(st.integers(0, 2**32 - 1))
+    gen = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(p) * 7 + 3, k)
+    if draw(st.booleans()):
+        labels = gen.permutation(labels)
+    batch = PkBatch(p=p, k=k, entries=np.arange(p * k) + 100, labels=labels)
+    if draw(st.booleans()):
+        emb = gen.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(p * k, dim))
+    else:
+        emb = gen.standard_normal((p * k, dim)) * 10.0 ** gen.uniform(-3, 3)
+    return batch, emb, seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pk_cases())
+def test_mining_matches_per_anchor_loop_bitwise(case):
+    batch, emb, seed = case
+    for strategy in ("semi_hard", "random_per_anchor"):
+        got = mine_triplets(batch, emb, strategy, Rng(seed))
+        want = per_anchor_mining(batch.labels, emb, strategy, Rng(seed))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+    got = mine_triplets(batch, emb, "all")
+    want = brute_force_all_triplets(batch.labels.tolist()).reshape(-1, 3)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # file format
 # ---------------------------------------------------------------------------
@@ -249,3 +285,22 @@ def test_mine_k1_batch_yields_no_triplets():
     for strategy in ("all", "semi_hard", "random_per_anchor"):
         tri = mine_triplets(batch, emb, strategy, Rng(1))
         assert tri.shape == (0, 3)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda spec: spec.update(bogus=1),
+    lambda spec: spec.pop("sample_noise"),
+    lambda spec: spec.update(n_superclusters="four"),
+    lambda spec: spec.update(input_dim=2.5),
+    lambda spec: spec.update(identity_spread=5.0),
+])
+def test_dataset_jsonl_bad_header_spec_rejected(tmp_path, edit):
+    ds = generate_hierarchical(small_spec())
+    path = tmp_path / "ds.jsonl"
+    save_dataset_jsonl(ds, path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    edit(header["spec"])
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    with pytest.raises(FormatError):
+        load_dataset_jsonl(path)

@@ -11,6 +11,7 @@ from margindistill.errors import (
     DegenerateInput,
     FormatError,
     InsufficientData,
+    UnknownSampleError,
 )
 from margindistill.evaluation import (
     PairSet,
@@ -114,6 +115,22 @@ def test_verify_label_consistency_checked():
     ds, oracle = _table_ds([[1, 0], [0, 1]], [0, 1])
     pairs = PairSet(a_ids=[0], b_ids=[1], same=[True])  # actually different
     with pytest.raises(ContractViolation):
+        verify(oracle, ds, pairs)
+
+
+def test_verify_rejects_unknown_ids_and_any_mismatched_pair():
+    ids, labels, vectors = [10, 30, 20, 40], [0, 0, 1, 1], np.eye(2)[[0, 0, 1, 1]]
+    ds = IdentityDataset(ids, labels, vectors)          # ids not in row order
+    oracle = TeacherOracle.from_table(ids, labels, vectors)
+    ok = PairSet(a_ids=[40, 10, 30], b_ids=[20, 30, 40], same=[True, True, False])
+    assert verify(oracle, ds, ok).best_accuracy == 1.0
+    with pytest.raises(UnknownSampleError):
+        verify(oracle, ds, PairSet(a_ids=[10, 10], b_ids=[30, 25], same=[True, True]))
+    with pytest.raises(UnknownSampleError):
+        verify(oracle, ds, PairSet(a_ids=[99], b_ids=[10], same=[False]))
+    # the third pair (30, 20) crosses identities but is labelled same
+    pairs = PairSet(a_ids=[10, 20, 30], b_ids=[30, 40, 20], same=[True, True, True])
+    with pytest.raises(ContractViolation, match=r"\(30, 20\)"):
         verify(oracle, ds, pairs)
 
 

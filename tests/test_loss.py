@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from margindistill.errors import ContractViolation
 from margindistill.loss import (
@@ -13,7 +13,7 @@ from margindistill.loss import (
 )
 from margindistill.numerics import Rng, sq_euclidean
 
-from oracles import central_diff_grad, unit_vector
+from oracles import add_at_batch_grad, central_diff_grad, unit_vector
 
 
 def test_triplet_loss_examples():
@@ -296,3 +296,43 @@ def test_batch_loss_margins_within_bounds():
     gaps = rng.uniforms(40) * 3.0
     res = batch_loss(emb, triplets, gaps, MarginConfig.dynamic(0.2, 0.5))
     assert np.all(res.margins >= 0.2) and np.all(res.margins <= 0.5)
+
+
+def _grid_batch(seed, n_rows, dim, n_triplets):
+    """Embeddings on a small grid holding +-0.0, so per-triplet gradient terms
+    include -0.0 and exact cancellations; random triplets with repeated rows."""
+    gen = np.random.default_rng(seed)
+    emb = gen.choice([-1.0, -0.25, -0.0, 0.0, 0.25, 1.0], size=(n_rows, dim))
+    triplets = gen.integers(0, n_rows, size=(n_triplets, 3))
+    gaps = gen.choice([0.0, 0.5, 2.0], size=n_triplets)
+    return emb, triplets, gaps
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 64),
+       st.integers(1, 60), st.sampled_from(["fixed", "dynamic"]))
+def test_batch_loss_grad_matches_add_at_bitwise(seed, n_rows, dim, n_triplets, mode):
+    emb, triplets, gaps = _grid_batch(seed, n_rows, dim, n_triplets)
+    cfg = MarginConfig.fixed(0.5) if mode == "fixed" else MarginConfig.dynamic(0.2, 1.0)
+    res = batch_loss(emb, triplets, gaps, cfg)
+    assert res.grad.tobytes() == add_at_batch_grad(emb, triplets, res.active).tobytes()
+
+
+@pytest.mark.parametrize("n_triplets, dim", [(3000, 64), (25088, 5)])
+def test_batch_loss_grad_matches_add_at_on_large_batches(n_triplets, dim):
+    # enough triplets that the gradient is scattered a few columns at a time
+    emb, triplets, gaps = _grid_batch(7, 64, dim, n_triplets)
+    res = batch_loss(emb, triplets, gaps, MarginConfig.dynamic(0.5, 2.0))
+    assert res.active.sum() > 1000
+    assert res.grad.tobytes() == add_at_batch_grad(emb, triplets, res.active).tobytes()
+
+
+def test_batch_loss_negative_zero_terms_sum_to_positive_zero():
+    # anchor +0.0 and positive -0.0: the positive's term -2/T (a - p) is -0.0,
+    # and accumulation from +0.0 leaves +0.0
+    emb = np.array([[0.0], [-0.0], [1.0]])
+    assert np.signbit(-2.0 * (emb[0, 0] - emb[1, 0]))
+    res = batch_loss(emb, np.array([[0, 1, 2]]), None, MarginConfig.fixed(3.0))
+    want = add_at_batch_grad(emb, np.array([[0, 1, 2]]), res.active)
+    assert res.grad.tobytes() == want.tobytes()
+    assert not np.signbit(res.grad[1, 0])

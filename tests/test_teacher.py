@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from margindistill.data import HierarchySpec, generate_hierarchical
 from margindistill.errors import (
@@ -27,7 +28,12 @@ from margindistill.teacher import (
     triplet_gaps,
 )
 
-from oracles import struct_embedding_table_bytes, straightline_mlp_forward, unit_vector
+from oracles import (
+    pairwise_matrix_gaps,
+    struct_embedding_table_bytes,
+    straightline_mlp_forward,
+    unit_vector,
+)
 
 
 def _table_oracle(entries):
@@ -98,7 +104,7 @@ def test_teacher_gap_direct_example():
         (1, 0, _vector_at_sq_distance(0.3)),
         (2, 1, _vector_at_sq_distance(0.9)),
     ])
-    (gap,) = triplet_gaps(pairwise_sq_euclidean(oracle.vectors), [(0, 1, 2)])
+    (gap,) = triplet_gaps(oracle.vectors, [(0, 1, 2)])
     assert gap == pytest.approx(0.6, abs=1e-12)
 
 
@@ -109,7 +115,7 @@ def test_teacher_gap_clamped_to_zero():
         (1, 0, _vector_at_sq_distance(0.5)),
         (2, 1, _vector_at_sq_distance(0.2)),
     ])
-    assert triplet_gaps(pairwise_sq_euclidean(oracle.vectors), [(0, 1, 2)]).tolist() == [0.0]
+    assert triplet_gaps(oracle.vectors, [(0, 1, 2)]).tolist() == [0.0]
 
 
 def test_teacher_gap_matches_naive_recomputation():
@@ -118,17 +124,32 @@ def test_teacher_gap_matches_naive_recomputation():
     oracle = _table_oracle(entries)
     vecs = {sid: np.array(v) for sid, _, v in entries}
     idents = {sid: ident for sid, ident, _ in entries}
-    dmat = np.array([[sq_euclidean(u, v) for v in oracle.vectors] for u in oracle.vectors])
+
+    def dist(u, v):  # one pairwise_sq_euclidean entry, computed for this pair alone
+        return pairwise_sq_euclidean(u[None], v[None])[0, 0]
+
     for _ in range(20):
         a, p, n = rng.randint(20), rng.randint(20), rng.randint(20)
         if idents[p] != idents[a] or idents[n] == idents[a] or a == p:
             continue
-        (got,) = triplet_gaps(dmat, [(a, p, n)])
-        ref = max(
-            sq_euclidean(vecs[a], vecs[n]) - sq_euclidean(vecs[a], vecs[p]), 0.0
-        )
+        (got,) = triplet_gaps(oracle.vectors, [(a, p, n)])
+        ref = max(dist(vecs[a], vecs[n]) - dist(vecs[a], vecs[p]), 0.0)
         assert got == ref
         assert got >= 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 129), st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e3]),
+       st.booleans(), st.integers(1, 100))
+def test_triplet_gaps_match_pairwise_matrix_bitwise(dim, seed, scale, normalize, n_triplets):
+    # 12 rows: up to 47 triplets take row-wise differences, 48 and more the matrix
+    gen = np.random.default_rng(seed)
+    vectors = gen.standard_normal((12, dim)) * scale
+    if normalize:
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    triplets = gen.integers(0, 12, size=(n_triplets, 3))
+    got = triplet_gaps(vectors, triplets)
+    assert got.tobytes() == pairwise_matrix_gaps(vectors, triplets).tobytes()
 
 
 def test_oracle_immutability_hash_stable():
@@ -166,7 +187,7 @@ def test_gaps_for_batch_matches_pointwise():
                     if ds.labels[n] != ds.labels[a]:
                         triplets.append((a, p, n))
     triplets = np.array(triplets[:50])
-    got = triplet_gaps(pairwise_sq_euclidean(oracle.embed_rows(ds, batch_rows)), triplets)
+    got = triplet_gaps(oracle.embed_rows(ds, batch_rows), triplets)
     vec = oracle.vectors
     for (a, p, n), g in zip(triplets, got):
         ref = max(sq_euclidean(vec[a], vec[n]) - sq_euclidean(vec[a], vec[p]), 0.0)
@@ -339,3 +360,13 @@ def test_embedding_table_bytes_match_record_writer(tmp_path):
         save_embedding_table(table, tmp_path / "t.emb")
         want = struct_embedding_table_bytes(table.sample_ids, table.identities, table.vectors)
         assert (tmp_path / "t.emb").read_bytes() == want
+
+
+def test_embedding_table_jsonl_ragged_vectors_rejected(tmp_path):
+    path = tmp_path / "ragged.jsonl"
+    path.write_text(
+        '{"identity": 0, "sample": 0, "vector": [0.6, 0.8]}\n'
+        '{"identity": 1, "sample": 1, "vector": [1.0]}\n'
+    )
+    with pytest.raises(FormatError):
+        load_embedding_table_jsonl(path)

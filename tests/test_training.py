@@ -9,7 +9,7 @@ from margindistill.errors import ContractViolation, StagnationError
 from margindistill.evaluation import build_pairs, verify
 from margindistill.loss import MarginConfig, batch_loss
 from margindistill.mlp import backward_batch, forward_batch, init_mlp
-from margindistill.numerics import Rng, pairwise_sq_euclidean
+from margindistill.numerics import Rng
 from margindistill.teacher import TeacherOracle, tabulate, triplet_gaps
 from margindistill.training import (
     DistillConfig,
@@ -19,7 +19,7 @@ from margindistill.training import (
     train_teacher,
 )
 
-from oracles import central_diff_grad
+from oracles import add_at_batch_grad, central_diff_grad, pairwise_matrix_gaps, per_anchor_mining
 
 
 def tiny_dataset(seed=0, **kw):
@@ -50,7 +50,7 @@ def test_full_model_gradcheck_through_batch_loss(dims):
     emb0, cache0 = forward_batch(model, x)
     triplets = mine_triplets(batch, emb0, "semi_hard")
     teacher = _teacher_for(ds)
-    gaps = triplet_gaps(pairwise_sq_euclidean(teacher.embed_rows(ds, batch.entries)), triplets)
+    gaps = triplet_gaps(teacher.embed_rows(ds, batch.entries), triplets)
 
     result = batch_loss(emb0, triplets, gaps, cfg)
     grads = backward_batch(model, cache0, result.grad)
@@ -68,6 +68,35 @@ def test_full_model_gradcheck_through_batch_loss(dims):
         denom = np.maximum(np.abs(fd), 1e-6)
         rel = np.abs(grads.weights[layer] - fd) / denom
         assert rel.max() <= 1e-4
+
+
+def test_fast_steps_train_bitwise_like_per_anchor_add_at_and_matrix_gaps(monkeypatch):
+    """300 dynamic and 300 fixed iterations give the same weight bytes and
+    TrainLog when mining, the gradient scatter and the teacher gaps are
+    swapped for the earlier per-anchor, np.add.at and distance-matrix code."""
+    ds = generate_hierarchical(HierarchySpec(seed=11))
+    teacher = tabulate(TeacherOracle.from_model(init_mlp((16, 24, 8), True, Rng(1))), ds)
+    student = init_mlp((16, 32, 32, 16), True, Rng(2))
+    configs = [DistillConfig(margin=MarginConfig.dynamic(0.6, 1.8), iterations=300, seed=3),
+               DistillConfig(margin=MarginConfig.fixed(0.3), iterations=300, seed=3)]
+    fast = [distill(ds, teacher, student, cfg) for cfg in configs]
+
+    def add_at_loss(emb, triplets, gaps, margin):
+        result = batch_loss(emb, triplets, gaps, margin)
+        result.grad = add_at_batch_grad(emb, triplets, result.active)
+        return result
+
+    monkeypatch.setattr(training, "mine_triplets",
+                        lambda batch, emb, strategy, rng: per_anchor_mining(
+                            batch.labels, emb, strategy, rng))
+    monkeypatch.setattr(training, "batch_loss", add_at_loss)
+    monkeypatch.setattr(training, "triplet_gaps", pairwise_matrix_gaps)
+    reference = [distill(ds, teacher, student, cfg) for cfg in configs]
+    for (model, log), (ref_model, ref_log) in zip(fast, reference):
+        assert len(log.loss) == 300
+        for got, want in zip(model.weights + model.biases, ref_model.weights + ref_model.biases):
+            assert got.tobytes() == want.tobytes()
+        assert log == ref_log
 
 
 def test_distill_zero_iterations_returns_student_unchanged():
