@@ -31,22 +31,11 @@ from .evaluation import (
     threshold_sweep,
     verify,
 )
-from .loss import (
-    BatchLossResult,
-    MarginConfig,
-    TripletLossResult,
-    batch_loss,
-    margin_fn,
-    triplet_grads,
-    triplet_loss,
-    triplet_loss_dynamic,
-)
+from .loss import BatchLossResult, MarginConfig, batch_loss
 from .mlp import (
     MlpModel,
     SgdState,
-    backward,
     backward_batch,
-    forward,
     forward_batch,
     init_mlp,
     init_sgd,
@@ -54,22 +43,13 @@ from .mlp import (
     save_checkpoint,
     sgd_step,
 )
-from .numerics import (
-    Rng,
-    cosine_distance,
-    derive_subseed,
-    l2_normalize,
-    pairwise_sq_euclidean,
-    sq_euclidean,
-)
+from .numerics import Rng, derive_subseed, pairwise_sq_euclidean
 from .teacher import (
     CalibrationReport,
     TeacherOracle,
     calibrate_margins,
     load_embedding_table,
-    load_embedding_table_jsonl,
     save_embedding_table,
-    save_embedding_table_jsonl,
     tabulate,
     triplet_gaps,
 )

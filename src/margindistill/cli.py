@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, evaluation
 from .data import (HierarchySpec, IdentityDataset, generate_hierarchical, load_dataset_jsonl,
-                   save_dataset_jsonl)
+                   read_text, save_dataset_jsonl)
 from .errors import FormatError, MarginDistillError
 from .loss import MarginConfig
 from .mlp import CHECKPOINT_MAGIC, init_mlp, load_checkpoint, save_checkpoint
@@ -35,7 +35,6 @@ from .teacher import (
     TeacherOracle,
     calibrate_margins,
     load_embedding_table,
-    load_embedding_table_jsonl,
     save_embedding_table,
     tabulate,
 )
@@ -130,7 +129,7 @@ class ExperimentConfig:
 def load_config(path: str | None, seed_override: int | None = None) -> ExperimentConfig:
     values = {key: default for key, (_, default, _) in CONFIG_KEYS.items()}
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(path, ConfigError)
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -182,21 +181,18 @@ def _require_input(path_str: str, what: str) -> Path:
 
 
 def _load_model_file(path: Path, teacher_of: IdentityDataset | None = None):
-    """TFMLP1 -> MlpModel; TFEMB1 or JSON lines -> table.  A teacher is a table,
-    so given ``teacher_of`` a checkpoint is tabulated against that dataset."""
+    """TFMLP1 -> MlpModel; TFEMB1 -> table.  A teacher is a table, so given
+    ``teacher_of`` a checkpoint is tabulated against that dataset."""
     with path.open("rb") as fh:
         head = fh.read(len(CHECKPOINT_MAGIC))
-    if head == CHECKPOINT_MAGIC:
-        model = load_checkpoint(path)
-        if teacher_of is None:
-            return model
-        return tabulate(TeacherOracle.from_model(model), teacher_of)
     if head == TABLE_MAGIC:
         return load_embedding_table(path)
-    try:
-        return load_embedding_table_jsonl(path)
-    except (FormatError, UnicodeDecodeError) as exc:
-        raise FormatError(f"{path}: not a recognized checkpoint or embedding table") from exc
+    if head != CHECKPOINT_MAGIC:
+        raise FormatError(f"{path}: not a recognized checkpoint or embedding table")
+    model = load_checkpoint(path)
+    if teacher_of is None:
+        return model
+    return tabulate(TeacherOracle.from_model(model), teacher_of)
 
 
 def _say(quiet: bool, *parts) -> None:
@@ -266,7 +262,7 @@ def cmd_calibrate(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
     target = d / "calibration.json"
     target.write_text(report.to_json() + "\n", encoding="utf-8")
     _write_run_files(d, "calibrate", cfg)
-    CalibrationReport.from_json(target.read_text(encoding="utf-8"))
+    CalibrationReport.from_json(read_text(target))
     _say(quiet, f"wrote {target} (d in [{report.d_min_observed:.4f}, "
                 f"{report.d_max_observed:.4f}] over {report.sample_count} triplets)")
     return 0
@@ -280,7 +276,7 @@ def _margin_from_config(cfg: ExperimentConfig) -> MarginConfig:
         raise ConfigError(f"distill.margin_mode must be fixed or dynamic, got {mode!r}")
     if cfg["distill.use_calibration"]:
         path = _require_input(cfg["io.calibration"], "io.calibration")
-        report = CalibrationReport.from_json(path.read_text(encoding="utf-8"))
+        report = CalibrationReport.from_json(read_text(path))
         return MarginConfig.dynamic(report.suggested_m_min, report.suggested_m_max)
     return MarginConfig.dynamic(cfg["distill.m_min"], cfg["distill.m_max"])
 
@@ -351,12 +347,26 @@ def cmd_evaluate(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
         writer.writerow(["false_accept_rate", "true_accept_rate"])
         writer.writerows(report.roc_points)
     _write_run_files(d, "evaluate", cfg)
-    json.loads((d / "evaluation.json").read_text(encoding="utf-8"))
+    _read_evaluation(d / "evaluation.json")
     line = f"accuracy {report.best_accuracy:.4f} at threshold {report.best_threshold:.4f}"
     if structure is not None:
         line += f", structure correlation {structure:.4f}"
     _say(quiet, f"wrote {d / 'evaluation.json'} ({line})")
     return 0
+
+
+def _read_evaluation(path: Path) -> tuple[str, int, float, float | None]:
+    """(label, seed, best_accuracy, structure_correlation) of one evaluation.json."""
+    try:
+        obj = json.loads(read_text(path))
+        label, seed, acc = obj["label"], obj["seed"], obj["best_accuracy"]
+        struct = obj.get("structure_correlation")
+        if not (isinstance(label, str) and type(seed) is int and type(acc) in (int, float)
+                and type(struct) in (int, float, type(None))):
+            raise TypeError("label must be a string, seed an integer and the scores numbers")
+        return label, seed, float(acc), None if struct is None else float(struct)
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: bad evaluation report: {exc}") from exc
 
 
 def cmd_compare(run_dirs: list[str], csv_out: str, quiet: bool) -> int:
@@ -365,16 +375,7 @@ def cmd_compare(run_dirs: list[str], csv_out: str, quiet: bool) -> int:
         path = Path(run) / "evaluation.json"
         if not path.exists():
             raise ConfigError(f"no evaluation report found: expected file {path}")
-        obj = json.loads(path.read_text(encoding="utf-8"))
-        rows.append(
-            (
-                str(obj["label"]),
-                int(obj["seed"]),
-                float(obj["best_accuracy"]),
-                None if obj.get("structure_correlation") is None
-                else float(obj["structure_correlation"]),
-            )
-        )
+        rows.append(_read_evaluation(path))
     if len(rows) < 2:
         raise ConfigError("compare needs at least two evaluation reports")
     rows.sort(key=lambda r: (r[0], r[1]))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import asdict, dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -286,6 +287,14 @@ def mine_triplets(
 # dataset file format: JSON lines, header record first
 # ---------------------------------------------------------------------------
 
+def read_text(path, error: type[Exception] = FormatError) -> str:
+    """A UTF-8 text file's contents; bytes that are not UTF-8 raise ``error``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def save_dataset_jsonl(ds: IdentityDataset, path) -> None:
     header = {
         "input_dim": ds.input_dim,
@@ -316,14 +325,15 @@ def _spec_from_header(path, spec) -> HierarchySpec | None:
 
 
 def load_dataset_jsonl(path) -> IdentityDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise FormatError(f"{path}: empty dataset file")
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: bad header line: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header line must be a JSON object")
     for key in ("input_dim", "n_samples", "n_identities"):
         if key not in header:
             raise FormatError(f"{path}: header missing {key!r}")
@@ -336,7 +346,7 @@ def load_dataset_jsonl(path) -> IdentityDataset:
             sample_ids.append(int(rec["sample"]))
             labels.append(int(rec["identity"]))
             feats.append(rec["x"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: bad record: {exc}") from exc
     if len(sample_ids) != header["n_samples"]:
         raise FormatError(
@@ -344,12 +354,14 @@ def load_dataset_jsonl(path) -> IdentityDataset:
             f"found {len(sample_ids)}"
         )
     try:
+        ids = np.array([sample_ids, labels], dtype=np.int64)
         features = np.array(feats, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: x must be equal-length number lists: {exc}") from exc
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: ids must fit in int64 and x must be equal-length "
+                          f"number lists: {exc}") from exc
     ds = IdentityDataset(
-        sample_ids=sample_ids,
-        labels=labels,
+        sample_ids=ids[0],
+        labels=ids[1],
         features=features,
         spec=_spec_from_header(path, header.get("spec")),
         seed=header.get("seed"),

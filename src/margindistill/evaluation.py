@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import IdentityDataset
+from .data import IdentityDataset, read_text
 from .errors import (
     CapacityError,
     ContractViolation,
@@ -54,15 +54,6 @@ class VerificationReport:
     best_accuracy: float
     best_threshold: float
     roc_points: list[tuple[float, float]]  # (false-accept rate, true-accept rate)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "best_accuracy": self.best_accuracy,
-                "best_threshold": self.best_threshold,
-                "roc_points": [list(p) for p in self.roc_points],
-            }
-        )
 
 
 def _embeddings_for(embedder, ds: IdentityDataset, rows: np.ndarray) -> np.ndarray:
@@ -279,17 +270,20 @@ def load_pairs_jsonl(path) -> PairSet:
     a_ids = []
     b_ids = []
     same = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln in fh:
-            if not ln.strip():
-                continue
-            try:
-                rec = json.loads(ln)
-                a_ids.append(int(rec["a"]))
-                b_ids.append(int(rec["b"]))
-                same.append(bool(rec["same"]))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"{path}: bad pair record: {exc}") from exc
+    for ln in read_text(path).splitlines():
+        if not ln.strip():
+            continue
+        try:
+            rec = json.loads(ln)
+            a_ids.append(int(rec["a"]))
+            b_ids.append(int(rec["b"]))
+            same.append(bool(rec["same"]))
+        except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: bad pair record: {exc}") from exc
     if not a_ids:
         raise FormatError(f"{path}: empty pair file")
-    return PairSet(a_ids=np.array(a_ids), b_ids=np.array(b_ids), same=np.array(same))
+    try:
+        ids = np.array([a_ids, b_ids], dtype=np.int64)
+    except OverflowError as exc:
+        raise FormatError(f"{path}: pair ids must fit in int64: {exc}") from exc
+    return PairSet(a_ids=ids[0], b_ids=ids[1], same=np.array(same))

@@ -1,4 +1,4 @@
-"""Triplet losses with fixed and teacher-driven dynamic margins.
+"""The triplet loss with fixed and teacher-driven dynamic margins, over a batch.
 
 The per-triplet hinge is ``max(D(a,p) - D(a,n) + margin, 0)`` with D the
 squared Euclidean distance on the (already normalized) embeddings.  In
@@ -6,10 +6,11 @@ dynamic mode the margin is a linear map of the teacher's distance gap::
 
     margin(d) = (m_max - m_min) / d_max * d + m_min
 
-which pins the margin to [m_min, m_max] for d in [0, d_max].  Teacher
-distances are constants in the student's computation graph, so the margin
-term contributes no gradient; the analytical subgradient of the hinge at
-the kink uses the inactive branch (all-zero gradients).
+with d_max the batch's largest gap, clipped onto [m_min, m_max]; a batch
+whose gaps are all 0 takes m_min.  Teacher distances are constants in the
+student's computation graph, so the margin term contributes no gradient;
+the analytical subgradient of the hinge at the kink uses the inactive
+branch (all-zero gradients).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .numerics import as_vector, sq_euclidean
 
 MARGIN_MODES = ("fixed", "dynamic")
 _SCATTER_BLOCK = 1 << 16   # flat-index entries per gradient scatter call
@@ -57,102 +57,12 @@ class MarginConfig:
 
 
 @dataclass
-class TripletLossResult:
-    loss: float
-    active: bool
-    grad_a: np.ndarray
-    grad_p: np.ndarray
-    grad_n: np.ndarray
-    margin_used: float
-
-
-@dataclass
 class BatchLossResult:
     loss: float                 # mean per-triplet loss
     grad: np.ndarray            # (B, dim) accumulated per-sample gradients
     margins: np.ndarray         # (T,) margin used per triplet
     active: np.ndarray          # (T,) hinge-active flags
     d_max: float                # max teacher gap in the batch (0.0 in fixed mode)
-
-
-def _check_nonneg(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value < 0.0:
-        raise ContractViolation(f"{name} must be finite and >= 0, got {value}")
-    return value
-
-
-def triplet_loss(d_ap: float, d_an: float, m: float) -> float:
-    """Hinge max(d_ap - d_an + m, 0) on precomputed distances."""
-    d_ap = _check_nonneg("d_ap", d_ap)
-    d_an = _check_nonneg("d_an", d_an)
-    m = _check_nonneg("m", m)
-    return max(d_ap - d_an + m, 0.0)
-
-
-def margin_fn(d: float, m_min: float, m_max: float, d_max: float) -> float:
-    """Linear margin map; returns m_min for a degenerate d_max = 0 batch.
-
-    Callers must pass the batch maximum as d_max; d outside [0, d_max] is a
-    contract violation.  The result is clamped onto [m_min, m_max] so the
-    range holds exactly under floating-point rounding.
-    """
-    d = _check_nonneg("d", d)
-    d_max = _check_nonneg("d_max", d_max)
-    if not (0.0 <= m_min <= m_max):
-        raise ContractViolation("need 0 <= m_min <= m_max")
-    if d > d_max:
-        raise ContractViolation(f"d={d} exceeds batch maximum d_max={d_max}")
-    if d_max == 0.0:
-        return m_min
-    value = (m_max - m_min) / d_max * d + m_min
-    return min(max(value, m_min), m_max)
-
-
-def triplet_grads(
-    a, p, n, active: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Analytical subgradients of the hinge w.r.t. the three embeddings.
-
-    Active: grad_a = 2(n - p), grad_p = -2(a - p), grad_n = 2(a - n);
-    inactive: zeros.  The margin term never contributes (teacher frozen).
-    """
-    a = as_vector(a)
-    p = as_vector(p)
-    n = as_vector(n)
-    if not (a.shape == p.shape == n.shape):
-        raise ContractViolation("triplet embeddings must share one dimension")
-    if not active:
-        z = np.zeros_like(a)
-        return z, z.copy(), z.copy()
-    return 2.0 * (n - p), -2.0 * (a - p), 2.0 * (a - n)
-
-
-def triplet_loss_dynamic(
-    a, p, n, d_teacher: float, d_max: float, cfg: MarginConfig
-) -> TripletLossResult:
-    """Dynamic-margin triplet loss on one (anchor, positive, negative)."""
-    if cfg.mode != "dynamic":
-        raise ContractViolation("triplet_loss_dynamic requires a dynamic MarginConfig")
-    a = as_vector(a)
-    p = as_vector(p)
-    n = as_vector(n)
-    if not (a.shape == p.shape == n.shape):
-        raise ContractViolation("triplet embeddings must share one dimension")
-    margin = margin_fn(d_teacher, cfg.m_min, cfg.m_max, d_max)
-    d_ap = sq_euclidean(a, p)
-    d_an = sq_euclidean(a, n)
-    loss = max(d_ap - d_an + margin, 0.0)
-    active = loss > 0.0
-    grad_a, grad_p, grad_n = triplet_grads(a, p, n, active)
-    return TripletLossResult(
-        loss=loss,
-        active=active,
-        grad_a=grad_a,
-        grad_p=grad_p,
-        grad_n=grad_n,
-        margin_used=margin,
-    )
 
 
 def _scatter_rows(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:

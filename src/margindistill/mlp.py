@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation, DegenerateInput, FormatError
-from .numerics import Rng, as_vector
+from .numerics import Rng
 
 CHECKPOINT_MAGIC = b"TFMLP1"
 
@@ -132,13 +132,6 @@ def forward_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardCa
     return emb, cache
 
 
-def forward(model: MlpModel, x) -> tuple[np.ndarray, ForwardCache]:
-    """Single-vector convenience wrapper around forward_batch."""
-    v = as_vector(x)
-    emb, cache = forward_batch(model, v[None, :])
-    return emb[0], cache
-
-
 def backward_batch(
     model: MlpModel, cache: ForwardCache, grad_embedding: np.ndarray
 ) -> ModelGrads:
@@ -163,11 +156,6 @@ def backward_batch(
         if layer > 0:
             g = (g @ model.weights[layer].T) * (cache.hidden_zs[layer - 1] > 0.0)
     return ModelGrads(weights=grads_w, biases=grads_b)
-
-
-def backward(model: MlpModel, cache: ForwardCache, grad_embedding) -> ModelGrads:
-    g = as_vector(grad_embedding)
-    return backward_batch(model, cache, g[None, :])
 
 
 # ---------------------------------------------------------------------------

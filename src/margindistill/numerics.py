@@ -1,7 +1,7 @@
-"""Deterministic vector math and seeded randomness used by every other module.
+"""Pairwise distances and seeded randomness used by every other module.
 
-Vectors are 1-d float64 numpy arrays; all reductions run in 64-bit floating
-point even when weights elsewhere are stored in 32-bit.
+All reductions run in 64-bit floating point even when weights elsewhere are
+stored in 32-bit.
 
 Randomness comes from :class:`Rng`, a from-scratch xoshiro256** generator
 (Blackman & Vigna) seeded through SplitMix64.  The integer/uniform stream is
@@ -18,64 +18,15 @@ import math
 
 import numpy as np
 
-from .errors import ContractViolation, DegenerateInput
+from .errors import ContractViolation
 
 _SPAN64 = 1 << 64
 _MASK64 = _SPAN64 - 1
 
 
 # ---------------------------------------------------------------------------
-# vector ops
+# distances
 # ---------------------------------------------------------------------------
-
-def as_vector(values) -> np.ndarray:
-    """Coerce to a finite 1-d float64 array, validating the vector contract."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise ContractViolation(f"expected a 1-d vector, got shape {v.shape}")
-    if v.size == 0:
-        raise ContractViolation("vector dimension must be positive")
-    if not np.all(np.isfinite(v)):
-        raise ContractViolation("vector entries must be finite")
-    return v
-
-
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape[0] != b.shape[0]:
-        raise ContractViolation(
-            f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}"
-        )
-
-
-def sq_euclidean(a, b) -> float:
-    """Squared Euclidean distance sum_i (a_i - b_i)^2."""
-    a = as_vector(a)
-    b = as_vector(b)
-    _check_same_dim(a, b)
-    d = a - b
-    return float(np.dot(d, d))
-
-
-def cosine_distance(a, b) -> float:
-    """1 - cos(a, b), in [0, 2]. Raises DegenerateInput on zero-norm input."""
-    a = as_vector(a)
-    b = as_vector(b)
-    _check_same_dim(a, b)
-    na = math.sqrt(float(np.dot(a, a)))
-    nb = math.sqrt(float(np.dot(b, b)))
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateInput("cosine distance undefined for zero-norm vectors")
-    return 1.0 - float(np.dot(a, b)) / (na * nb)
-
-
-def l2_normalize(a) -> np.ndarray:
-    """a / ||a||; raises DegenerateInput when ||a|| = 0."""
-    a = as_vector(a)
-    n = math.sqrt(float(np.dot(a, a)))
-    if n == 0.0:
-        raise DegenerateInput("cannot normalize a zero-norm vector")
-    return a / n
-
 
 def pairwise_sq_euclidean(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     """All-pairs squared Euclidean distances between rows of x and y.
@@ -148,19 +99,6 @@ class Rng:
         while v >= limit:
             v = self.next_uint64()
         return v % n
-
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(i + 1)
-            items[i], items[j] = items[j], items[i]
-
-    def permutation(self, n: int) -> list[int]:
-        if n < 1:
-            raise ContractViolation("permutation requires n >= 1")
-        out = list(range(n))
-        self.shuffle(out)
-        return out
 
     def sample_indices(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), via partial Fisher-Yates."""

@@ -55,7 +55,7 @@ class TeacherOracle:
         if self.sample_ids.shape != (n,) or self.identities.shape != (n,):
             raise ContractViolation("table arrays must align")
         norms = np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors))
-        if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
+        if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):      # NaN rows fail too
             raise ContractViolation("table vectors must be unit-norm")
         self._index = IdIndex(self.sample_ids, "embedding table")
 
@@ -153,7 +153,7 @@ class CalibrationReport:
                 suggested_m_max=float(obj["suggested_m_max"]),
                 triplets=[tuple(int(v) for v in t) for t in obj.get("triplets", [])],
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise FormatError(f"bad calibration report: {exc}") from exc
 
 
@@ -172,22 +172,20 @@ def calibrate_margins(
     """
     if n_triplets < 1:
         raise ContractViolation("n_triplets must be >= 1")
-    eligible_rows = [
-        r for r in range(ds.n_samples)
-        if ds.rows_of(int(ds.labels[r])).size >= 2
-    ]
-    if not eligible_rows or ds.n_identities < 2:
+    _, inverse, counts = np.unique(ds.labels, return_inverse=True, return_counts=True)
+    eligible_rows = np.flatnonzero(counts[inverse] >= 2)
+    if not eligible_rows.size or ds.n_identities < 2:
         raise CapacityError("calibration needs >= 2 identities, one with >= 2 samples")
     vectors = oracle.embed_rows(ds, np.arange(ds.n_samples))
     d_values = []
     triplets = []
     for _ in range(n_triplets):
-        a_row = eligible_rows[rng.randint(len(eligible_rows))]
-        ident = int(ds.labels[a_row])
-        same = [int(r) for r in ds.rows_of(ident) if r != a_row]
-        p_row = same[rng.randint(len(same))]
-        other = np.where(ds.labels != ident)[0]
-        n_row = int(other[rng.randint(other.size)])
+        a_row = int(eligible_rows[rng.randint(eligible_rows.size)])
+        same = ds.rows_of(int(ds.labels[a_row]))          # ascending rows
+        j = rng.randint(same.size - 1)                     # j-th of the others
+        p_row = int(same[j + (same[j] >= a_row)])
+        i = rng.randint(ds.n_samples - same.size)          # i-th other-identity row
+        n_row = i + int(np.searchsorted(same - np.arange(same.size), i, side="right"))
         # one np.dot per distance: the report must be recomputable bit for bit
         d_an = vectors[a_row] - vectors[n_row]
         d_ap = vectors[a_row] - vectors[p_row]
@@ -202,7 +200,7 @@ def calibrate_margins(
 
 
 # ---------------------------------------------------------------------------
-# embedding table files: binary "TFEMB1" or JSON lines
+# embedding table file: binary "TFEMB1"
 # ---------------------------------------------------------------------------
 
 def _saved_order(oracle: TeacherOracle) -> np.ndarray:
@@ -244,37 +242,3 @@ def load_embedding_table(path) -> TeacherOracle:
         )
     records = np.frombuffer(blob, dtype=_table_record(dim), count=count, offset=off)
     return TeacherOracle.from_table(records["sample"], records["identity"], records["vector"])
-
-
-def save_embedding_table_jsonl(oracle: TeacherOracle, path) -> None:
-    order = _saved_order(oracle)
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in order:
-            rec = {
-                "identity": int(oracle.identities[i]),
-                "sample": int(oracle.sample_ids[i]),
-                "vector": [float(v) for v in oracle.vectors[i]],
-            }
-            fh.write(json.dumps(rec) + "\n")
-
-
-def load_embedding_table_jsonl(path) -> TeacherOracle:
-    sample_ids = []
-    identities = []
-    vectors = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln in fh:
-            if not ln.strip():
-                continue
-            try:
-                rec = json.loads(ln)
-                identities.append(int(rec["identity"]))
-                sample_ids.append(int(rec["sample"]))
-                vectors.append([float(v) for v in rec["vector"]])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"{path}: bad table record: {exc}") from exc
-    if not vectors:
-        raise FormatError(f"{path}: empty embedding table")
-    if len({len(v) for v in vectors}) != 1:
-        raise FormatError(f"{path}: table vectors must all have one length")
-    return TeacherOracle.from_table(sample_ids, identities, np.array(vectors))

@@ -101,23 +101,6 @@ class TrainLog:
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(json.dumps(records[it]) + "\n" for it in sorted(records))
 
-    @classmethod
-    def read_jsonl(cls, path) -> "TrainLog":
-        log = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            for ln in fh:
-                if not ln.strip():
-                    continue
-                rec = json.loads(ln)
-                if rec.get("skipped"):
-                    log.skipped.append(int(rec["iter"]))
-                else:
-                    log.append(
-                        int(rec["iter"]), float(rec["loss"]),
-                        float(rec["mean_margin"]), float(rec["active_frac"]),
-                    )
-        return log
-
 
 def _run_triplet_loop(
     model: MlpModel,

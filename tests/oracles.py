@@ -215,3 +215,33 @@ def pairwise_matrix_gaps(vectors, triplets):
     dmat = pairwise_sq_euclidean(vectors)
     tri = np.asarray(triplets, dtype=np.int64)
     return np.maximum(dmat[tri[:, 0], tri[:, 2]] - dmat[tri[:, 0], tri[:, 1]], 0.0)
+
+
+def per_triplet_calibration(vectors, ds, n_triplets, rng):
+    """calibrate_margins's earlier sampling loop: per triplet, list the anchor's
+    other rows and every other-identity row, then draw one of each.
+    Returns (d_values, row triplets)."""
+    eligible_rows = [
+        r for r in range(ds.n_samples)
+        if ds.rows_of(int(ds.labels[r])).size >= 2
+    ]
+    d_values = []
+    rows = []
+    for _ in range(n_triplets):
+        a_row = eligible_rows[rng.randint(len(eligible_rows))]
+        ident = int(ds.labels[a_row])
+        same = [int(r) for r in ds.rows_of(ident) if r != a_row]
+        p_row = same[rng.randint(len(same))]
+        other = np.where(ds.labels != ident)[0]
+        n_row = int(other[rng.randint(other.size)])
+        d_an = vectors[a_row] - vectors[n_row]
+        d_ap = vectors[a_row] - vectors[p_row]
+        d_values.append(max(float(np.dot(d_an, d_an)) - float(np.dot(d_ap, d_ap)), 0.0))
+        rows.append((a_row, p_row, n_row))
+    return d_values, rows
+
+
+def sq_euclidean(a, b):
+    """Squared Euclidean distance of two vectors, one np.dot."""
+    d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
+    return float(np.dot(d, d))

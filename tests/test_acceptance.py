@@ -18,7 +18,7 @@ from scipy.stats import spearmanr
 
 import margindistill as md
 from margindistill.cli import main
-from margindistill.loss import MarginConfig, batch_loss, margin_fn, triplet_loss
+from margindistill.loss import MarginConfig, batch_loss
 from margindistill.mlp import backward_batch, forward_batch, init_mlp
 from margindistill.numerics import Rng, derive_subseed
 from margindistill.teacher import TeacherOracle, tabulate
@@ -28,6 +28,7 @@ from oracles import (
     brute_force_all_triplets,
     central_diff_grad,
     exhaustive_sweep_best_accuracy,
+    sq_euclidean,
     unit_vector,
 )
 
@@ -56,37 +57,37 @@ def test_criterion_1_gradient_suite():
         start = time.time()
         h = 1e-5
 
-        # 100 seeded random triplets, hinge-active and away from the kink
+        # 100 seeded random triplets, hinge-active or inactive and away from the
+        # kink, through batch_loss.  Rows 3 and 4 hold a second triplet that pins
+        # d_max to 1.0; its negative is too far for it to touch loss or gradient.
         checked = 0
         seed = 0
         cfg = MarginConfig.dynamic(0.2, 0.5)
+        triplets = np.array([[0, 1, 2], [3, 3, 4]])
+        far = np.zeros((2, 8))
+        far[1, 0] = 10.0
         while checked < 100:
             rng = Rng(seed)
             seed += 1
-            a = unit_vector(rng, 8)
-            p = unit_vector(rng, 8)
-            n = unit_vector(rng, 8)
-            d_teacher = rng.random()
-            margin = margin_fn(d_teacher, 0.2, 0.5, 1.0)
-            if abs(md.sq_euclidean(a, p) - md.sq_euclidean(a, n) + margin) <= 1e-3:
+            points = np.stack([unit_vector(rng, 8) for _ in range(3)])
+            gaps = np.array([rng.random(), 1.0])
+            res = batch_loss(np.vstack([points, far]), triplets, gaps, cfg)
+            assert res.d_max == 1.0 and not res.active[1]
+            a, p, n = points
+            if abs(sq_euclidean(a, p) - sq_euclidean(a, n) + res.margins[0]) <= 1e-3:
                 continue
-            res = md.triplet_loss_dynamic(a, p, n, d_teacher, 1.0, cfg)
-            for point, grad, rebuild in [
-                (a, res.grad_a, lambda v: (v, p, n)),
-                (p, res.grad_p, lambda v: (a, v, n)),
-                (n, res.grad_n, lambda v: (a, p, v)),
-            ]:
-                fd = central_diff_grad(
-                    lambda v: md.triplet_loss_dynamic(
-                        *rebuild(v), d_teacher, 1.0, cfg
-                    ).loss,
-                    point,
-                    h=h,
-                )
-                if res.active:
-                    assert _rel_err(grad, fd) <= 1e-4
+            for row in range(3):
+                def loss_at(v, row=row):
+                    moved = np.vstack([points, far])
+                    moved[row] = v
+                    return batch_loss(moved, triplets, gaps, cfg).loss
+
+                fd = central_diff_grad(loss_at, points[row], h=h)
+                if res.active[0]:
+                    assert _rel_err(res.grad[row], fd) <= 1e-4
                 else:
-                    assert np.abs(grad - fd).max() <= 1e-10
+                    assert not res.grad[row].any()
+                    assert np.abs(fd).max() <= 1e-10
             checked += 1
 
         # full default-architecture student and teacher models, gradients of
@@ -126,37 +127,52 @@ def test_criterion_1_gradient_suite():
 # 2. hinge / margin / gap unit properties
 # ---------------------------------------------------------------------------
 
+def _hinge_cases(d_ap, d_an, d, d_max, cfg):
+    """batch_loss and triplet_gaps on 1-d triplets (0, s, -t) with s^2 ~ d_ap and
+    t^2 ~ d_an, one triplet per case plus one whose gap d_max pins the batch
+    maximum.  Each distance is a single square, so the per-case references below
+    hold exactly: margins, active flags and gaps are compared with ==."""
+    n = d_ap.size
+    emb = np.zeros((3 * n + 3, 1))
+    emb[1::3, 0] = np.append(np.sqrt(d_ap), 0.0)
+    emb[2::3, 0] = -np.append(np.sqrt(d_an), 10.0)
+    triplets = np.arange(3 * n + 3).reshape(-1, 3)
+    res = batch_loss(emb, triplets, np.append(d, d_max), cfg)
+    assert res.d_max == d_max and not res.active[-1]
+    margins, active = res.margins[:n], res.active[:n]
+    ref_ap = [float(s * s) for s in emb[1::3, 0][:n]]
+    ref_an = [float(t * t) for t in emb[2::3, 0][:n]]
+    span = (cfg.m_max - cfg.m_min) / d_max
+    for i in range(n):
+        want = min(max(span * float(d[i]) + cfg.m_min, cfg.m_min), cfg.m_max)
+        assert margins[i] == want
+        assert cfg.m_min <= margins[i] <= cfg.m_max
+        assert active[i] == (ref_an[i] - ref_ap[i] < margins[i])    # hinge > 0 exactly
+    gaps = md.triplet_gaps(emb, triplets[:n])
+    assert gaps.tolist() == [max(an - ap, 0.0) for ap, an in zip(ref_ap, ref_an)]
+    assert np.all(gaps >= 0.0)
+    assert res.loss >= 0.0
+    return margins, active
+
+
 def test_criterion_2_unit_properties_grid():
     with criterion("hinge/margin/gap properties (20^3 grid + 1e4 random, exact)"):
-        m_min, m_max, d_cap = 0.2, 0.5, 1.5
-        d_ap_grid = np.linspace(0.0, 2.0, 20)
-        d_an_grid = np.linspace(0.0, 2.0, 20)
-        d_grid = np.linspace(0.0, d_cap, 20)
-        prev_margin = None
-        for d in d_grid:
-            margin = margin_fn(d, m_min, m_max, d_cap)
-            assert m_min <= margin <= m_max
-            if prev_margin is not None:
-                assert margin >= prev_margin
-            prev_margin = margin
-            for d_ap in d_ap_grid:
-                for d_an in d_an_grid:
-                    loss = triplet_loss(d_ap, d_an, margin)
-                    assert loss >= 0.0
-                    assert (loss == 0.0) == (d_an - d_ap >= margin)
-                    assert max(d_an - d_ap, 0.0) >= 0.0  # clamped gap
+        cfg = MarginConfig.dynamic(0.2, 0.5)
+        d_cap = 1.5
+        d_ap, d_an, d = np.meshgrid(np.linspace(0.0, 2.0, 20), np.linspace(0.0, 2.0, 20),
+                                    np.linspace(0.0, d_cap, 20), indexing="ij")
+        margins, active = _hinge_cases(d_ap.ravel(), d_an.ravel(), d.ravel(), d_cap, cfg)
+        by_d = margins.reshape(20, 20, 20)
+        assert np.all(by_d == by_d[:1, :1, :])                # the margin depends on d alone
+        assert np.all(np.diff(by_d[0, 0]) >= 0.0)             # and grows with it
+        assert by_d[0, 0, 0] == 0.2 and by_d[0, 0, -1] == 0.5
+        assert active.any() and not active.all()
 
         rng = Rng(99)
-        for _ in range(10_000):
-            d_ap = rng.random() * 4.0
-            d_an = rng.random() * 4.0
-            d = rng.random() * d_cap
-            margin = margin_fn(d, m_min, m_max, d_cap)
-            loss = triplet_loss(d_ap, d_an, margin)
-            assert loss >= 0.0
-            assert (loss == 0.0) == (d_an - d_ap >= margin)
-            assert m_min <= margin <= m_max
-            assert max(d_an - d_ap, 0.0) >= 0.0
+        cases = np.array([(rng.random() * 4.0, rng.random() * 4.0, rng.random() * d_cap)
+                          for _ in range(10_000)])
+        _, active = _hinge_cases(cases[:, 0], cases[:, 1], cases[:, 2], d_cap, cfg)
+        assert active.any() and not active.all()
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +338,7 @@ def test_criterion_6_calibration_recomputation_exact():
         recomputed = []
         for a, p, n in report.triplets:
             ea, ep, en = oracle.embed(a), oracle.embed(p), oracle.embed(n)
-            recomputed.append(
-                max(md.sq_euclidean(ea, en) - md.sq_euclidean(ea, ep), 0.0)
-            )
+            recomputed.append(max(sq_euclidean(ea, en) - sq_euclidean(ea, ep), 0.0))
         assert min(recomputed) == report.d_min_observed
         assert max(recomputed) == report.d_max_observed
         assert recomputed == report.d_values

@@ -1,10 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import struct
+import tempfile
 from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from margindistill.cli import load_config, main
 from margindistill.data import load_dataset_jsonl
+from margindistill.evaluation import build_pairs, save_pairs_jsonl
 from margindistill.mlp import load_checkpoint
 from margindistill.numerics import Rng, derive_subseed
 from margindistill.teacher import TeacherOracle, calibrate_margins, tabulate
@@ -47,6 +54,84 @@ def _only_dir(out: Path, prefix: str) -> Path:
     matches = [d for d in out.iterdir() if d.name.startswith(prefix + "-")]
     assert len(matches) == 1, matches
     return matches[0]
+
+
+TINY_CONFIG = """
+data.n_superclusters = 2
+data.identities_per_supercluster = 2
+data.samples_per_identity = 4
+data.input_dim = 3
+teacher.hidden_dims = 8
+teacher.embed_dim = 4
+teacher.iterations = 20
+teacher.batch_p = 2
+teacher.batch_k = 2
+teacher.accuracy_floor = 0.0
+student.hidden_dims = 6
+student.embed_dim = 3
+distill.iterations = 0
+calibrate.n_triplets = 5
+eval.n_pos = 6
+eval.n_neg = 6
+"""
+KINDS = ["dataset", "pairs", "calibration", "config", "ckpt", "table", "evaluation"]
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """One file of every kind the CLI reads, from a 16-sample pipeline."""
+    root = tmp_path_factory.mktemp("tiny")
+
+    def run(command, **keys):
+        config = root / f"{command}.cfg"
+        config.write_text(TINY_CONFIG + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        assert main([command, "--config", str(config), "--out", str(root), "--quiet"]) == 0
+        return _only_dir(root, command), config
+
+    dataset = run("gen-data")[0] / "dataset.jsonl"
+    teacher = run("train-teacher", **{"io.dataset": dataset})[0]
+    calibration, config = run("calibrate", **{"io.dataset": dataset,
+                                              "io.teacher": teacher / "teacher_table.emb"})
+    pairs = root / "pairs.jsonl"
+    save_pairs_jsonl(build_pairs(load_dataset_jsonl(dataset), 6, 6, Rng(0)), pairs)
+    evaluation = run("evaluate", **{"io.dataset": dataset, "io.model": teacher / "teacher.ckpt",
+                                    "io.pairs": pairs})[0]
+    return {"dataset": dataset, "table": teacher / "teacher_table.emb", "config": config,
+            "ckpt": teacher / "teacher.ckpt", "pairs": pairs, "evaluation":
+            evaluation / "evaluation.json", "calibration": calibration / "calibration.json"}
+
+
+def _input(tiny, work, kind, data):
+    """``data`` (bytes or text) saved under work/in/ with the name of tiny's ``kind`` file."""
+    path = work / "in" / tiny[kind].name
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    return path
+
+
+def _cli_reading(tiny, kind, path, command=None):
+    """(exit code, stderr) of a CLI call that reads ``path`` as its ``kind`` input
+    and tiny's files for the rest.  Any exception escapes to the caller."""
+    work = path.parent.parent
+    if kind == "evaluation":
+        argv = ["compare", str(path.parent), str(tiny["evaluation"].parent),
+                "--out", str(work / "c.csv")]
+    else:
+        files = {"dataset": tiny["dataset"], "teacher": tiny["table"], "model": tiny["ckpt"],
+                 "pairs": tiny["pairs"], "calibration": tiny["calibration"]}
+        config = path
+        if kind != "config":
+            files[{"table": "teacher", "ckpt": "model"}.get(kind, kind)] = path
+            config = work / "run.cfg"
+            config.write_text(TINY_CONFIG + "distill.use_calibration = true\n"
+                              + "".join(f"io.{k} = {v}\n" for k, v in files.items()))
+        command = command or {"pairs": "evaluate", "ckpt": "evaluate",
+                              "calibration": "distill"}.get(kind, "calibrate")
+        argv = [command, "--config", str(config), "--out", str(work / "runs")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main([*argv, "--quiet"])
+    return rc, err.getvalue()
 
 
 def test_load_config_defaults_and_overrides(tmp_path):
@@ -109,92 +194,53 @@ def test_missing_upstream_artifact_diagnostic(tmp_path, capsys):
     assert "nope.jsonl" in captured.err
 
 
-def test_bad_checkpoint_magic_is_format_error(tmp_path, capsys):
-    ds_out = tmp_path / "runs"
-    config = _write_config(tmp_path)
-    assert main(["gen-data", "--config", config, "--out", str(ds_out)]) == 0
-    dataset = _only_dir(ds_out, "gen-data") / "dataset.jsonl"
-    bogus = tmp_path / "bogus.ckpt"
-    bogus.write_bytes(b"\x00" * 64)
-    config2 = _write_config(
-        tmp_path, **{"io_dot_dataset": str(dataset), "io_dot_teacher": str(bogus)}
-    )
-    rc = main(["calibrate", "--config", config2, "--out", str(ds_out)])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert "not a recognized checkpoint" in captured.err
+def test_bad_checkpoint_magic_is_format_error(tiny, tmp_path):
+    rc, err = _cli_reading(tiny, "ckpt", _input(tiny, tmp_path, "ckpt", b"\x00" * 64))
+    assert rc == 1 and "not a recognized checkpoint" in err
 
 
-def test_oversized_table_header_is_format_error(tmp_path, capsys):
-    out = tmp_path / "runs"
-    assert main(["gen-data", "--config", _write_config(tmp_path), "--out", str(out)]) == 0
-    dataset = _only_dir(out, "gen-data") / "dataset.jsonl"
-    huge = tmp_path / "huge.emb"
-    huge.write_bytes(b"TFEMB1" + struct.pack("<II", 200_000, 100_000))
-    config = _write_config(
-        tmp_path, **{"io_dot_dataset": str(dataset), "io_dot_teacher": str(huge)}
-    )
-    assert main(["calibrate", "--config", config, "--out", str(out)]) == 1
-    assert "header declares" in capsys.readouterr().err
+def test_oversized_table_header_is_format_error(tiny, tmp_path):
+    huge = b"TFEMB1" + struct.pack("<II", 200_000, 100_000)
+    rc, err = _cli_reading(tiny, "table", _input(tiny, tmp_path, "table", huge))
+    assert rc == 1 and "header declares" in err
 
 
-def test_ragged_dataset_rows_are_format_error(tmp_path, capsys):
-    dataset = tmp_path / "ragged.jsonl"
-    dataset.write_text(
-        json.dumps({"input_dim": 2, "n_samples": 2, "n_identities": 1}) + "\n"
-        + json.dumps({"sample": 0, "identity": 0, "x": [0.1, 0.2]}) + "\n"
-        + json.dumps({"sample": 1, "identity": 0, "x": [0.3]}) + "\n"
-    )
-    config = _write_config(tmp_path, **{"io_dot_dataset": str(dataset)})
-    assert main(["train-teacher", "--config", config, "--out", str(tmp_path / "runs")]) == 1
-    assert "equal-length" in capsys.readouterr().err
+def test_ragged_dataset_rows_are_format_error(tiny, tmp_path):
+    lines = tiny["dataset"].read_text().splitlines()
+    lines[2] = json.dumps({**json.loads(lines[2]), "x": [0.3]})
+    path = _input(tiny, tmp_path, "dataset", "\n".join(lines))
+    rc, err = _cli_reading(tiny, "dataset", path, command="train-teacher")
+    assert rc == 1 and "equal-length" in err
 
 
-def test_ragged_table_jsonl_teacher_is_format_error(tmp_path, capsys):
-    out = tmp_path / "runs"
-    assert main(["gen-data", "--config", _write_config(tmp_path), "--out", str(out)]) == 0
-    dataset = _only_dir(out, "gen-data") / "dataset.jsonl"
-    table = tmp_path / "ragged_table.jsonl"
-    table.write_text(
-        json.dumps({"identity": 0, "sample": 0, "vector": [0.6, 0.8]}) + "\n"
-        + json.dumps({"identity": 0, "sample": 1, "vector": [1.0]}) + "\n"
-    )
-    config = _write_config(
-        tmp_path, **{"io_dot_dataset": str(dataset), "io_dot_teacher": str(table)}
-    )
-    assert main(["calibrate", "--config", config, "--out", str(out)]) == 1
-    assert "error:" in capsys.readouterr().err
+def test_ragged_table_jsonl_teacher_is_format_error(tiny, tmp_path):
+    # TFEMB1 is the only table format: a JSON-lines table is refused, ragged or not
+    rows = [{"identity": 0, "sample": 0, "vector": [0.6, 0.8]},
+            {"identity": 0, "sample": 1, "vector": [1.0]}]
+    for table in (rows, rows[:1]):
+        text = "".join(json.dumps(r) + "\n" for r in table)
+        rc, err = _cli_reading(tiny, "table", _input(tiny, tmp_path, "table", text))
+        assert rc == 1 and "not a recognized checkpoint" in err
 
 
-def test_dataset_spec_with_unknown_key_is_format_error(tmp_path, capsys):
-    out = tmp_path / "runs"
-    assert main(["gen-data", "--config", _write_config(tmp_path), "--out", str(out)]) == 0
-    dataset = _only_dir(out, "gen-data") / "dataset.jsonl"
-    lines = dataset.read_text().splitlines()
+def test_dataset_spec_with_unknown_key_is_format_error(tiny, tmp_path):
+    lines = tiny["dataset"].read_text().splitlines()
     header = json.loads(lines[0])
     header["spec"]["bogus"] = 1
-    dataset.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-    config = _write_config(tmp_path, **{"io_dot_dataset": str(dataset)})
-    assert main(["train-teacher", "--config", config, "--out", str(out)]) == 1
-    assert "header spec" in capsys.readouterr().err
+    path = _input(tiny, tmp_path, "dataset", "\n".join([json.dumps(header)] + lines[1:]))
+    rc, err = _cli_reading(tiny, "dataset", path, command="train-teacher")
+    assert rc == 1 and "header spec" in err
 
 
-def test_checkpoint_teacher_is_tabulated_against_the_dataset(tmp_path):
-    out = tmp_path / "runs"
-    assert main(["gen-data", "--config", _write_config(tmp_path), "--out", str(out)]) == 0
-    dataset = _only_dir(out, "gen-data") / "dataset.jsonl"
-    config_t = _write_config(tmp_path, **{"io_dot_dataset": str(dataset)})
-    assert main(["train-teacher", "--config", config_t, "--out", str(out), "--quiet"]) == 0
-    ckpt = _only_dir(out, "train-teacher") / "teacher.ckpt"
-    config_c = _write_config(
-        tmp_path, **{"io_dot_dataset": str(dataset), "io_dot_teacher": str(ckpt)}
-    )
-    assert main(["calibrate", "--config", config_c, "--out", str(out), "--quiet"]) == 0
-    report = json.loads((_only_dir(out, "calibrate") / "calibration.json").read_text())
-
-    ds = load_dataset_jsonl(dataset)
+def test_checkpoint_teacher_is_tabulated_against_the_dataset(tiny, tmp_path):
+    ckpt = _input(tiny, tmp_path, "ckpt", tiny["ckpt"].read_bytes())
+    config = tmp_path / "c.cfg"
+    config.write_text(TINY_CONFIG + f"io.dataset = {tiny['dataset']}\nio.teacher = {ckpt}\n")
+    assert main(["calibrate", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+    report = json.loads((_only_dir(tmp_path, "calibrate") / "calibration.json").read_text())
+    ds = load_dataset_jsonl(tiny["dataset"])
     table = tabulate(TeacherOracle.from_model(load_checkpoint(ckpt)), ds)
-    want = calibrate_margins(table, ds, 50, Rng(derive_subseed(0, "calibrate")))
+    want = calibrate_margins(table, ds, 5, Rng(derive_subseed(0, "calibrate")))
     assert report["d_values"] == want.d_values
 
 
@@ -290,60 +336,35 @@ def test_pipeline_stage_determinism_excluding_meta(tmp_path):
     assert snapshot("train-teacher") == first
 
 
-def test_compare_identical_reports_mean_equals_value(tmp_path, capsys):
-    for i, d in enumerate(["r1", "r2"]):
-        rd = tmp_path / d
+def _compare(tmp_path, records):
+    """compare over one evaluation.json per record; returns the CSV rows."""
+    dirs = [tmp_path / f"run{i}" for i in range(len(records))]
+    for rd, record in zip(dirs, records):
         rd.mkdir()
-        (rd / "evaluation.json").write_text(json.dumps({
-            "label": "fixed-0.3", "seed": i, "best_accuracy": 0.875,
-            "structure_correlation": 0.25,
-        }) + "\n")
-    csv_path = tmp_path / "cmp.csv"
-    rc = main(["compare", str(tmp_path / "r1"), str(tmp_path / "r2"),
-               "--out", str(csv_path)])
-    assert rc == 0
-    with open(csv_path) as fh:
-        rows = list(csv.reader(fh))
+        (rd / "evaluation.json").write_text(json.dumps(record) + "\n")
+    assert main(["compare", *map(str, dirs), "--out", str(tmp_path / "c.csv"), "--quiet"]) == 0
+    with open(tmp_path / "c.csv") as fh:
+        return list(csv.reader(fh))
+
+
+def test_compare_identical_reports_mean_equals_value(tmp_path):
+    rows = _compare(tmp_path, [{"label": "fixed-0.3", "seed": i, "best_accuracy": 0.875,
+                                "structure_correlation": 0.25} for i in range(2)])
     assert len(rows) == 4  # header + 2 runs + 1 mean
-    mean_row = rows[-1]
-    assert mean_row[1] == "mean"
-    assert float(mean_row[2]) == 0.875
-    assert float(mean_row[3]) == 0.25
+    assert rows[-1][1:] == ["mean", "0.875", "0.25"]
 
 
 def test_compare_fixed_vs_dynamic_sweep_row_count(tmp_path):
     # 2 labels x 5 seeds -> 10 rows + 2 mean rows
-    n = 0
-    dirs = []
-    for label in ("fixed", "dynamic"):
-        for seed in range(5):
-            rd = tmp_path / f"run{n}"
-            rd.mkdir()
-            (rd / "evaluation.json").write_text(json.dumps({
-                "label": label, "seed": seed, "best_accuracy": 0.9 + 0.01 * seed,
-                "structure_correlation": None,
-            }) + "\n")
-            dirs.append(str(rd))
-            n += 1
-    csv_path = tmp_path / "cmp.csv"
-    assert main(["compare", *dirs, "--out", str(csv_path), "--quiet"]) == 0
-    with open(csv_path) as fh:
-        rows = list(csv.reader(fh))
+    rows = _compare(tmp_path, [
+        {"label": label, "seed": seed, "best_accuracy": 0.9 + 0.01 * seed,
+         "structure_correlation": None} for label in ("fixed", "dynamic") for seed in range(5)])
     assert len(rows) == 1 + 10 + 2
 
 
 def test_compare_csv_roundtrip_equals_table(tmp_path):
-    rd1, rd2 = tmp_path / "x", tmp_path / "y"
-    for i, rd in enumerate([rd1, rd2]):
-        rd.mkdir()
-        (rd / "evaluation.json").write_text(json.dumps({
-            "label": "L", "seed": i, "best_accuracy": 1.0 / 3.0 + i,
-            "structure_correlation": 2.0 / 3.0,
-        }) + "\n")
-    csv_path = tmp_path / "cmp.csv"
-    assert main(["compare", str(rd1), str(rd2), "--out", str(csv_path), "--quiet"]) == 0
-    with open(csv_path) as fh:
-        rows = list(csv.reader(fh))
+    rows = _compare(tmp_path, [{"label": "L", "seed": i, "best_accuracy": 1.0 / 3.0 + i,
+                                "structure_correlation": 2.0 / 3.0} for i in range(2)])
     # repr round-trip: parsed floats equal the source values exactly
     assert float(rows[1][2]) == 1.0 / 3.0
     assert float(rows[2][2]) == 1.0 / 3.0 + 1
@@ -419,3 +440,79 @@ def test_distill_fixed_mode_and_calibrated_bounds(tmp_path):
         },
     )
     assert main(["distill", "--config", cfg_missing, "--out", out, "--quiet"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# input boundaries: a bad data file exits 1, a bad config 2, with one error line
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cli_runs_on_each_unchanged_input(tiny, kind, tmp_path):
+    path = _input(tiny, tmp_path, kind, tiny[kind].read_bytes())
+    assert _cli_reading(tiny, kind, path) == (0, "")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=100, deadline=None)
+@given(pos=st.integers(0, 2**16), how=st.sampled_from(["cut", "flip", "set"]),
+       value=st.integers(0, 255))
+def test_mutated_input_never_escapes_cli(tiny, kind, pos, how, value):
+    blob = bytearray(tiny[kind].read_bytes())
+    at = pos % len(blob)
+    if how == "cut":
+        del blob[at:]
+    else:
+        blob[at] = blob[at] ^ (1 << value % 8) if how == "flip" else value
+    with tempfile.TemporaryDirectory() as work:
+        rc, err = _cli_reading(tiny, kind, _input(tiny, Path(work), kind, bytes(blob)))
+    # a change can leave a valid file (a digit for a digit), which then runs normally
+    assert rc in (0, 1, 2) and (rc == 0) == (err == "")
+    if rc:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert rc == 1 or kind == "config"
+
+
+def test_non_utf8_dataset_is_format_error(tiny, tmp_path):
+    blob = tiny["dataset"].read_bytes()
+    path = _input(tiny, tmp_path, "dataset", blob[:40] + b"\xff" + blob[41:])
+    assert _cli_reading(tiny, "dataset", path, command="train-teacher")[0] == 1
+
+
+def test_non_utf8_config_is_config_error(tiny, tmp_path):
+    rc, err = _cli_reading(tiny, "config", _input(tiny, tmp_path, "config", b"run.label = \xe9"))
+    assert rc == 2 and "not UTF-8" in err
+
+
+def _with_raw(line, key, raw):
+    """A JSON record line with ``raw`` spliced in verbatim as the value of ``key``."""
+    return json.dumps({**json.loads(line), key: "@@"}).replace('"@@"', raw)
+
+
+OUT_OF_INT64 = ["99999999999999999999", "1e999", "-9223372036854775809"]
+
+
+@pytest.mark.parametrize("kind, key, raw", [
+    *[(kind, key, raw) for kind, key in [("dataset", "sample"), ("dataset", "identity"),
+                                         ("pairs", "a")] for raw in OUT_OF_INT64],
+    ("calibration", "sample_count", "1e999"),   # a count only needs to be an integer
+])
+def test_out_of_range_numbers_are_format_errors(tiny, tmp_path, kind, key, raw):
+    lines = tiny[kind].read_text().splitlines()
+    lines[kind == "dataset"] = _with_raw(lines[kind == "dataset"], key, raw)
+    rc, err = _cli_reading(tiny, kind, _input(tiny, tmp_path, kind, "\n".join(lines)))
+    assert rc == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("change", [
+    {"best_accuracy": None}, {"label": 3}, {"seed": "0"}, {"seed": True}, {"seed": 1.5},
+    {"best_accuracy": "0.9"}, {"best_accuracy": False}, {"structure_correlation": "x"},
+    {"best_accuracy": 10 ** 400}, "accuracy 0.9",
+], ids=str)
+def test_compare_rejects_bad_evaluation_records(tiny, tmp_path, change):
+    record = json.loads(tiny["evaluation"].read_text())
+    if isinstance(change, dict):
+        record.update(change)
+        record = {k: v for k, v in record.items() if v is not None}
+    text = change if isinstance(change, str) else json.dumps(record)
+    rc, err = _cli_reading(tiny, "evaluation", _input(tiny, tmp_path, "evaluation", text))
+    assert rc == 1 and "bad evaluation report" in err

@@ -270,9 +270,10 @@ def test_dataset_jsonl_header_mismatch_rejected(tmp_path):
 
 def test_dataset_jsonl_garbage_rejected(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text("not json\n")
-    with pytest.raises(FormatError):
-        load_dataset_jsonl(path)
+    for text in ("not json", "5", "null", '["input_dim", "n_samples", "n_identities"]'):
+        path.write_text(text + "\n")
+        with pytest.raises(FormatError):
+            load_dataset_jsonl(path)
 
 
 def test_mine_k1_batch_yields_no_triplets():

@@ -25,10 +25,10 @@ from margindistill.evaluation import (
     verify,
 )
 from margindistill.mlp import init_mlp
-from margindistill.numerics import Rng, sq_euclidean
+from margindistill.numerics import Rng
 from margindistill.teacher import TeacherOracle
 
-from oracles import brute_force_sweep, exhaustive_sweep_best_accuracy, unit_vector
+from oracles import brute_force_sweep, exhaustive_sweep_best_accuracy, sq_euclidean, unit_vector
 
 
 def _table_ds(vectors, labels):

@@ -3,60 +3,95 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from margindistill.errors import ContractViolation
-from margindistill.loss import (
-    MarginConfig,
-    batch_loss,
-    margin_fn,
-    triplet_grads,
-    triplet_loss,
-    triplet_loss_dynamic,
-)
-from margindistill.numerics import Rng, sq_euclidean
+from margindistill.loss import MarginConfig, batch_loss
+from margindistill.numerics import Rng
 
-from oracles import add_at_batch_grad, central_diff_grad, unit_vector
+from oracles import add_at_batch_grad, central_diff_grad, sq_euclidean, unit_vector
+
+DYN = MarginConfig.dynamic(0.2, 0.5)
+
+
+def _rows(*vectors):
+    return np.array(vectors, dtype=np.float64)
+
+
+def _pinned(points, gap, d_max, cfg=DYN):
+    """One (0, 1, 2) triplet on ``points`` whose margin uses ``d_max``: a second
+    triplet on two extra rows carries the batch-maximum gap, and its negative is
+    so far away that it adds nothing to the loss or the gradient.  Returns the
+    first triplet's loss, its margin and active flag, and the gradient rows of
+    a, p, n."""
+    far = np.zeros((2, points.shape[1]))
+    far[1, 0] = 10.0
+    res = batch_loss(np.vstack([points, far]), np.array([[0, 1, 2], [3, 3, 4]]),
+                     np.array([gap, d_max]), cfg)
+    assert not res.active[1]
+    return 2.0 * res.loss, res.margins[0], res.active[0], 2.0 * res.grad[:3]
 
 
 def test_triplet_loss_examples():
-    assert triplet_loss(0.6, 0.8, 0.3) == pytest.approx(0.1, abs=1e-15)
-    assert triplet_loss(0.2, 0.9, 0.3) == 0.0
-    assert triplet_loss(0.5, 0.5, 0.0) == 0.0
+    # 1-d embeddings: every distance is one exact square
+    cfg = MarginConfig.fixed(0.25)
+    triplets = np.array([[0, 1, 2], [0, 2, 1], [0, 3, 3]])
+    res = batch_loss(_rows([0.0], [1.0], [0.5], [0.75]), triplets, None, cfg)
+    assert res.active.tolist() == [True, False, True]   # 1 - 0.25 + 0.25; 0.25 - 1 + 0.25; 0.25
+    assert res.loss == (1.0 + 0.0 + 0.25) / 3
+    res = batch_loss(_rows([0.0], [0.5], [-0.5]), np.array([[0, 1, 2]]), None,
+                     MarginConfig.fixed(0.0))
+    assert res.loss == 0.0 and not res.active[0]         # d_ap == d_an at margin 0
 
 
 def test_triplet_loss_rejects_negative_inputs():
-    for bad in [(-0.1, 0.5, 0.3), (0.5, -0.1, 0.3), (0.5, 0.5, -0.3)]:
-        with pytest.raises(ContractViolation):
-            triplet_loss(*bad)
+    emb = np.zeros((3, 2))
+    tri = np.array([[0, 1, 2], [2, 1, 0]])
+    for bad in ([-0.1, 0.5], [0.5, np.nan], [np.inf, 0.5]):
+        with pytest.raises(ContractViolation, match="finite and >= 0"):
+            batch_loss(emb, tri, np.array(bad), DYN)
+
+
+def test_batch_loss_rejects_wrong_gap_count_and_bad_indices():
+    emb = np.zeros((3, 2))
+    tri = np.array([[0, 1, 2], [2, 1, 0]])
+    for gaps in (np.array([0.5]), np.array([0.5, 0.5, 0.5]), np.array([[0.5, 0.5]])):
+        with pytest.raises(ContractViolation, match="one entry per triplet"):
+            batch_loss(emb, tri, gaps, DYN)
+    for bad in ([[0, 1, 3]], [[-1, 1, 2]]):
+        with pytest.raises(ContractViolation, match="out of range"):
+            batch_loss(emb, np.array(bad), None, MarginConfig.fixed(0.3))
+    with pytest.raises(ContractViolation):
+        batch_loss(emb, np.array([[0, 1]]), None, MarginConfig.fixed(0.3))
+    with pytest.raises(ContractViolation):
+        batch_loss(np.zeros(3), tri, None, MarginConfig.fixed(0.3))
 
 
 def test_margin_fn_endpoints_and_midpoint():
-    assert margin_fn(0.0, 0.2, 0.5, 1.0) == 0.2
-    assert margin_fn(1.0, 0.2, 0.5, 1.0) == 0.5
-    assert margin_fn(0.5, 0.2, 0.5, 1.0) == pytest.approx(0.35, abs=1e-15)
+    res = batch_loss(np.zeros((3, 2)), np.array([[0, 1, 2]] * 3), np.array([0.0, 1.0, 0.5]), DYN)
+    assert res.margins[0] == 0.2
+    assert res.margins[1] == 0.5
+    assert res.margins[2] == pytest.approx(0.35, abs=1e-15)
 
 
 def test_margin_fn_degenerate_batch_returns_lower_bound():
-    assert margin_fn(0.0, 0.2, 0.5, 0.0) == 0.2
-
-
-def test_margin_fn_rejects_d_above_batch_max():
-    with pytest.raises(ContractViolation):
-        margin_fn(1.5, 0.2, 0.5, 1.0)
+    res = batch_loss(np.zeros((3, 2)), np.array([[0, 1, 2]] * 2), np.zeros(2), DYN)
+    assert res.d_max == 0.0
+    assert res.margins.tolist() == [0.2, 0.2]
 
 
 @given(
-    st.floats(0.0, 1.0),
-    st.floats(0.0, 1.0),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
     st.floats(0.0, 0.5),
     st.floats(0.5, 1.0),
     st.floats(1e-6, 10.0),
 )
-def test_margin_fn_monotone_and_in_range(f1, f2, m_min, m_max, d_max):
-    d1, d2 = sorted((f1 * d_max, f2 * d_max))
-    v1 = margin_fn(d1, m_min, m_max, d_max)
-    v2 = margin_fn(d2, m_min, m_max, d_max)
-    assert v1 <= v2
-    assert m_min <= v1 <= m_max
-    assert m_min <= v2 <= m_max
+def test_margin_fn_monotone_and_in_range(fractions, m_min, m_max, d_max):
+    # the batch maximum is d_max itself; the other gaps lie below it
+    gaps = np.array(sorted(fractions) + [1.0]) * d_max
+    gaps[-1] = d_max
+    res = batch_loss(np.zeros((3, 1)), np.array([[0, 1, 2]] * gaps.size), gaps,
+                     MarginConfig.dynamic(m_min, m_max))
+    assert res.d_max == d_max
+    assert np.all(np.diff(res.margins) >= 0.0)
+    assert np.all((res.margins >= m_min) & (res.margins <= m_max))
 
 
 def test_margin_config_validation():
@@ -69,187 +104,194 @@ def test_margin_config_validation():
 
 
 def test_triplet_grads_inactive_is_zero():
-    ga, gp, gn = triplet_grads([1.0, 2.0], [0.0, 1.0], [3.0, 0.0], active=False)
-    assert not ga.any() and not gp.any() and not gn.any()
+    res = batch_loss(_rows([1.0, 2.0], [0.0, 1.0], [3.0, 0.0]), np.array([[0, 1, 2]]), None,
+                     MarginConfig.fixed(0.0))
+    assert not res.active[0]
+    assert not res.grad.any()
 
 
 def test_triplet_grads_closed_form_example():
-    ga, gp, gn = triplet_grads([0, 0], [1, 0], [0, 1], active=True)
-    np.testing.assert_array_equal(ga, [-2, 2])
-    np.testing.assert_array_equal(gp, [2, 0])
-    np.testing.assert_array_equal(gn, [0, -2])
+    res = batch_loss(_rows([0, 0], [1, 0], [0, 1]), np.array([[0, 1, 2]]), None,
+                     MarginConfig.fixed(0.5))
+    assert res.active[0]
+    np.testing.assert_array_equal(res.grad[0], [-2, 2])    # 2 (n - p)
+    np.testing.assert_array_equal(res.grad[1], [2, 0])     # -2 (a - p)
+    np.testing.assert_array_equal(res.grad[2], [0, -2])    # 2 (a - n)
+
+
+def _triplet_fd_check(points, grads, loss_of, active):
+    """Each of a, p, n's gradient rows against central differences of loss_of."""
+    for row in range(3):
+        def f(v, row=row):
+            moved = points.copy()
+            moved[row] = v
+            return loss_of(moved)
+
+        fd = central_diff_grad(f, points[row])
+        if active:
+            np.testing.assert_allclose(grads[row], fd, rtol=1e-4, atol=1e-7)
+        else:
+            assert not grads[row].any() and np.abs(fd).max() <= 1e-10
 
 
 def test_triplet_grads_match_finite_differences_dim16():
     rng = Rng(31)
-    m = 0.4
+    cfg = MarginConfig.fixed(0.4)
+    tri = np.array([[0, 1, 2]])
+    checked = 0
     for _ in range(5):
-        a = rng.normals(16)
-        p = rng.normals(16)
-        n = rng.normals(16)
-        if abs(sq_euclidean(a, p) - sq_euclidean(a, n) + m) < 1e-3:
+        points = np.stack([rng.normals(16) for _ in range(3)])
+        res = batch_loss(points, tri, None, cfg)
+        hinge = sq_euclidean(points[0], points[1]) - sq_euclidean(points[0], points[2]) + 0.4
+        if abs(hinge) < 1e-3:
             continue  # keep clear of the hinge kink
-        active = sq_euclidean(a, p) - sq_euclidean(a, n) + m > 0
-        ga, gp, gn = triplet_grads(a, p, n, active)
-        for point, grad, rebuild in [
-            (a, ga, lambda v: (v, p, n)),
-            (p, gp, lambda v: (a, v, n)),
-            (n, gn, lambda v: (a, p, v)),
-        ]:
-            fd = central_diff_grad(
-                lambda v: triplet_loss(
-                    sq_euclidean(rebuild(v)[0], rebuild(v)[1]),
-                    sq_euclidean(rebuild(v)[0], rebuild(v)[2]),
-                    m,
-                ),
-                point,
-            )
-            np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
+        assert res.active[0] == (hinge > 0)
+        _triplet_fd_check(points, res.grad, lambda e: batch_loss(e, tri, None, cfg).loss,
+                          res.active[0])
+        checked += 1
+    assert checked == 5
 
 
 def test_dynamic_loss_degenerate_triplet_equals_margin():
     a = np.array([0.3, 0.7, 0.1])
-    cfg = MarginConfig.dynamic(0.2, 0.5)
-    res = triplet_loss_dynamic(a, a, a, d_teacher=0.4, d_max=1.0, cfg=cfg)
-    expected_margin = margin_fn(0.4, 0.2, 0.5, 1.0)
-    assert res.loss == res.margin_used == expected_margin
-    assert res.active
+    loss, margin, active, _ = _pinned(np.stack([a, a, a]), 0.4, 1.0)
+    assert margin == (0.5 - 0.2) / 1.0 * 0.4 + 0.2
+    assert loss == margin and active
 
 
 def test_dynamic_loss_direct_example_inactive():
-    cfg = MarginConfig.dynamic(0.2, 0.5)
-    res = triplet_loss_dynamic(
-        [0, 0], [1, 0], [0, 2], d_teacher=0.0, d_max=1.0, cfg=cfg
-    )
-    assert res.loss == 0.0
-    assert not res.active
-    assert not res.grad_a.any() and not res.grad_p.any() and not res.grad_n.any()
+    loss, margin, active, grads = _pinned(_rows([0, 0], [1, 0], [0, 2]), 0.0, 1.0)
+    assert margin == 0.2
+    assert loss == 0.0 and not active
+    assert not grads.any()
 
 
 def test_dynamic_loss_matches_finite_differences_unit_vectors():
     # seeds 0-9, dim 8, per the hinge-free finite-difference protocol
-    cfg = MarginConfig.dynamic(0.2, 0.5)
     d_max = 1.0
     for seed in range(10):
         rng = Rng(seed)
-        a = unit_vector(rng, 8)
-        p = unit_vector(rng, 8)
-        n = unit_vector(rng, 8)
+        points = np.stack([unit_vector(rng, 8) for _ in range(3)])
         d_teacher = rng.random() * d_max
-        res = triplet_loss_dynamic(a, p, n, d_teacher, d_max, cfg)
-        margin = margin_fn(d_teacher, 0.2, 0.5, d_max)
-        brute = max(sq_euclidean(a, p) - sq_euclidean(a, n) + margin, 0.0)
-        assert res.loss == brute
-        if abs(sq_euclidean(a, p) - sq_euclidean(a, n) + margin) < 1e-3:
+        loss, margin, active, grads = _pinned(points, d_teacher, d_max)
+        hinge = sq_euclidean(points[0], points[1]) - sq_euclidean(points[0], points[2]) + margin
+        assert loss == pytest.approx(max(hinge, 0.0), abs=1e-15)
+        if abs(hinge) < 1e-3:
             continue
-        for point, grad, rebuild in [
-            (a, res.grad_a, lambda v: (v, p, n)),
-            (p, res.grad_p, lambda v: (a, v, n)),
-            (n, res.grad_n, lambda v: (a, p, v)),
-        ]:
-            fd = central_diff_grad(
-                lambda v: triplet_loss_dynamic(*rebuild(v), d_teacher, d_max, cfg).loss,
-                point,
-            )
-            np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
+        _triplet_fd_check(points, grads, lambda e: _pinned(e, d_teacher, d_max)[0], active)
 
 
 def test_dynamic_loss_requires_dynamic_mode():
-    with pytest.raises(ContractViolation):
-        triplet_loss_dynamic([0, 0], [1, 0], [0, 1], 0.1, 1.0, MarginConfig.fixed(0.3))
+    # dynamic margins need one teacher gap per triplet; fixed mode ignores gaps
+    emb = _rows([0, 0], [1, 0], [0, 1])
+    with pytest.raises(ContractViolation, match="requires per-triplet teacher gaps"):
+        batch_loss(emb, np.array([[0, 1, 2]]), None, DYN)
+    fixed = MarginConfig.fixed(0.3)
+    with_gaps = batch_loss(emb, np.array([[0, 1, 2]]), np.array([7.0]), fixed)
+    assert with_gaps.loss == batch_loss(emb, np.array([[0, 1, 2]]), None, fixed).loss
+
+
+def _random_batch(rng, n_triplets, dim):
+    emb = np.stack([rng.normals(dim) for _ in range(3 * n_triplets)])
+    triplets = np.arange(3 * n_triplets).reshape(n_triplets, 3)
+    return emb, triplets, rng.uniforms(n_triplets)
+
+
+def _distances(emb, triplets):
+    """(d_ap, d_an) per triplet, one np.dot each."""
+    return np.array([(sq_euclidean(emb[a], emb[p]), sq_euclidean(emb[a], emb[n]))
+                     for a, p, n in triplets]).T
 
 
 def test_result_invariant_active_iff_positive_loss():
-    cfg = MarginConfig.dynamic(0.0, 0.6)
     rng = Rng(5)
-    for _ in range(100):
-        a, p, n = (rng.normals(4) for _ in range(3))
-        d = rng.random()
-        res = triplet_loss_dynamic(a, p, n, d, 1.0, cfg)
-        assert res.active == (res.loss > 0)
-        if not res.active:
-            assert not res.grad_a.any()
+    emb, triplets, gaps = _random_batch(rng, 100, 4)
+    res = batch_loss(emb, triplets, gaps, MarginConfig.dynamic(0.0, 0.6))
+    d_ap, d_an = _distances(emb, triplets)
+    assert np.array_equal(res.active, d_ap - d_an + res.margins > 0)
+    for t in np.flatnonzero(~res.active):     # an inactive triplet moves nothing alone
+        alone = batch_loss(emb, triplets[t:t + 1], None, MarginConfig.fixed(res.margins[t]))
+        assert alone.loss == 0.0 and not alone.active[0] and not alone.grad.any()
 
 
 def test_hinge_characterization():
-    cfg = MarginConfig.dynamic(0.2, 0.5)
     rng = Rng(77)
-    for _ in range(200):
-        a, p, n = (rng.normals(3) for _ in range(3))
-        d = rng.random()
-        res = triplet_loss_dynamic(a, p, n, d, 1.0, cfg)
-        gap = sq_euclidean(a, n) - sq_euclidean(a, p)
-        assert (res.loss == 0.0) == (gap >= res.margin_used)
-        assert res.loss >= 0.0
+    emb, triplets, gaps = _random_batch(rng, 200, 3)
+    res = batch_loss(emb, triplets, gaps, DYN)
+    d_ap, d_an = _distances(emb, triplets)
+    assert np.array_equal(~res.active, d_an - d_ap >= res.margins)
+    assert res.active.any() and not res.active.all()
+    assert res.loss >= 0.0
 
 
 def test_fixed_margin_reduction_exact():
     m = 0.37
-    cfg = MarginConfig.dynamic(m, m)
     rng = Rng(123)
-    for _ in range(100):
-        a, p, n = (rng.normals(5) for _ in range(3))
-        d = rng.random() * 2.0
-        res = triplet_loss_dynamic(a, p, n, d, 2.0, cfg)
-        assert res.margin_used == m
-        assert res.loss == triplet_loss(sq_euclidean(a, p), sq_euclidean(a, n), m)
+    emb, triplets, gaps = _random_batch(rng, 100, 5)
+    dynamic = batch_loss(emb, triplets, gaps * 2.0, MarginConfig.dynamic(m, m))
+    fixed = batch_loss(emb, triplets, None, MarginConfig.fixed(m))
+    assert np.all(dynamic.margins == m)
+    assert dynamic.loss == fixed.loss
+    assert np.array_equal(dynamic.active, fixed.active)
+    assert dynamic.grad.tobytes() == fixed.grad.tobytes()
 
 
 def test_translation_invariance():
-    cfg = MarginConfig.dynamic(0.2, 0.5)
     rng = Rng(9)
     for _ in range(30):
-        a, p, n = (rng.normals(6) for _ in range(3))
+        emb, triplets, gaps = _random_batch(rng, 1, 6)
         shift = rng.normals(6)
-        d = rng.random()
-        base = triplet_loss_dynamic(a, p, n, d, 1.0, cfg).loss
-        moved = triplet_loss_dynamic(a + shift, p + shift, n + shift, d, 1.0, cfg).loss
-        assert moved == pytest.approx(base, abs=1e-9)
+        base = batch_loss(emb, triplets, gaps, DYN)
+        moved = batch_loss(emb + shift, triplets, gaps, DYN)
+        assert moved.loss == pytest.approx(base.loss, abs=1e-9)
+        np.testing.assert_allclose(moved.grad, base.grad, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
-# batch_loss
+# batch_loss against an independent per-triplet loop
 # ---------------------------------------------------------------------------
 
 def _naive_batch(embeddings, triplets, gaps, cfg):
-    """Loop oracle built on the per-triplet op."""
+    """Per-triplet loop on np.dot distances and the closed-form hinge gradients."""
     total = 0.0
     grad = np.zeros_like(embeddings)
     n = len(triplets)
     d_max = float(np.max(gaps)) if cfg.mode == "dynamic" else 0.0
     for (a, p, ng), d in zip(triplets, gaps):
-        if cfg.mode == "dynamic":
-            res = triplet_loss_dynamic(
-                embeddings[a], embeddings[p], embeddings[ng], d, d_max, cfg
-            )
-            loss, ga, gp, gn = res.loss, res.grad_a, res.grad_p, res.grad_n
+        if cfg.mode == "fixed":
+            margin = cfg.m
+        elif d_max == 0.0:
+            margin = cfg.m_min
         else:
-            loss = triplet_loss(
-                sq_euclidean(embeddings[a], embeddings[p]),
-                sq_euclidean(embeddings[a], embeddings[ng]),
-                cfg.m,
-            )
-            ga, gp, gn = triplet_grads(
-                embeddings[a], embeddings[p], embeddings[ng], loss > 0
-            )
+            margin = min(max((cfg.m_max - cfg.m_min) / d_max * d + cfg.m_min, cfg.m_min),
+                         cfg.m_max)
+        ea, ep, en = embeddings[a], embeddings[p], embeddings[ng]
+        loss = max(sq_euclidean(ea, ep) - sq_euclidean(ea, en) + margin, 0.0)
         total += loss
-        grad[a] += ga / n
-        grad[p] += gp / n
-        grad[ng] += gn / n
+        if loss > 0.0:
+            grad[a] += 2.0 * (en - ep) / n
+            grad[p] += -2.0 * (ea - ep) / n
+            grad[ng] += 2.0 * (ea - en) / n
     return total / n, grad
 
 
 def test_batch_loss_single_triplet_equals_pointwise():
     rng = Rng(4)
     emb = np.stack([rng.normals(5) for _ in range(3)])
-    cfg = MarginConfig.dynamic(0.2, 0.5)
-    gaps = np.array([0.3])
-    res = batch_loss(emb, np.array([[0, 1, 2]]), gaps, cfg)
-    ref = triplet_loss_dynamic(emb[0], emb[1], emb[2], 0.3, 0.3, cfg)
-    assert res.loss == ref.loss
-    np.testing.assert_array_equal(res.grad[0], ref.grad_a)
-    np.testing.assert_array_equal(res.grad[1], ref.grad_p)
-    np.testing.assert_array_equal(res.grad[2], ref.grad_n)
+    active = []
+    for a, p, n in ([0, 1, 2], [0, 2, 1]):
+        res = batch_loss(emb, np.array([[a, p, n]]), np.array([0.3]), DYN)
+        assert res.margins[0] == 0.5                  # a lone triplet's gap is d_max
+        hinge = sq_euclidean(emb[a], emb[p]) - sq_euclidean(emb[a], emb[n]) + 0.5
+        assert res.active[0] == (hinge > 0)
+        assert res.loss == pytest.approx(max(hinge, 0.0), abs=1e-15)
+        want = np.zeros_like(emb)
+        if res.active[0]:
+            want[[a, p, n]] = [2.0 * (emb[n] - emb[p]), -2.0 * (emb[a] - emb[p]),
+                               2.0 * (emb[a] - emb[n])]
+        np.testing.assert_array_equal(res.grad, want)
+        active.append(res.active[0])
+    assert active == [False, True]
 
 
 def test_batch_loss_duplicated_triplet_unchanged():
@@ -270,9 +312,10 @@ def test_batch_loss_matches_naive_loop_50_triplets(mode):
         [[rng.randint(20), rng.randint(20), rng.randint(20)] for _ in range(50)]
     )
     gaps = rng.uniforms(50) * 1.7
-    cfg = MarginConfig.dynamic(0.2, 0.5) if mode == "dynamic" else MarginConfig.fixed(0.4)
+    cfg = DYN if mode == "dynamic" else MarginConfig.fixed(0.4)
     res = batch_loss(emb, triplets, gaps if mode == "dynamic" else None, cfg)
     ref_loss, ref_grad = _naive_batch(emb, triplets, gaps, cfg)
+    assert res.active.any() and not res.active.all()
     assert res.loss == pytest.approx(ref_loss, abs=1e-12)
     np.testing.assert_allclose(res.grad, ref_grad, atol=1e-12)
 
@@ -280,7 +323,7 @@ def test_batch_loss_matches_naive_loop_50_triplets(mode):
 def test_batch_loss_d_max_is_batch_maximum():
     emb = np.zeros((3, 2))
     gaps = np.array([0.2, 1.4, 0.7])
-    res = batch_loss(emb, np.array([[0, 1, 2]] * 3), gaps, MarginConfig.dynamic(0.2, 0.5))
+    res = batch_loss(emb, np.array([[0, 1, 2]] * 3), gaps, DYN)
     assert res.d_max == 1.4
 
 
@@ -294,7 +337,7 @@ def test_batch_loss_margins_within_bounds():
     emb = np.stack([rng.normals(4) for _ in range(10)])
     triplets = np.array([[rng.randint(10), rng.randint(10), rng.randint(10)] for _ in range(40)])
     gaps = rng.uniforms(40) * 3.0
-    res = batch_loss(emb, triplets, gaps, MarginConfig.dynamic(0.2, 0.5))
+    res = batch_loss(emb, triplets, gaps, DYN)
     assert np.all(res.margins >= 0.2) and np.all(res.margins <= 0.5)
 
 

@@ -4,9 +4,7 @@ import pytest
 from margindistill.errors import ContractViolation, DegenerateInput, FormatError
 from margindistill.mlp import (
     MlpModel,
-    backward,
     backward_batch,
-    forward,
     forward_batch,
     init_mlp,
     init_sgd,
@@ -17,6 +15,17 @@ from margindistill.mlp import (
 from margindistill.numerics import Rng
 
 from oracles import central_diff_grad, straightline_mlp_forward
+
+
+def forward(model, x):
+    """One input vector through forward_batch."""
+    emb, cache = forward_batch(model, np.asarray(x, dtype=np.float64)[None])
+    return emb[0], cache
+
+
+def backward(model, cache, grad_embedding):
+    """One embedding gradient through backward_batch."""
+    return backward_batch(model, cache, np.asarray(grad_embedding)[None])
 
 
 def _zero_model(dims, normalize=False):

@@ -1,53 +1,64 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.stats import chi2
 
+from margindistill.data import IdentityDataset
 from margindistill.errors import ContractViolation, DegenerateInput
-from margindistill.numerics import (
-    Rng,
-    cosine_distance,
-    derive_subseed,
-    l2_normalize,
-    pairwise_sq_euclidean,
-    sq_euclidean,
-)
+from margindistill.evaluation import PairSet, _pair_cosine_distances, verify
+from margindistill.mlp import MlpModel, forward_batch
+from margindistill.numerics import Rng, derive_subseed, pairwise_sq_euclidean
 
-from oracles import unit_vector
+from oracles import sq_euclidean, unit_vector
 
 _MASK64 = (1 << 64) - 1
 
 
+def _identity_model(dim, normalize):
+    """A one-layer model whose output is its input, optionally L2-normalized."""
+    return MlpModel(layer_dims=(dim, dim), weights=[np.eye(dim)], biases=[np.zeros(dim)],
+                    normalize_output=normalize)
+
+
+def _cosine(a, b):
+    """evaluate's pair cosine distance between two raw vectors."""
+    ds = IdentityDataset([0, 1], [0, 1], np.array([a, b], dtype=np.float64))
+    model = _identity_model(len(a), normalize=False)
+    return float(_pair_cosine_distances(model, ds, np.array([0]), np.array([1]))[0])
+
+
 def test_sq_euclidean_examples():
-    assert sq_euclidean([0, 0], [0, 0]) == 0.0
-    assert sq_euclidean([1, 0], [0, 1]) == 2.0
-    assert sq_euclidean([0.3, 0.4], [0, 0]) == pytest.approx(0.25, abs=1e-15)
-
-
-def test_sq_euclidean_dimension_mismatch():
-    with pytest.raises(ContractViolation):
-        sq_euclidean([1, 2], [1, 2, 3])
+    mat = pairwise_sq_euclidean(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.3, 0.4]]))
+    assert mat[0, 0] == 0.0
+    assert mat[1, 2] == 2.0
+    assert mat[3, 0] == pytest.approx(0.25, abs=1e-15)
+    assert pairwise_sq_euclidean(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0], [4.0, 6.0]])
+                                 ).tolist() == [[0.0, 25.0]]
 
 
 def test_cosine_distance_examples():
-    assert cosine_distance([1, 0], [2, 0]) == 0.0
-    assert cosine_distance([1, 0], [0, 1]) == 1.0
-    assert cosine_distance([1, 0], [-1, 0]) == 2.0
+    assert _cosine([1, 0], [2, 0]) == 0.0
+    assert _cosine([1, 0], [0, 1]) == 1.0
+    assert _cosine([1, 0], [-1, 0]) == 2.0
 
 
 def test_cosine_distance_zero_norm():
-    with pytest.raises(DegenerateInput):
-        cosine_distance([0, 0], [1, 0])
+    # an unnormalized model whose output is zero for every input
+    ds = IdentityDataset([0, 1, 2, 3], [0, 0, 1, 1], np.eye(4))
+    model = MlpModel(layer_dims=(4, 2), weights=[np.zeros((4, 2))], biases=[np.zeros(2)],
+                     normalize_output=False)
+    pairs = PairSet(a_ids=[0, 0], b_ids=[1, 2], same=[True, False])
+    with pytest.raises(DegenerateInput, match="zero-norm"):
+        verify(model, ds, pairs)
 
 
 def test_l2_normalize_examples():
-    np.testing.assert_allclose(l2_normalize([3, 4]), [0.6, 0.8], atol=1e-15)
-    np.testing.assert_array_equal(l2_normalize([1, 0, 0]), [1, 0, 0])
-    np.testing.assert_array_equal(l2_normalize([-2, 0]), [-1, 0])
+    model = _identity_model(2, normalize=True)
+    emb, _ = forward_batch(model, np.array([[3.0, 4.0], [-2.0, 0.0], [0.0, 5.0]]))
+    np.testing.assert_allclose(emb[0], [0.6, 0.8], atol=1e-15)
+    np.testing.assert_array_equal(emb[1:], [[-1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(DegenerateInput):
-        l2_normalize([0.0, 0.0])
+        forward_batch(model, np.zeros((1, 2)))
 
 
 def test_unit_sphere_identity_sq_equals_twice_cosine():
@@ -55,24 +66,24 @@ def test_unit_sphere_identity_sq_equals_twice_cosine():
     for _ in range(50):
         a = unit_vector(rng, 6)
         b = unit_vector(rng, 6)
-        assert sq_euclidean(a, b) == pytest.approx(2.0 * cosine_distance(a, b), abs=1e-9)
+        sq = pairwise_sq_euclidean(a[None], b[None])[0, 0]
+        assert sq == pytest.approx(2.0 * _cosine(a, b), abs=1e-9)
 
 
 def test_distance_symmetry_and_zero_on_equal():
     rng = Rng(11)
-    for _ in range(20):
-        a = rng.normals(5)
-        b = rng.normals(5)
-        assert sq_euclidean(a, b) == sq_euclidean(b, a)
-        assert sq_euclidean(a, a) == 0.0
-        assert cosine_distance(a, b) == pytest.approx(cosine_distance(b, a), abs=1e-15)
+    x = np.stack([rng.normals(5) for _ in range(20)])
+    mat = pairwise_sq_euclidean(x)
+    assert np.array_equal(mat, mat.T)
+    assert not np.diag(mat).any()
+    assert pairwise_sq_euclidean(x[1:2], x[:1])[0, 0] == mat[1, 0]
 
 
 def test_relaxed_triangle_inequality():
     rng = Rng(13)
     for _ in range(50):
-        a, b, c = (rng.normals(4) for _ in range(3))
-        assert sq_euclidean(a, b) <= 2.0 * (sq_euclidean(a, c) + sq_euclidean(c, b)) + 1e-12
+        mat = pairwise_sq_euclidean(np.stack([rng.normals(4) for _ in range(3)]))
+        assert mat[0, 1] <= 2.0 * (mat[0, 2] + mat[2, 1]) + 1e-12
 
 
 def test_pairwise_matches_pointwise():
@@ -133,8 +144,10 @@ def test_randint_validates():
 
 
 def test_same_seed_same_permutation():
-    assert Rng(123).permutation(40) == Rng(123).permutation(40)
-    assert Rng(123).permutation(40) != Rng(124).permutation(40)
+    perm = Rng(123).sample_indices(40, 40)
+    assert sorted(perm) == list(range(40))
+    assert perm == Rng(123).sample_indices(40, 40)
+    assert perm != Rng(124).sample_indices(40, 40)
 
 
 def test_randint_chi_square_uniformity():
@@ -150,15 +163,14 @@ def test_randint_chi_square_uniformity():
 
 
 def test_shuffle_chi_square_uniformity():
+    # every ordering of sample_indices(3, 3), the full partial Fisher-Yates
     rng = Rng(99)
     from itertools import permutations
 
     perms = {p: 0 for p in permutations(range(3))}
     n = 6000
     for _ in range(n):
-        items = [0, 1, 2]
-        rng.shuffle(items)
-        perms[tuple(items)] += 1
+        perms[tuple(rng.sample_indices(3, 3))] += 1
     expected = n / 6
     stat = sum((c - expected) ** 2 / expected for c in perms.values())
     assert stat < chi2.ppf(0.999, 5)
@@ -196,7 +208,8 @@ def test_derive_subseed_label_and_seed_sensitivity():
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8))
 def test_normalize_gives_unit_norm(values):
-    v = np.array(values)
-    if math.sqrt(float(np.dot(v, v))) == 0.0:
+    v = np.array([values])
+    if not np.dot(v[0], v[0]) > 0.0:
         return
-    assert abs(float(np.linalg.norm(l2_normalize(v))) - 1.0) < 1e-6
+    emb, _ = forward_batch(_identity_model(v.shape[1], normalize=True), v)
+    assert abs(float(np.linalg.norm(emb[0])) - 1.0) < 1e-6

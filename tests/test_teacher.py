@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from margindistill.data import HierarchySpec, generate_hierarchical
+from margindistill.data import HierarchySpec, IdentityDataset, generate_hierarchical
 from margindistill.errors import (
     CapacityError,
     ContractViolation,
@@ -15,21 +15,21 @@ from margindistill.errors import (
     UnknownSampleError,
 )
 from margindistill.mlp import forward_batch, init_mlp
-from margindistill.numerics import Rng, pairwise_sq_euclidean, sq_euclidean
+from margindistill.numerics import Rng, pairwise_sq_euclidean
 from margindistill.teacher import (
     CalibrationReport,
     TeacherOracle,
     calibrate_margins,
     load_embedding_table,
-    load_embedding_table_jsonl,
     save_embedding_table,
-    save_embedding_table_jsonl,
     tabulate,
     triplet_gaps,
 )
 
 from oracles import (
     pairwise_matrix_gaps,
+    per_triplet_calibration,
+    sq_euclidean,
     struct_embedding_table_bytes,
     straightline_mlp_forward,
     unit_vector,
@@ -72,8 +72,9 @@ def test_unknown_sample_id_raises():
 
 
 def test_table_requires_unit_norm():
-    with pytest.raises(ContractViolation):
-        _table_oracle([(0, 0, [2.0, 0.0])])
+    for bad in ([2.0, 0.0], [np.nan, 0.0], [np.inf, 0.0]):
+        with pytest.raises(ContractViolation, match="unit-norm"):
+            _table_oracle([(0, 0, [1.0, 0.0]), (1, 0, bad)])
 
 
 def test_model_oracle_matches_straightline_forward():
@@ -218,8 +219,6 @@ def _orthogonal_identities_dataset():
     sample_ids = list(range(6))
     labels = [0, 0, 1, 1, 2, 2]
     feats = np.stack([vecs[l] for l in labels])
-    from margindistill.data import IdentityDataset
-
     ds = IdentityDataset(sample_ids, labels, feats)
     oracle = TeacherOracle.from_table(sample_ids, labels, feats)
     return ds, oracle
@@ -263,9 +262,28 @@ def test_calibrate_recomputation_oracle_seed0():
     assert report.suggested_m_min <= report.suggested_m_max
 
 
-def test_calibrate_needs_valid_triplets():
-    from margindistill.data import IdentityDataset
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 7), min_size=2, max_size=11),
+       st.integers(1, 60))
+def test_calibrate_matches_per_triplet_loop_bitwise(seed, sizes, n_triplets):
+    # shuffled rows, scattered sample ids and identity labels, singleton identities
+    gen = np.random.default_rng(seed)
+    if max(sizes) < 2:
+        sizes[0] = 2
+    labels = np.repeat(gen.permutation(1000)[:len(sizes)], sizes)
+    gen.shuffle(labels)
+    ids = gen.permutation(10 * labels.size)[:labels.size]
+    vectors = gen.standard_normal((labels.size, 6))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    ds = IdentityDataset(ids, labels, vectors)
+    oracle = TeacherOracle.from_table(ids, labels, vectors)
+    report = calibrate_margins(oracle, ds, n_triplets, Rng(seed))
+    d_values, rows = per_triplet_calibration(oracle.vectors, ds, n_triplets, Rng(seed))
+    assert np.array(report.d_values).tobytes() == np.array(d_values).tobytes()
+    assert report.triplets == [tuple(int(ids[r]) for r in t) for t in rows]
 
+
+def test_calibrate_needs_valid_triplets():
     ds = IdentityDataset([0, 1], [0, 0], np.array([[1.0, 0], [0, 1.0]]))
     oracle = TeacherOracle.from_table([0, 1], [0, 0], np.eye(2))
     with pytest.raises(CapacityError):
@@ -312,20 +330,6 @@ def test_embedding_table_bad_magic(tmp_path):
         load_embedding_table(path)
 
 
-def test_embedding_table_jsonl_roundtrip(tmp_path):
-    rng = Rng(61)
-    entries = [(i, i % 3, unit_vector(rng, 4)) for i in range(6)]
-    oracle = _table_oracle(entries)
-    path = tmp_path / "emb.jsonl"
-    save_embedding_table_jsonl(oracle, path)
-    back = load_embedding_table_jsonl(path)
-    for sid, _, vec in entries:
-        np.testing.assert_allclose(back.embed(sid), vec, atol=1e-12)
-    (tmp_path / "bad.jsonl").write_text("nope\n")
-    with pytest.raises(FormatError):
-        load_embedding_table_jsonl(tmp_path / "bad.jsonl")
-
-
 def test_embedding_table_header_checked_before_allocation(tmp_path):
     path = tmp_path / "huge.emb"
     path.write_bytes(b"TFEMB1" + struct.pack("<II", 200_000, 100_000))   # 149 GiB of floats
@@ -352,7 +356,7 @@ def test_embedding_table_trailing_and_missing_bytes(tmp_path):
 def test_embedding_table_bytes_match_record_writer(tmp_path):
     ds = generate_hierarchical(HierarchySpec(seed=3))
     oracle = tabulate(TeacherOracle.from_model(init_mlp((ds.input_dim, 8, 5), True, Rng(1))), ds)
-    perm = np.array(Rng(2).permutation(ds.n_samples))
+    perm = np.array(Rng(2).sample_indices(ds.n_samples, ds.n_samples))
     shuffled = TeacherOracle.from_table(
         oracle.sample_ids[perm], oracle.identities[perm], oracle.vectors[perm]
     )
@@ -363,10 +367,11 @@ def test_embedding_table_bytes_match_record_writer(tmp_path):
 
 
 def test_embedding_table_jsonl_ragged_vectors_rejected(tmp_path):
+    # TFEMB1 is the only table format: a JSON-lines table is refused by its magic
     path = tmp_path / "ragged.jsonl"
     path.write_text(
         '{"identity": 0, "sample": 0, "vector": [0.6, 0.8]}\n'
         '{"identity": 1, "sample": 1, "vector": [1.0]}\n'
     )
-    with pytest.raises(FormatError):
-        load_embedding_table_jsonl(path)
+    with pytest.raises(FormatError, match="magic"):
+        load_embedding_table(path)
