@@ -23,7 +23,7 @@ from .errors import (
     NoTripletsError,
     UnknownSampleError,
 )
-from .numerics import Rng, pairwise_sq_euclidean
+from .numerics import Rng, gram_sq_euclidean, pairwise_sq_euclidean
 
 MINING_STRATEGIES = ("all", "random_per_anchor", "semi_hard")
 
@@ -109,7 +109,8 @@ class IdentityDataset:
         self.spec = spec
         self.seed = seed
         self._index = IdIndex(self.sample_ids, "dataset")
-        self.identity_list = sorted(set(self.labels.tolist()))
+        self._identities, self._identity_sizes = np.unique(self.labels, return_counts=True)
+        self.identity_list = self._identities.tolist()
         self._rows_by_identity = {
             ident: np.where(self.labels == ident)[0] for ident in self.identity_list
         }
@@ -140,6 +141,10 @@ class IdentityDataset:
         if identity not in self._rows_by_identity:
             raise CapacityError(f"unknown identity {identity}")
         return self._rows_by_identity[identity]
+
+    def identities_with(self, k: int) -> np.ndarray:
+        """Identities with at least k samples, ascending."""
+        return self._identities[self._identity_sizes >= k]
 
     def pair_capacity(self) -> tuple[int, int]:
         """Distinct unordered (same-identity, different-identity) sample pairs."""
@@ -198,6 +203,13 @@ class PkBatch:
         if idents.size != self.p or not np.all(counts == self.k):
             raise ContractViolation("batch must hold exactly p identities, k samples each")
 
+    @classmethod
+    def _built(cls, p: int, k: int, entries: np.ndarray, labels: np.ndarray) -> PkBatch:
+        """A batch from a builder that guarantees the invariants; not re-validated."""
+        batch = cls.__new__(cls)
+        batch.p, batch.k, batch.entries, batch.labels = p, k, entries, labels
+        return batch
+
     @property
     def size(self) -> int:
         return self.entries.size
@@ -207,17 +219,18 @@ def sample_pk_batch(ds: IdentityDataset, p: int, k: int, rng: Rng) -> PkBatch:
     """Uniform P identities (without replacement) and K samples per identity."""
     if p < 1 or k < 1:
         raise ContractViolation("p and k must be >= 1")
-    eligible = [i for i in ds.identity_list if ds.rows_of(i).size >= k]
-    if len(eligible) < p:
+    eligible = ds.identities_with(k)
+    if eligible.size < p:
         raise CapacityError(
-            f"need {p} identities with >= {k} samples, dataset has {len(eligible)}"
+            f"need {p} identities with >= {k} samples, dataset has {eligible.size}"
         )
-    chosen = [eligible[i] for i in rng.sample_indices(len(eligible), p)]
+    chosen = eligible[rng.sample_indices(eligible.size, p)]
     entries = []
     for ident in chosen:
         rows = ds.rows_of(ident)
         entries.append(rows[rng.sample_indices(rows.size, k)])
-    return PkBatch(p=p, k=k, entries=np.concatenate(entries), labels=np.repeat(chosen, k))
+    # distinct identities, k distinct rows of each: the batch invariants hold
+    return PkBatch._built(p, k, np.concatenate(entries), np.repeat(chosen, k))
 
 
 def mine_triplets(
@@ -236,6 +249,15 @@ def mine_triplets(
     - ``semi_hard``: per (anchor, positive), the negative with the smallest
       d_an among those with d_an > d_ap; if none violates, the negative with
       the largest d_an.  Ties break toward the smallest batch index.
+
+    Semi-hard selection compares distances within one anchor's row only, so
+    it ranks rows with the Gram-form distances of ``gram_sq_euclidean``.  A
+    row is certified when its values and its error bound are finite and every
+    gap between its consecutive sorted values exceeds twice the bound: the
+    Gram row then orders its entries strictly, exactly as the
+    ``pairwise_sq_euclidean`` row would.  Every other row (ties, overflow,
+    underflow) is recomputed with ``pairwise_sq_euclidean``, so the selected
+    triplets equal those from the exact matrix bit for bit.
     """
     if strategy not in MINING_STRATEGIES:
         raise ContractViolation(f"unknown mining strategy {strategy!r}")
@@ -270,15 +292,25 @@ def mine_triplets(
             rows.append((a, pos[rng.randint(pos.size)], neg[rng.randint(neg.size)]))
         return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
-    # semi_hard: vectorize over all (anchor, positive) pairs
-    dmat = pairwise_sq_euclidean(emb)
+    # semi_hard: Gram rows where certified, exact rows elsewhere
+    dmat, bound = gram_sq_euclidean(emb)
+    ranked = np.sort(dmat, axis=1)
+    with np.errstate(invalid="ignore"):               # inf - inf in rows that fail anyway
+        certified = np.isfinite(ranked[:, -1]) & (np.diff(ranked).min(axis=1) > 2.0 * bound)
+    if not certified.all():
+        uncertain = np.flatnonzero(~certified)
+        dmat[uncertain] = pairwise_sq_euclidean(emb[uncertain], emb)
+    # then vectorize over all (anchor, positive) pairs
+    neg_dist = np.where(negative, dmat, -np.inf)      # (B, B); -inf never violates
     d_ap = dmat[a_idx, p_idx]
-    rows = dmat[a_idx]                                # (T, B)
-    neg_mask = negative[a_idx]
-    violating = neg_mask & (rows > d_ap[:, None])
-    has_violating = violating.any(axis=1)
-    hardest_violating = np.where(violating, rows, np.inf).argmin(axis=1)
-    farthest = np.where(negative, dmat, -np.inf).argmax(axis=1)[a_idx]   # one per anchor
+    rows = neg_dist[a_idx]                            # (T, B)
+    has_violating = np.fmax.reduce(neg_dist, axis=1)[a_idx] > d_ap   # NaN never violates
+    # where(rows > d_ap, rows, inf) without a branch per element: fmax with
+    # -inf keeps a violating value, fmax with +inf replaces the rest, NaN too
+    candidates = 0.5 - (rows > d_ap[:, None])
+    candidates *= np.inf
+    hardest_violating = np.fmax(rows, candidates, out=candidates).argmin(axis=1)
+    farthest = neg_dist.argmax(axis=1)[a_idx]         # one per anchor
     n_idx = np.where(has_violating, hardest_violating, farthest)
     return np.column_stack([a_idx, p_idx, n_idx])
 

@@ -247,6 +247,8 @@ def load_checkpoint(path) -> MlpModel:
         raise FormatError(f"{path}: {len(blob) - off} trailing bytes in checkpoint")
     if n_dims < 2:
         raise FormatError(f"{path}: checkpoint needs >= 2 layer dims")
+    if not all(np.isfinite(a).all() for a in weights + biases):
+        raise FormatError(f"{path}: checkpoint weights must be finite")
     return MlpModel(
         layer_dims=dims, weights=weights, biases=biases,
         normalize_output=bool(flag),

@@ -40,6 +40,34 @@ def pairwise_sq_euclidean(x: np.ndarray, y: np.ndarray | None = None) -> np.ndar
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+def gram_sq_euclidean(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fast all-pairs squared distances and a per-row bound on their error.
+
+    ``d[i, j] = max(0, s_i + s_j - 2 x_i.x_j)`` with ``s = |x|^2`` and one
+    matrix product.  ``bound[i]`` bounds ``|d[i, j] - pairwise_sq_euclidean(x)[i, j]|``
+    for every j, whatever order either form sums in:
+
+    - rounding: the two forms differ by at most ``(5D + 7) u (s_i + s_j)`` to
+      first order (u = 2^-53), computed ``s`` included; the bound uses
+      ``8 (D + 2) u (s_i + max s)``;
+    - overflow: the factor 8 is applied first, so the bound is inf whenever an
+      intermediate of either form could overflow;
+    - underflow: each of the 4D products may lose up to 2^-1022 (gradual
+      underflow or flush to zero), covered by ``D 2^-1018``.
+
+    A NaN or infinite input makes its bound NaN or inf.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    dim = x.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("ij,ij->i", x, x)
+        d = sq[:, None] + sq
+        d -= 2.0 * (x @ x.T)
+        np.maximum(d, 0.0, out=d)
+        bound = (dim + 2) * 2.0**-53 * (8.0 * (sq + sq.max())) + dim * 2.0**-1018
+    return d, bound
+
+
 # ---------------------------------------------------------------------------
 # seeded randomness
 # ---------------------------------------------------------------------------

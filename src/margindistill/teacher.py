@@ -144,7 +144,7 @@ class CalibrationReport:
     def from_json(cls, text: str) -> "CalibrationReport":
         try:
             obj = json.loads(text)
-            return cls(
+            report = cls(
                 sample_count=int(obj["sample_count"]),
                 d_values=[float(v) for v in obj["d_values"]],
                 d_min_observed=float(obj["d_min_observed"]),
@@ -155,6 +155,19 @@ class CalibrationReport:
             )
         except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise FormatError(f"bad calibration report: {exc}") from exc
+        d = report.d_values
+        if not d or len(d) != report.sample_count or len(report.triplets) != len(d):
+            problem = (f"sample_count {report.sample_count}, {len(d)} d_values and "
+                       f"{len(report.triplets)} triplets must be equal and >= 1")
+        elif any(len(t) != 3 for t in report.triplets):
+            problem = "every triplet must hold three sample ids"
+        elif not all(np.isfinite(v) and v >= 0.0 for v in d):
+            problem = "d_values must be finite and >= 0"
+        elif (report.d_min_observed, report.d_max_observed) != (min(d), max(d)):
+            problem = "d_min_observed/d_max_observed must be the extremes of d_values"
+        else:
+            return report
+        raise FormatError(f"bad calibration report: {problem}")
 
 
 def calibrate_margins(

@@ -232,6 +232,31 @@ def test_dataset_spec_with_unknown_key_is_format_error(tiny, tmp_path):
     assert rc == 1 and "header spec" in err
 
 
+@pytest.mark.parametrize("change", [
+    {"sample_count": 7, "d_min_observed": 5.0}, {"sample_count": 7}, {"d_min_observed": 5.0},
+    {"d_max_observed": 0.0}, {"triplets": [[1, 2]] * 5}, {"triplets": []},
+    {"d_values": [float("nan")] * 5},
+], ids=str)
+def test_inconsistent_calibration_report_is_format_error(tiny, tmp_path, change):
+    report = {**json.loads(tiny["calibration"].read_text()), **change}
+    path = _input(tiny, tmp_path, "calibration", json.dumps(report))
+    rc, err = _cli_reading(tiny, "calibration", path)
+    assert rc == 1 and "bad calibration report" in err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("command", ["evaluate", "distill"])
+def test_non_finite_checkpoint_weight_is_format_error(tiny, tmp_path, command, value):
+    blob = bytearray(tiny["ckpt"].read_bytes())
+    (n_dims,) = struct.unpack_from("<I", blob, 6)
+    struct.pack_into("<f", blob, 6 + 4 + 4 * n_dims + 1, value)   # the first weight
+    path = _input(tiny, tmp_path, "ckpt", bytes(blob))
+    # evaluate reads it as io.model, distill as io.teacher
+    kind = "ckpt" if command == "evaluate" else "table"
+    rc, err = _cli_reading(tiny, kind, path, command=command)
+    assert rc == 1 and f"{path}: checkpoint weights must be finite" in err
+
+
 def test_checkpoint_teacher_is_tabulated_against_the_dataset(tiny, tmp_path):
     ckpt = _input(tiny, tmp_path, "ckpt", tiny["ckpt"].read_bytes())
     config = tmp_path / "c.cfg"

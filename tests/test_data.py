@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from margindistill import data
 from margindistill.data import (
     HierarchySpec,
     IdentityDataset,
@@ -211,9 +212,13 @@ def test_mine_rejects_unknown_strategy():
 @st.composite
 def _pk_cases(draw):
     """A PK batch (identity-major or shuffled, k may be 1), embeddings of dim
-    1-64 (random reals, or a small grid full of exact distance ties), a seed."""
+    1-64 (random reals, or a small grid full of exact distance ties and signed
+    zeros) at a scale from 1e-160 (products underflow) to 1e154 (sums
+    overflow), and a seed."""
     p, k, dim = draw(st.integers(2, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 64))
     seed = draw(st.integers(0, 2**32 - 1))
+    exponent = draw(st.one_of(st.sampled_from([-160, -155, 0, 152, 153, 154]),
+                              st.floats(-160, 154)))
     gen = np.random.default_rng(seed)
     labels = np.repeat(np.arange(p) * 7 + 3, k)
     if draw(st.booleans()):
@@ -222,8 +227,8 @@ def _pk_cases(draw):
     if draw(st.booleans()):
         emb = gen.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(p * k, dim))
     else:
-        emb = gen.standard_normal((p * k, dim)) * 10.0 ** gen.uniform(-3, 3)
-    return batch, emb, seed
+        emb = gen.standard_normal((p * k, dim))
+    return batch, emb * 10.0 ** exponent, seed
 
 
 @settings(max_examples=200, deadline=None)
@@ -231,14 +236,81 @@ def _pk_cases(draw):
 def test_mining_matches_per_anchor_loop_bitwise(case):
     batch, emb, seed = case
     for strategy in ("semi_hard", "random_per_anchor"):
-        got = mine_triplets(batch, emb, strategy, Rng(seed))
-        want = per_anchor_mining(batch.labels, emb, strategy, Rng(seed))
+        with np.errstate(over="ignore"):       # the exact distances overflow at 1e154
+            got = mine_triplets(batch, emb, strategy, Rng(seed))
+            want = per_anchor_mining(batch.labels, emb, strategy, Rng(seed))
         assert got.dtype == want.dtype and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
     got = mine_triplets(batch, emb, "all")
     want = brute_force_all_triplets(batch.labels.tolist()).reshape(-1, 3)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("exponent", [-160, 154])
+def test_semi_hard_bitwise_where_products_underflow_or_sums_overflow(exponent):
+    gen = np.random.default_rng(exponent + 1000)
+    labels = np.repeat(np.arange(4), 4)
+    batch = PkBatch(p=4, k=4, entries=np.arange(16), labels=labels)
+    for dim in gen.integers(1, 65, size=100):
+        emb = gen.standard_normal((16, dim)) * 10.0 ** exponent
+        with np.errstate(over="ignore"):
+            got = mine_triplets(batch, emb, "semi_hard")
+            np.testing.assert_array_equal(got, per_anchor_mining(labels, emb, "semi_hard"))
+
+
+def _exact_rows_of_semi_hard(monkeypatch, batch, emb):
+    """Rows semi-hard mining recomputed with pairwise_sq_euclidean."""
+    rows = []
+
+    def exact(x, y=None):
+        rows.append(len(x))
+        return pairwise_sq_euclidean(x, y)
+
+    monkeypatch.setattr(data, "pairwise_sq_euclidean", exact)
+    tri = mine_triplets(batch, emb, "semi_hard")
+    np.testing.assert_array_equal(tri, per_anchor_mining(batch.labels, emb, "semi_hard"))
+    return sum(rows)
+
+
+def _pk8x8():
+    return PkBatch(p=8, k=8, entries=np.arange(64), labels=np.repeat(np.arange(8), 8))
+
+
+def test_semi_hard_tie_grid_takes_exact_rows(monkeypatch):
+    gen = np.random.default_rng(5)
+    emb = gen.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(64, 4))
+    assert _exact_rows_of_semi_hard(monkeypatch, _pk8x8(), emb) > 0
+
+
+@pytest.mark.parametrize("dim", [16, 32])
+def test_semi_hard_unit_norm_batches_stay_on_gram_rows(monkeypatch, dim):
+    # the training loop's case: certification must hold, or the fast path is gone
+    gen = np.random.default_rng(dim)
+    for _ in range(20):
+        emb = gen.standard_normal((64, dim))
+        emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+        assert _exact_rows_of_semi_hard(monkeypatch, _pk8x8(), emb) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+       p=st.integers(1, 8), k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_sampled_batches_pass_validation(sizes, p, k, seed):
+    # identities of uneven size, ids and rows in shuffled order
+    gen = np.random.default_rng(seed)
+    labels = gen.permutation(np.repeat(np.arange(len(sizes)) * 3 + 1, sizes))
+    ds = IdentityDataset(gen.permutation(labels.size) + 50, labels,
+                         gen.standard_normal((labels.size, 2)))
+    if sum(size >= k for size in sizes) < p:
+        with pytest.raises(CapacityError):
+            sample_pk_batch(ds, p, k, Rng(seed))
+        return
+    batch = sample_pk_batch(ds, p, k, Rng(seed))
+    checked = PkBatch(p=p, k=k, entries=batch.entries, labels=batch.labels)
+    assert batch.entries.dtype == batch.labels.dtype == np.int64
+    np.testing.assert_array_equal(checked.entries, batch.entries)
+    np.testing.assert_array_equal(ds.labels[batch.entries], batch.labels)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from margindistill.data import IdentityDataset
 from margindistill.errors import ContractViolation, DegenerateInput
 from margindistill.evaluation import PairSet, _pair_cosine_distances, verify
 from margindistill.mlp import MlpModel, forward_batch
-from margindistill.numerics import Rng, derive_subseed, pairwise_sq_euclidean
+from margindistill.numerics import (
+    Rng,
+    derive_subseed,
+    gram_sq_euclidean,
+    pairwise_sq_euclidean,
+)
 
 from oracles import sq_euclidean, unit_vector
 
@@ -84,6 +89,23 @@ def test_relaxed_triangle_inequality():
     for _ in range(50):
         mat = pairwise_sq_euclidean(np.stack([rng.normals(4) for _ in range(3)]))
         assert mat[0, 1] <= 2.0 * (mat[0, 2] + mat[2, 1]) + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 64), n=st.integers(1, 20), exponent=st.floats(-170, 150),
+       seed=st.integers(0, 2**32 - 1))
+def test_gram_distances_lie_within_their_bound(dim, n, exponent, seed):
+    x = np.random.default_rng(seed).standard_normal((n, dim)) * 10.0 ** exponent
+    d, bound = gram_sq_euclidean(x)
+    assert np.all(np.isfinite(bound)) and np.all(d >= 0.0)
+    assert np.all(np.abs(d - pairwise_sq_euclidean(x)) <= bound[:, None])
+
+
+def test_gram_bound_is_not_finite_where_a_form_could_overflow():
+    with np.errstate(over="ignore"):
+        assert np.all(np.isinf(gram_sq_euclidean(np.full((2, 64), 1e153))[1]))
+    assert np.isfinite(gram_sq_euclidean(np.full((2, 64), 1e150))[1]).all()
+    assert np.all(np.isnan(gram_sq_euclidean(np.array([[np.nan], [1.0]]))[1]))
 
 
 def test_pairwise_matches_pointwise():
