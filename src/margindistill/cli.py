@@ -92,7 +92,6 @@ CONFIG_KEYS: dict[str, tuple] = {
     "distill.batch_p": (int, 8, "identities per distillation batch"),
     "distill.batch_k": (int, 8, "samples per identity per distillation batch"),
     "distill.mining": (str, "semi_hard", "distillation mining strategy"),
-    "distill.eval_every": (int, 0, "periodic verification cadence (0 = off)"),
     "calibrate.n_triplets": (int, 1000, "triplets sampled for calibration"),
     "eval.n_pos": (int, 300, "positive verification pairs"),
     "eval.n_neg": (int, 300, "negative verification pairs"),
@@ -299,7 +298,6 @@ def cmd_distill(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
         momentum=cfg["distill.momentum"],
         mining=cfg["distill.mining"],
         seed=derive_subseed(cfg["run.seed"], "distill"),
-        eval_every=cfg["distill.eval_every"],
     )
     trained, log = distill(ds, oracle, student, dcfg)
     d = _artifact_dir(out, "distill", cfg)

@@ -156,30 +156,24 @@ def generate_hierarchical(spec: HierarchySpec) -> IdentityDataset:
     """Sample a dataset from the three-level Gaussian hierarchy in spec."""
     rng = Rng(spec.seed)
     dim = spec.input_dim
-    s_centers = np.stack(
-        [spec.supercluster_spread * rng.normals(dim) for _ in range(spec.n_superclusters)]
-    )
-    identity_centers = []
-    supercluster_of = []
-    for s in range(spec.n_superclusters):
-        for _ in range(spec.identities_per_supercluster):
-            identity_centers.append(s_centers[s] + spec.identity_spread * rng.normals(dim))
-            supercluster_of.append(s)
-    features = []
-    labels = []
-    for ident, center in enumerate(identity_centers):
-        for _ in range(spec.samples_per_identity):
-            features.append(center + spec.sample_noise * rng.normals(dim))
-            labels.append(ident)
+
+    def draw(rows: int) -> np.ndarray:
+        return rng.normals(rows * dim).reshape(rows, dim)
+
+    s_centers = spec.supercluster_spread * draw(spec.n_superclusters)
+    supercluster_of = np.repeat(np.arange(spec.n_superclusters), spec.identities_per_supercluster)
+    identity_centers = s_centers[supercluster_of] + spec.identity_spread * draw(spec.n_identities)
+    labels = np.repeat(np.arange(spec.n_identities), spec.samples_per_identity)
+    features = identity_centers[labels] + spec.sample_noise * draw(spec.n_samples)
     ds = IdentityDataset(
-        sample_ids=np.arange(len(features)),
-        labels=np.array(labels),
-        features=np.stack(features),
+        sample_ids=np.arange(spec.n_samples),
+        labels=labels,
+        features=features,
         spec=spec,
         seed=spec.seed,
     )
-    ds.identity_centers = np.stack(identity_centers)
-    ds.supercluster_of = np.array(supercluster_of, dtype=np.int64)
+    ds.identity_centers = identity_centers
+    ds.supercluster_of = supercluster_of
     return ds
 
 

@@ -28,7 +28,7 @@ from .errors import (
     InsufficientData,
 )
 from .mlp import MlpModel, forward_batch
-from .numerics import Rng
+from .numerics import Rng, pairwise_sq_euclidean
 from .teacher import TeacherOracle
 
 
@@ -86,8 +86,6 @@ def build_pairs(
     same: list[bool] = []
 
     def collect(want: int, want_same: bool) -> None:
-        if want == 0:
-            return
         seen: set[tuple[int, int]] = set()
         attempts = 0
         budget = 200 * want + 10_000
@@ -113,22 +111,15 @@ def build_pairs(
             b_ids.append(int(ds.sample_ids[key[1]]))
             same.append(want_same)
         if len(seen) < want:
-            # deterministic fallback: enumerate the remaining valid pairs
-            remaining = []
-            for r1 in range(ds.n_samples):
-                for r2 in range(r1 + 1, ds.n_samples):
-                    if (ds.labels[r1] == ds.labels[r2]) != want_same:
-                        continue
-                    if (r1, r2) in seen:
-                        continue
-                    remaining.append((r1, r2))
-            picks = rng.sample_indices(len(remaining), want - len(seen))
-            for idx in picks:
-                r1, r2 = remaining[idx]
-                seen.add((r1, r2))
-                a_ids.append(int(ds.sample_ids[r1]))
-                b_ids.append(int(ds.sample_ids[r2]))
-                same.append(want_same)
+            # deterministic fallback: the remaining valid pairs, row-major
+            valid = np.triu((ds.labels[:, None] == ds.labels) == want_same, k=1)
+            taken = np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
+            valid[taken[:, 0], taken[:, 1]] = False
+            r1, r2 = np.nonzero(valid)
+            picks = rng.sample_indices(r1.size, want - len(seen))
+            a_ids.extend(ds.sample_ids[r1[picks]].tolist())
+            b_ids.extend(ds.sample_ids[r2[picks]].tolist())
+            same.extend([want_same] * len(picks))
 
     collect(n_pos, True)
     collect(n_neg, False)
@@ -205,13 +196,7 @@ def centroid_distance_matrix(
     emb = _embeddings_for(embedder, ds, np.arange(ds.n_samples))
     idents = ds.identity_list
     centroids = np.stack([emb[ds.rows_of(i)].mean(axis=0) for i in idents])
-    n = len(idents)
-    mat = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = centroids[i] - centroids[j]
-            mat[i, j] = mat[j, i] = float(np.dot(diff, diff))
-    return idents, mat
+    return idents, pairwise_sq_euclidean(centroids)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

@@ -90,8 +90,7 @@ def init_mlp(layer_dims, normalize_output: bool, rng: Rng) -> MlpModel:
 class ForwardCache:
     acts: list[np.ndarray]        # inputs to each layer: acts[0] = X
     hidden_zs: list[np.ndarray]   # pre-activations of hidden layers
-    z_out: np.ndarray             # pre-normalization output
-    norms: np.ndarray | None      # row norms of z_out when normalizing
+    norms: np.ndarray | None      # row norms of the pre-normalization output
     emb: np.ndarray               # final embeddings
     model_version: int
 
@@ -126,7 +125,7 @@ def forward_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardCa
         norms = None
         emb = z_out
     cache = ForwardCache(
-        acts=acts, hidden_zs=hidden_zs, z_out=z_out, norms=norms,
+        acts=acts, hidden_zs=hidden_zs, norms=norms,
         emb=emb, model_version=model.version,
     )
     return emb, cache

@@ -47,12 +47,9 @@ class DistillConfig:
     momentum: float = 0.9
     mining: str = "semi_hard"
     seed: int = 0
-    eval_every: int = 0   # 0 disables periodic verification logging
 
     def __post_init__(self):
         _check_loop(self)
-        if self.eval_every < 0:
-            raise ContractViolation("eval_every must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -84,7 +81,6 @@ class TrainLog:
     loss: list[float] = field(default_factory=list)
     mean_margin: list[float] = field(default_factory=list)
     active_frac: list[float] = field(default_factory=list)
-    eval_points: list[tuple[int, float]] = field(default_factory=list)
     skipped: list[int] = field(default_factory=list)
 
     def append(self, it: int, loss: float, mean_margin: float, active_frac: float) -> None:
@@ -105,29 +101,22 @@ class TrainLog:
 def _run_triplet_loop(
     model: MlpModel,
     ds: IdentityDataset,
-    *,
+    cfg: TeacherTrainConfig | DistillConfig,
     margin: MarginConfig,
-    p: int,
-    k: int,
-    iterations: int,
-    learning_rate: float,
-    momentum: float,
-    mining: str,
     rng: Rng,
-    teacher_vectors: np.ndarray | None,
-    eval_every: int = 0,
-    eval_pairs=None,
+    teacher_vectors: np.ndarray | None = None,
 ) -> TrainLog:
-    """Shared training engine; mutates model in place."""
+    """Shared training engine; mutates model in place.  cfg supplies p, k,
+    iterations, learning_rate, momentum and mining."""
     log = TrainLog()
-    if iterations == 0:
+    if cfg.iterations == 0:
         return log
-    sgd = init_sgd(model, learning_rate, momentum)
+    sgd = init_sgd(model, cfg.learning_rate, cfg.momentum)
     consecutive_empty = 0
-    for it in range(iterations):
-        batch = sample_pk_batch(ds, p, k, rng)
+    for it in range(cfg.iterations):
+        batch = sample_pk_batch(ds, cfg.p, cfg.k, rng)
         emb, cache = forward_batch(model, ds.X[batch.entries])
-        triplets = mine_triplets(batch, emb, mining, rng)
+        triplets = mine_triplets(batch, emb, cfg.mining, rng)
         if triplets.shape[0] == 0:
             log.skipped.append(it)
             consecutive_empty += 1
@@ -146,16 +135,7 @@ def _run_triplet_loop(
         log.append(
             it, result.loss, float(result.margins.mean()), float(result.active.mean())
         )
-        if eval_every and eval_pairs is not None and (it + 1) % eval_every == 0:
-            report = evaluation.verify(model, ds, eval_pairs)
-            log.eval_points.append((it, report.best_accuracy))
     return log
-
-
-def _pairs_up_to(ds: IdentityDataset, n: int, rng: Rng):
-    """Up to n positive and n negative verification pairs, as many as ds holds."""
-    pos_available, neg_available = ds.pair_capacity()
-    return evaluation.build_pairs(ds, min(n, pos_available), min(n, neg_available), rng)
 
 
 def train_teacher(
@@ -171,26 +151,14 @@ def train_teacher(
     carries an under-trained warning instead of failing.
     """
     rng = Rng(seed)
-    model = init_mlp(
-        (ds.input_dim, *cfg.hidden_dims, cfg.embed_dim),
-        normalize_output=True,
-        rng=rng,
-    )
-    log = _run_triplet_loop(
-        model,
-        ds,
-        margin=MarginConfig.fixed(cfg.margin),
-        p=cfg.p,
-        k=cfg.k,
-        iterations=cfg.iterations,
-        learning_rate=cfg.learning_rate,
-        momentum=cfg.momentum,
-        mining=cfg.mining,
-        rng=rng,
-        teacher_vectors=None,
-    )
+    model = init_mlp((ds.input_dim, *cfg.hidden_dims, cfg.embed_dim), True, rng)
+    log = _run_triplet_loop(model, ds, cfg, MarginConfig.fixed(cfg.margin), rng)
     oracle = tabulate(TeacherOracle.from_model(model), ds)
-    pairs = _pairs_up_to(ds, cfg.floor_pairs, Rng(derive_subseed(seed, "teacher-floor")))
+    pos_available, neg_available = ds.pair_capacity()
+    pairs = evaluation.build_pairs(
+        ds, min(cfg.floor_pairs, pos_available), min(cfg.floor_pairs, neg_available),
+        Rng(derive_subseed(seed, "teacher-floor")),
+    )
     accuracy = evaluation.verify(oracle, ds, pairs).best_accuracy
     if cfg.iterations == 0 or accuracy < cfg.accuracy_floor:
         message = (
@@ -221,22 +189,5 @@ def distill(
     teacher_vectors = None
     if cfg.margin.mode == "dynamic":
         teacher_vectors = tabulate(teacher, ds).embed_rows(ds, np.arange(ds.n_samples))
-    eval_pairs = None
-    if cfg.eval_every:
-        eval_pairs = _pairs_up_to(ds, 200, Rng(derive_subseed(cfg.seed, "distill-eval")))
-    log = _run_triplet_loop(
-        trained,
-        ds,
-        margin=cfg.margin,
-        p=cfg.p,
-        k=cfg.k,
-        iterations=cfg.iterations,
-        learning_rate=cfg.learning_rate,
-        momentum=cfg.momentum,
-        mining=cfg.mining,
-        rng=Rng(cfg.seed),
-        teacher_vectors=teacher_vectors,
-        eval_every=cfg.eval_every,
-        eval_pairs=eval_pairs,
-    )
+    log = _run_triplet_loop(trained, ds, cfg, cfg.margin, Rng(cfg.seed), teacher_vectors)
     return trained, log

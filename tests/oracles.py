@@ -11,7 +11,8 @@ import struct
 
 import numpy as np
 
-from margindistill.numerics import pairwise_sq_euclidean
+from margindistill.data import IdentityDataset
+from margindistill.numerics import Rng, pairwise_sq_euclidean
 
 
 def central_diff_grad(f, x, h=1e-5):
@@ -245,3 +246,100 @@ def sq_euclidean(a, b):
     """Squared Euclidean distance of two vectors, one np.dot."""
     d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
     return float(np.dot(d, d))
+
+
+# ---------------------------------------------------------------------------
+# Earlier per-vector and per-pair forms of the data generator and the
+# evaluation helpers.  The array forms must reproduce them bit for bit
+# (the generator, the pair picks) or rank for rank (the centroid matrix).
+# ---------------------------------------------------------------------------
+
+def nested_loop_generate(spec):
+    """generate_hierarchical drawing one vector at a time: supercluster
+    centers, then identity centers per supercluster, then samples per identity."""
+    rng = Rng(spec.seed)
+    dim = spec.input_dim
+    s_centers = np.stack(
+        [spec.supercluster_spread * rng.normals(dim) for _ in range(spec.n_superclusters)]
+    )
+    identity_centers = []
+    supercluster_of = []
+    for s in range(spec.n_superclusters):
+        for _ in range(spec.identities_per_supercluster):
+            identity_centers.append(s_centers[s] + spec.identity_spread * rng.normals(dim))
+            supercluster_of.append(s)
+    features = []
+    labels = []
+    for ident, center in enumerate(identity_centers):
+        for _ in range(spec.samples_per_identity):
+            features.append(center + spec.sample_noise * rng.normals(dim))
+            labels.append(ident)
+    ds = IdentityDataset(np.arange(len(features)), np.array(labels), np.stack(features),
+                         spec=spec, seed=spec.seed)
+    ds.identity_centers = np.stack(identity_centers)
+    ds.supercluster_of = np.array(supercluster_of, dtype=np.int64)
+    return ds
+
+
+def per_pair_centroid_matrix(emb, ds):
+    """Centroid distance matrix with one np.dot per identity pair."""
+    centroids = np.stack([emb[ds.rows_of(i)].mean(axis=0) for i in ds.identity_list])
+    n = len(centroids)
+    mat = np.zeros((n, n), dtype=np.float64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            diff = centroids[i] - centroids[j]
+            mat[i, j] = mat[j, i] = float(np.dot(diff, diff))
+    return mat
+
+
+def loop_build_pairs(ds, n_pos, n_neg, rng):
+    """build_pairs whose enumeration fallback is a double loop over (r1, r2).
+    Returns (a_ids, b_ids, same) arrays."""
+    a_ids, b_ids, same = [], [], []
+
+    def collect(want, want_same):
+        if want == 0:
+            return
+        seen = set()
+        attempts = 0
+        budget = 200 * want + 10_000
+        while len(seen) < want and attempts < budget:
+            attempts += 1
+            if want_same:
+                ident = ds.identity_list[rng.randint(ds.n_identities)]
+                rows = ds.rows_of(ident)
+                if rows.size < 2:
+                    continue
+                i, j = rng.sample_indices(rows.size, 2)
+                r1, r2 = int(rows[i]), int(rows[j])
+            else:
+                r1 = rng.randint(ds.n_samples)
+                r2 = rng.randint(ds.n_samples)
+                if r1 == r2 or ds.labels[r1] == ds.labels[r2]:
+                    continue
+            key = (min(r1, r2), max(r1, r2))
+            if key in seen:
+                continue
+            seen.add(key)
+            a_ids.append(int(ds.sample_ids[key[0]]))
+            b_ids.append(int(ds.sample_ids[key[1]]))
+            same.append(want_same)
+        if len(seen) < want:
+            remaining = []
+            for r1 in range(ds.n_samples):
+                for r2 in range(r1 + 1, ds.n_samples):
+                    if (ds.labels[r1] == ds.labels[r2]) != want_same:
+                        continue
+                    if (r1, r2) in seen:
+                        continue
+                    remaining.append((r1, r2))
+            for idx in rng.sample_indices(len(remaining), want - len(seen)):
+                r1, r2 = remaining[idx]
+                a_ids.append(int(ds.sample_ids[r1]))
+                b_ids.append(int(ds.sample_ids[r2]))
+                same.append(want_same)
+
+    collect(n_pos, True)
+    collect(n_neg, False)
+    return np.array(a_ids), np.array(b_ids), np.array(same)

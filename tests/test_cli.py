@@ -154,6 +154,15 @@ def test_unknown_config_key_rejected(tmp_path):
     assert rc == 2
 
 
+def test_removed_eval_every_key_rejected(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_text("distill.eval_every = 10\n")
+    rc = main(["distill", "--config", str(path), "--out", str(tmp_path / "runs")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error:") and "distill.eval_every" in err[0]
+
+
 def test_config_hash_stable_and_sensitive(tmp_path):
     c1 = load_config(_write_config(tmp_path))
     c2 = load_config(_write_config(tmp_path))

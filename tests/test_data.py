@@ -23,7 +23,12 @@ from margindistill.errors import (
 )
 from margindistill.numerics import Rng, pairwise_sq_euclidean
 
-from oracles import brute_force_all_triplets, brute_force_semi_hard, per_anchor_mining
+from oracles import (
+    brute_force_all_triplets,
+    brute_force_semi_hard,
+    nested_loop_generate,
+    per_anchor_mining,
+)
 
 
 def small_spec(**kw):
@@ -67,6 +72,28 @@ def test_generation_deterministic_per_seed():
     np.testing.assert_array_equal(a.labels, b.labels)
     c = generate_hierarchical(small_spec(seed=1))
     assert not np.array_equal(a.X, c.X)
+
+
+@pytest.mark.parametrize("spec", [
+    HierarchySpec(),
+    HierarchySpec(seed=7),
+    small_spec(),
+    small_spec(input_dim=1, seed=3),
+    small_spec(n_superclusters=1, identities_per_supercluster=1, samples_per_identity=1),
+    small_spec(n_superclusters=5, identities_per_supercluster=1, samples_per_identity=1),
+    small_spec(n_superclusters=3, identities_per_supercluster=5, samples_per_identity=7,
+               input_dim=9, seed=2**63 + 5),
+    HierarchySpec(n_superclusters=8, identities_per_supercluster=16, samples_per_identity=50,
+                  input_dim=32, seed=11),
+], ids=lambda spec: f"{spec.n_superclusters}x{spec.identities_per_supercluster}"
+                    f"x{spec.samples_per_identity}x{spec.input_dim}-seed{spec.seed}")
+def test_generator_bytes_equal_nested_loop_draws(spec):
+    ds = generate_hierarchical(spec)
+    ref = nested_loop_generate(spec)
+    for name in ("X", "labels", "sample_ids", "identity_centers", "supercluster_of"):
+        got, want = getattr(ds, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_hierarchy_intra_supercluster_identities_are_closer():

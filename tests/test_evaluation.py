@@ -28,7 +28,14 @@ from margindistill.mlp import init_mlp
 from margindistill.numerics import Rng
 from margindistill.teacher import TeacherOracle
 
-from oracles import brute_force_sweep, exhaustive_sweep_best_accuracy, sq_euclidean, unit_vector
+from oracles import (
+    brute_force_sweep,
+    exhaustive_sweep_best_accuracy,
+    loop_build_pairs,
+    per_pair_centroid_matrix,
+    sq_euclidean,
+    unit_vector,
+)
 
 
 def _table_ds(vectors, labels):
@@ -82,8 +89,9 @@ def test_build_pairs_deterministic():
 
 
 def test_build_pairs_exhausts_all_available():
-    # 1 identity with 4 samples: exactly 6 positive pairs, forces the
-    # enumeration fallback path to produce all of them
+    # 1 identity with 4 samples: exactly 6 positive pairs, all of which
+    # can be requested (rejection sampling finds them here; the fallback
+    # is covered by test_build_pairs_fallback_picks_equal_double_loop)
     ds, _ = _table_ds([[1, 0], [0, 1], [-1, 0], [0, -1]], [0, 0, 0, 0])
     pairs = build_pairs(ds, 6, 0, Rng(0))
     assert len(pairs) == 6
@@ -91,6 +99,46 @@ def test_build_pairs_exhausts_all_available():
         build_pairs(ds, 7, 0, Rng(0))
     with pytest.raises(CapacityError):
         build_pairs(ds, 0, 1, Rng(0))
+
+
+class _StuckRng(Rng):
+    """An Rng whose randint(n) returns 0 for every n in ``stuck`` once ``live``
+    draws are spent.  With identity_list[0] a singleton, every later
+    rejection-sampling attempt in build_pairs is then refused (a singleton
+    identity, or r1 == r2), so a request for more pairs than ``live`` draws
+    can collect must end in the enumeration fallback."""
+
+    def __init__(self, seed, live, stuck):
+        super().__init__(seed)
+        self.live = live
+        self.stuck = stuck
+
+    def randint(self, n):
+        if self.live > 0:
+            self.live -= 1
+        elif n in self.stuck:
+            return 0
+        return super().randint(n)
+
+
+@pytest.mark.parametrize("want_same", [True, False])
+@pytest.mark.parametrize("seed", range(6))
+def test_build_pairs_fallback_picks_equal_double_loop(seed, want_same):
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(15, 50))
+    labels = np.concatenate([[0], gen.integers(1, n // 3 + 2, n - 1)])  # identity 0: one sample
+    ds = IdentityDataset(gen.permutation(n) + 1000, labels, gen.normal(size=(n, 2)))
+    capacity = ds.pair_capacity()[0 if want_same else 1]
+    want = capacity if seed % 2 else int(gen.integers(1, capacity + 1))
+    live = int(gen.integers(0, want))          # fewer draws than pairs wanted
+    request = (want, 0) if want_same else (0, want)
+    stuck = {ds.n_samples, ds.n_identities}
+    pairs = build_pairs(ds, *request, _StuckRng(seed, live, stuck))
+    a_ids, b_ids, same = loop_build_pairs(ds, *request, _StuckRng(seed, live, stuck))
+    assert len(pairs) == want
+    np.testing.assert_array_equal(pairs.a_ids, a_ids)
+    np.testing.assert_array_equal(pairs.b_ids, b_ids)
+    np.testing.assert_array_equal(pairs.same, same)
 
 
 def test_verify_separable_example():
@@ -251,6 +299,27 @@ def test_centroid_matrix_matches_double_loop():
             cj = vecs[ds.rows_of(ident_j)].mean(axis=0)
             if i != j:
                 assert mat[i, j] == pytest.approx(sq_euclidean(ci, cj), abs=1e-12)
+
+
+def test_structure_correlation_equals_per_pair_dot_centroids():
+    """The one-call centroid matrix may differ from the per-pair np.dot loop in
+    the last bits, but not in rank, so structure_correlation is the same float."""
+    gen = np.random.default_rng(60)
+    for _ in range(240):
+        n_ident = int(gen.integers(3, 13))
+        labels = np.concatenate([np.arange(n_ident),
+                                 gen.integers(0, n_ident, int(gen.integers(0, 40)))])
+        got, want = [], []
+        for dim in gen.integers(1, 33, size=2):
+            vectors = gen.normal(size=(labels.size, dim))
+            ds, oracle = _table_ds(vectors / np.linalg.norm(vectors, axis=1, keepdims=True),
+                                   labels)
+            mat = centroid_distance_matrix(oracle, ds)[1]
+            ref = per_pair_centroid_matrix(oracle.embed_rows(ds, np.arange(ds.n_samples)), ds)
+            np.testing.assert_allclose(mat, ref, rtol=1e-12, atol=0)
+            got.append(mat)
+            want.append(ref)
+        assert structure_correlation(*got) == structure_correlation(*want)
 
 
 def test_structure_correlation_identical_and_reversed():

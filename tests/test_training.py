@@ -190,18 +190,6 @@ def test_distill_logged_margins_within_bounds():
     assert all(m_min <= m <= m_max for m in log.mean_margin)
 
 
-def test_distill_eval_every_records_points():
-    ds = tiny_dataset()
-    teacher = _teacher_for(ds)
-    student = init_mlp((6, 8, 4), True, Rng(8))
-    cfg = DistillConfig(
-        margin=MarginConfig.fixed(0.3), p=3, k=3, iterations=30, seed=0, eval_every=10
-    )
-    _, log = distill(ds, teacher, student, cfg)
-    assert [it for it, _ in log.eval_points] == [9, 19, 29]
-    assert all(0.0 <= acc <= 1.0 for _, acc in log.eval_points)
-
-
 def test_distill_config_validation():
     with pytest.raises(ContractViolation):
         DistillConfig(margin=MarginConfig.fixed(0.3), p=1)
