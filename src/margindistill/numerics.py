@@ -10,11 +10,20 @@ not use ``numpy.random`` here: numpy does not promise stream stability
 across versions.  Gaussian draws are produced from the stream via Box-Muller
 (two uniforms per normal, no cached spare); they are deterministic per
 platform but may differ in the last ulp across libm implementations.
+
+Bulk draws (``uint64s``, ``normals``, ``uniforms``) step many copies of the
+generator at once, each started at a jump-ahead offset of the stream, and
+yield exactly the words, floats and final state of one-at-a-time draws.
+Box-Muller's ``log`` and ``cos`` stay libm's (``math``), applied per value;
+the other array operations are exact.  The jump tables are powers of the
+GF(2) step matrix, built on first use and never at import.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -138,19 +147,157 @@ class Rng:
             idx[i], idx[j] = idx[j], idx[i]
         return idx[:k]
 
-    def normal(self) -> float:
-        """Standard normal via Box-Muller; no cached spare."""
-        u1 = self.random()
-        while u1 == 0.0:  # avoid log(0); probability 2^-53 per draw
-            u1 = self.random()
-        u2 = self.random()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    def uint64s(self, n: int) -> np.ndarray:
+        """The next n words of next_uint64 as a uint64 array.
+
+        Leaves the generator in the state n next_uint64 calls would.  Runs of
+        up to 2^17 words are drawn by parallel lanes at jump-ahead offsets.
+        """
+        n = operator.index(n)
+        if n < 0:
+            raise ContractViolation("uint64s requires n >= 0")
+        out = np.empty(n, dtype=np.uint64)
+        for start in range(0, n, _RUN_WORDS):
+            out[start:start + _RUN_WORDS] = self._lane_words(min(n - start, _RUN_WORDS))
+        return out
+
+    def _lane_words(self, n: int) -> np.ndarray:
+        # Lane j starts at A^(j * stride) s and emits words j*stride .. j*stride + stride - 1.
+        stride = 1 << max(0, (n.bit_length() - 1) // 2)     # about sqrt(n)
+        lanes = -(-n // stride)
+        starts = np.array([self._s], dtype=np.uint64)
+        power = stride.bit_length() - 1
+        while starts.shape[0] < lanes:                      # double: lanes j and j + 2^i
+            starts = np.concatenate((starts, _gf2_apply(_step_power(power), starts)))
+            power += 1
+        s = np.ascontiguousarray(starts[:lanes].T)
+        last = n - (lanes - 1) * stride                     # steps of the final lane
+        s1_seen = np.empty((lanes, stride), dtype=np.uint64)
+        for i in range(stride):
+            s1_seen[:, i] = s[1]
+            _step_lanes(s)
+            if i + 1 == last:
+                self._s = [int(v) for v in s[:, -1]]
+        x = s1_seen.reshape(-1)[:n]                         # rotl(s1 * 5, 7) * 9, in place
+        x *= 5
+        high = x >> 57
+        x <<= 7
+        x |= high
+        x *= 9
+        return x
 
     def normals(self, count: int) -> np.ndarray:
-        return np.array([self.normal() for _ in range(count)], dtype=np.float64)
+        """Standard normals via Box-Muller, two words per normal and no cached spare.
+
+        The same bits as drawing them one at a time: a zero u1 is skipped and
+        pairing resumes at the next word.
+        """
+        pieces = [np.empty(0)]
+        tail = np.empty(0, dtype=np.uint64)
+        while count > 0:
+            want = min(count, _RUN_WORDS // 2)
+            top = self.uint64s(2 * want - tail.size)
+            top >>= 11
+            top = np.concatenate((tail, top)) if tail.size else top
+            z, tail = _box_muller(top)
+            pieces.append(z)
+            count -= z.size
+        return np.concatenate(pieces)
 
     def uniforms(self, count: int) -> np.ndarray:
-        return np.array([self.random() for _ in range(count)], dtype=np.float64)
+        """count draws of random(), as one array."""
+        top = self.uint64s(count)
+        top >>= 11
+        return top * (2.0 ** -53)
+
+
+# ---------------------------------------------------------------------------
+# bulk draws: xoshiro256** lanes and Box-Muller over word arrays
+# ---------------------------------------------------------------------------
+#
+# The state update is linear over GF(2): one step is a 256x256 bit matrix A.
+# A linear map is stored as the images of the 256 unit states, a (256, 4)
+# uint64 array whose row i is the image of the state with only bit i set
+# (bit i is bit i % 64 of word i // 64).
+
+_RUN_WORDS = 1 << 17       # words per lane run; bounds the temporaries at 1 MiB each
+
+
+def _step_lanes(s: np.ndarray) -> None:
+    """One xoshiro256** step, in place, of the states in the columns of s (4, L)."""
+    s0, s1, s2, s3 = s
+    t = s1 << 17
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    s3[:] = (s3 << 45) | (s3 >> 19)
+
+
+def _gf2_apply(images: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The linear map given by images applied to each row of states (B, 4).
+
+    A table per 4-bit nibble of the state holds the XOR of the images of
+    every subset of its bits, so each state costs 64 lookups.
+    """
+    by_nibble = images.reshape(64, 4, 4)
+    table = np.zeros((64, 16, 4), dtype=np.uint64)
+    for b in range(4):
+        table[:, 1 << b:2 << b] = table[:, :1 << b] ^ by_nibble[:, b, None, :]
+    table = table.reshape(-1, 4)
+    octets = np.ascontiguousarray(states, dtype="<u8").view(np.uint8).reshape(-1, 32)
+    rows = np.empty((octets.shape[0], 64), dtype=np.intp)
+    rows[:, 0::2] = octets & 15
+    rows[:, 1::2] = octets >> 4
+    rows += np.arange(0, 64 * 16, 16)
+    out = np.empty((rows.shape[0], 4), dtype=np.uint64)
+    for i in range(0, rows.shape[0], 32):               # blocks bound the lookups at 64 KiB
+        x = table[rows[i:i + 32]]
+        while x.shape[1] > 1:                           # XOR the lookups pairwise
+            x = x[:, :x.shape[1] // 2] ^ x[:, x.shape[1] // 2:]
+        out[i:i + 32] = x[:, 0]
+    return out
+
+
+@functools.cache
+def _step_power(m: int) -> np.ndarray:
+    """Images of A^(2^m): A by stepping every unit state once, then squarings.
+
+    These are constants of the generator, built on first use and shared.
+    """
+    if m > 0:
+        images = _gf2_apply(_step_power(m - 1), _step_power(m - 1))
+    else:
+        bit = np.arange(256)
+        units = np.zeros((4, 256), dtype=np.uint64)
+        units[bit // 64, bit] = np.left_shift(np.uint64(1), (bit % 64).astype(np.uint64))
+        _step_lanes(units)
+        images = np.ascontiguousarray(units.T)
+    images.flags.writeable = False
+    return images
+
+
+def _box_muller(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normals from consecutive stream words shifted right by 11.
+
+    Pairs (u1, u2) exactly as one-at-a-time draws do: a word with u1 = 0 is
+    skipped.  Returns the normals and the unused tail, at most one word (a
+    u1 still waiting for its u2).  The array operations are exact; log and
+    cos are libm's, called through math.
+    """
+    pieces = []
+    while True:
+        zeros = np.flatnonzero(top[0::2] == 0)
+        pairs = top.size // 2 if zeros.size == 0 else int(zeros[0])
+        u1 = top[0:2 * pairs:2] * (2.0 ** -53)
+        u2 = top[1:2 * pairs:2] * (2.0 ** -53)
+        log_u1 = np.fromiter(map(math.log, u1.tolist()), np.float64, pairs)
+        cos_u2 = np.fromiter(map(math.cos, ((2.0 * math.pi) * u2).tolist()), np.float64, pairs)
+        pieces.append(np.sqrt(-2.0 * log_u1) * cos_u2)
+        if zeros.size == 0:
+            return np.concatenate(pieces), top[2 * pairs:]
+        top = top[2 * pairs + 1:]
 
 
 def derive_subseed(seed: int, label: str) -> int:

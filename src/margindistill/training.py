@@ -10,6 +10,7 @@ the teacher oracle is read-only throughout.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -35,6 +36,10 @@ def _check_loop(cfg) -> None:
         raise ContractViolation("iterations must be >= 0")
     if cfg.mining not in MINING_STRATEGIES:
         raise ContractViolation(f"unknown mining strategy {cfg.mining!r}")
+    if not (math.isfinite(cfg.learning_rate) and cfg.learning_rate > 0.0):
+        raise ContractViolation("learning_rate must be finite and > 0")
+    if not 0.0 <= cfg.momentum < 1.0:
+        raise ContractViolation("momentum must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -146,9 +151,10 @@ def train_teacher(
     """Train the larger MLP with a fixed margin, freeze it, and tabulate it.
 
     The returned oracle is table-backed (one embedding per dataset sample)
-    and keeps a reference to the frozen model for checkpointing.  If the
-    training-set verification accuracy misses cfg.accuracy_floor, the oracle
-    carries an under-trained warning instead of failing.
+    and keeps a reference to the frozen model for checkpointing.  If it ran
+    0 iterations or its training-set verification accuracy misses
+    cfg.accuracy_floor, the oracle carries an under-trained warning naming
+    the reason instead of failing.
     """
     rng = Rng(seed)
     model = init_mlp((ds.input_dim, *cfg.hidden_dims, cfg.embed_dim), True, rng)
@@ -160,11 +166,15 @@ def train_teacher(
         Rng(derive_subseed(seed, "teacher-floor")),
     )
     accuracy = evaluation.verify(oracle, ds, pairs).best_accuracy
-    if cfg.iterations == 0 or accuracy < cfg.accuracy_floor:
-        message = (
-            f"under-trained teacher: verification accuracy {accuracy:.3f} "
-            f"below floor {cfg.accuracy_floor:.3f}"
+    reasons = []
+    if cfg.iterations == 0:
+        reasons.append("0 iterations")
+    if accuracy < cfg.accuracy_floor:
+        reasons.append(
+            f"verification accuracy {accuracy:.3f} below floor {cfg.accuracy_floor:.3f}"
         )
+    if reasons:
+        message = "under-trained teacher: " + "; ".join(reasons)
         warnings.warn(message)
         oracle.warning = message
     return oracle, log

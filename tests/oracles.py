@@ -249,30 +249,55 @@ def sq_euclidean(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Earlier per-vector and per-pair forms of the data generator and the
-# evaluation helpers.  The array forms must reproduce them bit for bit
-# (the generator, the pair picks) or rank for rank (the centroid matrix).
+# Earlier one-at-a-time and per-pair forms of the random draws, the data
+# generator and the evaluation helpers.  The array forms must reproduce them
+# bit for bit (the draws, the generator, the pair picks) or rank for rank
+# (the centroid matrix).
 # ---------------------------------------------------------------------------
+
+def scalar_words(next_word, n):
+    """n stream words, one next_word() call each."""
+    return np.array([next_word() for _ in range(n)], dtype=np.uint64)
+
+
+def scalar_uniforms(next_word, count):
+    """count uniforms in [0, 1), each the top 53 bits of one word."""
+    return np.array([(next_word() >> 11) * 2.0**-53 for _ in range(count)])
+
+
+def scalar_normal(next_word):
+    """One Box-Muller normal, no cached spare; a zero u1 is redrawn."""
+    u1 = (next_word() >> 11) * 2.0**-53
+    while u1 == 0.0:  # avoid log(0)
+        u1 = (next_word() >> 11) * 2.0**-53
+    u2 = (next_word() >> 11) * 2.0**-53
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def scalar_normals(next_word, count):
+    return np.array([scalar_normal(next_word) for _ in range(count)], dtype=np.float64)
+
 
 def nested_loop_generate(spec):
     """generate_hierarchical drawing one vector at a time: supercluster
     centers, then identity centers per supercluster, then samples per identity."""
     rng = Rng(spec.seed)
-    dim = spec.input_dim
-    s_centers = np.stack(
-        [spec.supercluster_spread * rng.normals(dim) for _ in range(spec.n_superclusters)]
-    )
+
+    def draw():
+        return scalar_normals(rng.next_uint64, spec.input_dim)
+
+    s_centers = np.stack([spec.supercluster_spread * draw() for _ in range(spec.n_superclusters)])
     identity_centers = []
     supercluster_of = []
     for s in range(spec.n_superclusters):
         for _ in range(spec.identities_per_supercluster):
-            identity_centers.append(s_centers[s] + spec.identity_spread * rng.normals(dim))
+            identity_centers.append(s_centers[s] + spec.identity_spread * draw())
             supercluster_of.append(s)
     features = []
     labels = []
     for ident, center in enumerate(identity_centers):
         for _ in range(spec.samples_per_identity):
-            features.append(center + spec.sample_noise * rng.normals(dim))
+            features.append(center + spec.sample_noise * draw())
             labels.append(ident)
     ds = IdentityDataset(np.arange(len(features)), np.array(labels), np.stack(features),
                          spec=spec, seed=spec.seed)

@@ -506,6 +506,25 @@ def test_mutated_input_never_escapes_cli(tiny, kind, pos, how, value):
         assert rc == 1 or kind == "config"
 
 
+@pytest.mark.parametrize("command, settings", [
+    ("train-teacher", {"teacher.iterations": 0, "teacher.learning_rate": -1,
+                       "teacher.momentum": 5}),
+    ("train-teacher", {"teacher.learning_rate": "nan"}),
+    ("distill", {"distill.learning_rate": 0}),
+    ("distill", {"distill.momentum": 1.0}),
+], ids=str)
+def test_bad_optimizer_settings_exit_with_one_error_line(tiny, tmp_path, command, settings):
+    config = tmp_path / "run.cfg"
+    config.write_text(TINY_CONFIG + f"io.dataset = {tiny['dataset']}\nio.teacher = {tiny['table']}\n"
+                      + "".join(f"{k} = {v}\n" for k, v in settings.items()))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main([command, "--config", str(config), "--out", str(tmp_path / "runs"), "--quiet"])
+    assert rc != 0
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert not list(tmp_path.rglob("*.ckpt"))
+
+
 def test_non_utf8_dataset_is_format_error(tiny, tmp_path):
     blob = tiny["dataset"].read_bytes()
     path = _input(tiny, tmp_path, "dataset", blob[:40] + b"\xff" + blob[41:])

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from margindistill.errors import ContractViolation, DegenerateInput, FormatError
 from margindistill.mlp import (
@@ -14,7 +17,7 @@ from margindistill.mlp import (
 )
 from margindistill.numerics import Rng
 
-from oracles import central_diff_grad, straightline_mlp_forward
+from oracles import central_diff_grad, scalar_uniforms, straightline_mlp_forward
 
 
 def forward(model, x):
@@ -68,6 +71,28 @@ def test_init_is_deterministic_and_in_glorot_range():
     assert np.abs(m1.weights[0]).max() <= s0
     for b in m1.biases:
         assert not b.any()
+
+
+def _scalar_glorot(dims, seed):
+    """init_mlp's weights from one random() draw per entry."""
+    draw = Rng(seed).next_uint64
+    return [((2.0 * scalar_uniforms(draw, fi * fo) - 1.0) * math.sqrt(6.0 / (fi + fo)))
+            .reshape(fi, fo) for fi, fo in zip(dims[:-1], dims[1:])]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(1, 140), min_size=2, max_size=5), st.integers(0, 2**64 - 1))
+def test_init_weights_equal_scalar_draws(dims, seed):
+    model = init_mlp(dims, True, Rng(seed))
+    for got, want in zip(model.weights, _scalar_glorot(dims, seed), strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_teacher_init_equals_scalar_draws():
+    dims = (32, 128, 128, 128, 32)
+    model = init_mlp(dims, True, Rng(3))
+    for got, want in zip(model.weights, _scalar_glorot(dims, 3), strict=True):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_normalized_output_unit_norm():

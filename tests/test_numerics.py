@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +10,7 @@ from margindistill.data import IdentityDataset
 from margindistill.errors import ContractViolation, DegenerateInput
 from margindistill.evaluation import PairSet, _pair_cosine_distances, verify
 from margindistill.mlp import MlpModel, forward_batch
+from margindistill import numerics
 from margindistill.numerics import (
     Rng,
     derive_subseed,
@@ -14,7 +18,13 @@ from margindistill.numerics import (
     pairwise_sq_euclidean,
 )
 
-from oracles import sq_euclidean, unit_vector
+from oracles import (
+    scalar_normals,
+    scalar_uniforms,
+    scalar_words,
+    sq_euclidean,
+    unit_vector,
+)
 
 _MASK64 = (1 << 64) - 1
 
@@ -212,6 +222,134 @@ def test_normals_are_deterministic_and_sane():
     np.testing.assert_array_equal(a, b)
     assert abs(a.mean()) < 0.06
     assert abs(a.std() - 1.0) < 0.05
+
+
+# ---------------------------------------------------------------------------
+# bulk draws against the one-at-a-time stream
+# ---------------------------------------------------------------------------
+
+def _lane_boundaries(limit):
+    """Every n <= limit whose last lane ends exactly at a stride, and n +- 1.
+
+    The stride is the lane layout's 2^floor(log2(n) / 2)."""
+    out = set()
+    for n in range(1, limit + 1):
+        if n % (1 << ((n.bit_length() - 1) // 2)) == 0:
+            out.update((n - 1, n, n + 1))
+    return sorted(v for v in out if v <= limit)
+
+
+LANE_BOUNDARIES = _lane_boundaries(5000)
+
+
+def _scalar_states(seed, n):
+    """The state after each of n next_uint64 calls, and the words."""
+    rng = Rng(seed)
+    states, words = [list(rng._s)], []
+    for _ in range(n):
+        words.append(rng.next_uint64())
+        states.append(list(rng._s))
+    return states, np.array(words, dtype=np.uint64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, _MASK64), st.one_of(st.integers(0, 5000), st.sampled_from(LANE_BOUNDARIES)))
+def test_uint64s_equal_scalar_words_and_state(seed, n):
+    rng, ref = Rng(seed), Rng(seed)
+    assert rng.uint64s(n).tobytes() == scalar_words(ref.next_uint64, n).tobytes()
+    assert rng._s == ref._s
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_uint64s_every_lane_boundary(seed):
+    states, words = _scalar_states(seed, LANE_BOUNDARIES[-1])
+    for n in LANE_BOUNDARIES:
+        rng = Rng(seed)
+        assert rng.uint64s(n).tobytes() == words[:n].tobytes(), n
+        assert rng._s == states[n], n
+
+
+def test_uint64s_across_runs_and_in_pieces():
+    # a run holds 2^17 words; longer requests start each run where the last ended
+    n = (1 << 17) + 3
+    ref = Rng(9)
+    want = scalar_words(ref.next_uint64, 2 * n)
+    rng = Rng(9)
+    got = np.concatenate([rng.uint64s(n), rng.uint64s(0), rng.uint64s(n)])
+    assert got.tobytes() == want.tobytes()
+    assert rng._s == ref._s
+
+
+def test_uint64s_validates():
+    with pytest.raises(ContractViolation):
+        Rng(0).uint64s(-1)
+    assert Rng(0).uint64s(np.int64(3)).tolist() == Rng(0).uint64s(3).tolist()
+
+
+@pytest.mark.parametrize("m", range(12))
+def test_jump_table_advances_2_to_the_m_steps(m):
+    rng = Rng(m)
+    state = np.array([rng._s], dtype=np.uint64)
+    for _ in range(1 << m):
+        rng.next_uint64()
+    jumped = numerics._gf2_apply(numerics._step_power(m), state)
+    assert [int(v) for v in jumped[0]] == rng._s
+
+
+def test_jump_tables_are_not_built_at_import():
+    code = ("import margindistill, margindistill.numerics as n; "
+            "assert n._step_power.cache_info().currsize == 0; "
+            "n.Rng(0).uint64s(4096); assert n._step_power.cache_info().currsize > 0")
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, _MASK64), st.integers(0, 3000))
+def test_normals_and_uniforms_equal_scalar_bytes(seed, count):
+    rng, ref = Rng(seed), Rng(seed)
+    assert rng.normals(count).tobytes() == scalar_normals(ref.next_uint64, count).tobytes()
+    assert rng.uniforms(count).tobytes() == scalar_uniforms(ref.next_uint64, count).tobytes()
+    assert rng._s == ref._s
+
+
+class _CraftedWords:
+    """A word stream read from a list, served one word or many at a time."""
+
+    def __init__(self, words):
+        self.words, self.pos = list(words), 0
+
+    def next_uint64(self):
+        self.pos += 1
+        return self.words[self.pos - 1]
+
+    def uint64s(self, n):
+        self.pos += n
+        return np.array(self.words[self.pos - n:self.pos], dtype=np.uint64)
+
+
+HALF_RUN = (1 << 17) // 2      # normals per Box-Muller run
+
+
+@pytest.mark.parametrize("count, zero_words", [
+    (1, [0]),                              # the first pair
+    (9, [8]),                              # a middle pair
+    (9, [16]),                             # the last pair
+    (9, [0, 1, 2, 10, 15]),                # zeros in a row; a zero u2 (word 10) is kept
+    (600, [0, 601, 1198]),                 # lane-drawn words
+    (HALF_RUN + 2, [2 * HALF_RUN - 2]),    # the last pair of a run: its u2 is carried
+    (HALF_RUN + 2, [2 * HALF_RUN]),        # the first u1 of the next run
+])
+def test_normals_skip_zero_u1_like_scalar_draws(count, zero_words):
+    words = scalar_words(Rng(count).next_uint64, 2 * count + len(zero_words) + 5).tolist()
+    for i, pos in enumerate(zero_words):
+        words[pos] = i % 2 * 2047          # 0 or 2047: both have top 53 bits 0
+    bulk, scalar = _CraftedWords(words), _CraftedWords(words)
+    rng = Rng(0)
+    rng.uint64s = bulk.uint64s            # instance attribute shadows the method
+    got = rng.normals(count)
+    want = scalar_normals(scalar.next_uint64, count)
+    assert got.tobytes() == want.tobytes()
+    assert bulk.pos == scalar.pos
 
 
 def test_seed_validation():

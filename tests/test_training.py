@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from margindistill.errors import ContractViolation, StagnationError
 from margindistill.evaluation import build_pairs, verify
 from margindistill.loss import MarginConfig, batch_loss
 from margindistill.mlp import backward_batch, forward_batch, init_mlp
-from margindistill.numerics import Rng
+from margindistill.numerics import Rng, derive_subseed
 from margindistill.teacher import TeacherOracle, tabulate, triplet_gaps
 from margindistill.training import (
     DistillConfig,
@@ -216,6 +217,24 @@ def test_teacher_config_validation(field, value):
         TeacherTrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("iterations", [0, 10])
+@pytest.mark.parametrize("settings", [
+    {"learning_rate": -1.0, "momentum": 5.0},
+    {"learning_rate": 0.0},
+    {"learning_rate": float("nan")},
+    {"learning_rate": float("inf")},
+    {"momentum": -0.1},
+    {"momentum": 1.0},
+    {"momentum": float("nan")},
+])
+def test_optimizer_settings_are_checked_when_the_config_is_built(iterations, settings):
+    # not only when the loop reaches init_sgd, which it never does at 0 iterations
+    with pytest.raises(ContractViolation):
+        DistillConfig(margin=MarginConfig.fixed(0.3), iterations=iterations, **settings)
+    with pytest.raises(ContractViolation):
+        TeacherTrainConfig(iterations=iterations, **settings)
+
+
 def test_stagnation_error_after_50_empty_batches(monkeypatch):
     ds = tiny_dataset()
     teacher = _teacher_for(ds)
@@ -288,6 +307,25 @@ def test_train_teacher_zero_iterations_warns():
     assert log.iterations == []
     # still a usable frozen oracle
     assert oracle.vectors.shape == (ds.n_samples, 6)
+
+
+@pytest.mark.parametrize("iterations, floor", [(0, 0.0), (0, 1.0), (40, 0.0), (40, 1.0)])
+def test_train_teacher_warning_claims_only_what_holds(iterations, floor):
+    ds = tiny_dataset()
+    cfg = TeacherTrainConfig(hidden_dims=(12,), embed_dim=6, iterations=iterations, p=3, k=3,
+                             floor_pairs=20, accuracy_floor=floor)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        oracle, _ = train_teacher(ds, cfg, seed=0)
+    pos, neg = ds.pair_capacity()
+    pairs = build_pairs(ds, min(20, pos), min(20, neg), Rng(derive_subseed(0, "teacher-floor")))
+    accuracy = verify(oracle, ds, pairs).best_accuracy
+    message = oracle.warning or ""
+    assert [str(w.message) for w in caught] == ([message] if message else [])
+    assert ("0 iterations" in message) == (iterations == 0)
+    below = f"verification accuracy {accuracy:.3f} below floor {floor:.3f}"
+    assert (below in message) == (accuracy < floor)
+    assert message.count("floor") == (accuracy < floor)
 
 
 # ---------------------------------------------------------------------------
