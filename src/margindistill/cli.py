@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, evaluation
-from .data import (HierarchySpec, IdentityDataset, generate_hierarchical, load_dataset_jsonl,
-                   read_text, save_dataset_jsonl)
+from .data import (HierarchySpec, IdentityDataset, companion_path, generate_hierarchical,
+                   load_dataset_jsonl, read_text, save_dataset_companion, save_dataset_jsonl)
 from .errors import FormatError, MarginDistillError
 from .loss import MarginConfig
 from .mlp import CHECKPOINT_MAGIC, init_mlp, load_checkpoint, save_checkpoint
@@ -209,11 +209,15 @@ def cmd_gen_data(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
     ds = generate_hierarchical(spec)
     d = _artifact_dir(out, "gen-data", cfg)
     target = d / "dataset.jsonl"
+    companion_path(target).unlink(missing_ok=True)    # the reload below must parse the text
     save_dataset_jsonl(ds, target)
     _write_run_files(d, "gen-data", cfg)
     reloaded = load_dataset_jsonl(target)
-    if reloaded.n_samples != spec.n_samples:
-        raise FormatError(f"{target}: validation reload found wrong sample count")
+    for got, want in ((reloaded.sample_ids, ds.sample_ids), (reloaded.labels, ds.labels),
+                      (reloaded.X, ds.X)):
+        if got.shape != want.shape or got.tobytes() != want.tobytes():
+            raise FormatError(f"{target}: validation reload differs from the generated data")
+    save_dataset_companion(ds, target)
     _say(quiet, f"wrote {target} ({ds.n_samples} samples, {ds.n_identities} identities, "
                 f"dim {ds.input_dim})")
     return 0

@@ -9,8 +9,12 @@ which makes generation a pure function of (spec, seed).
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 import numbers
+import os
+import struct
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -310,8 +314,13 @@ def mine_triplets(
 
 
 # ---------------------------------------------------------------------------
-# dataset file format: JSON lines, header record first
+# dataset file format: JSON lines, header record first; gen-data adds a binary
+# companion that holds the parsed arrays of those exact bytes
 # ---------------------------------------------------------------------------
+
+COMPANION_MAGIC = b"TFDS01"
+_COMPANION_HEAD = struct.Struct("<6s32sQQ")   # magic, sha256, n samples, input dim
+
 
 def read_text(path, error: type[Exception] = FormatError) -> str:
     """A UTF-8 text file's contents; bytes that are not UTF-8 raise ``error``."""
@@ -329,15 +338,70 @@ def save_dataset_jsonl(ds: IdentityDataset, path) -> None:
         "seed": ds.seed,
         "spec": asdict(ds.spec) if ds.spec is not None else None,
     }
+    # json.dumps writes a float as its repr, so these are json.dumps's bytes
+    record = '{"sample": %d, "identity": %d, "x": [%s]}\n'
+    ids, labels = ds.sample_ids.tolist(), ds.labels.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header) + "\n")
-        for i in range(ds.n_samples):
-            rec = {
-                "sample": int(ds.sample_ids[i]),
-                "identity": int(ds.labels[i]),
-                "x": [float(v) for v in ds.X[i]],
-            }
-            fh.write(json.dumps(rec) + "\n")
+        for at in range(0, ds.n_samples, 512):     # one write per block of rows
+            fh.write("".join([record % (i, c, ", ".join(map(repr, x))) for i, c, x in
+                              zip(ids[at:at + 512], labels[at:at + 512],
+                                  ds.X[at:at + 512].tolist())]))
+
+
+def companion_path(path) -> Path:
+    """The binary companion of dataset file ``path``: ``<path>.tfds``."""
+    return Path(f"{path}.tfds")
+
+
+def _sha256(parts) -> bytes:
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return digest.digest()
+
+
+def save_dataset_companion(ds: IdentityDataset, path) -> None:
+    """Write the companion of dataset file ``path``, whose records must parse to ``ds``.
+
+    Layout: magic, the sha256 of the dataset file's bytes followed by the rest
+    of the companion, u64 n, u64 d, then n little-endian int64 sample ids, n
+    int64 identities and n x d float64 features, row-major.
+    """
+    body = [struct.pack("<QQ", ds.n_samples, ds.input_dim),
+            *(np.ascontiguousarray(a, dtype=t) for a, t in
+              ((ds.sample_ids, "<i8"), (ds.labels, "<i8"), (ds.X, "<f8")))]
+    with open(path, "rb") as fh:
+        digest = _sha256(itertools.chain(iter(lambda: fh.read(1 << 20), b""), body))
+    with open(companion_path(path), "wb") as fh:
+        fh.write(COMPANION_MAGIC + digest)
+        for part in body:
+            fh.write(part)
+
+
+def _companion_arrays(path, blob: bytes):
+    """(sample ids, identities, features) from the companion of ``path`` if its
+    magic, length and digest all match ``blob``, the dataset file's bytes; None
+    otherwise, so a missing, stale or torn companion is only a cache miss."""
+    try:
+        with open(companion_path(path), "rb") as fh:
+            head = fh.read(_COMPANION_HEAD.size)
+            if len(head) != _COMPANION_HEAD.size:
+                return None
+            magic, digest, n, d = _COMPANION_HEAD.unpack(head)
+            size = 8 * n * (2 + d)               # checked against the file before allocating
+            if magic != COMPANION_MAGIC or os.fstat(fh.fileno()).st_size != len(head) + size:
+                return None
+            body = bytearray(size)
+            if fh.readinto(body) != size:
+                return None
+    except OSError:
+        return None
+    if _sha256((blob, head[-16:], body)) != digest:      # head[-16:] holds n and d
+        return None
+    ids = np.frombuffer(body, dtype="<i8", count=2 * n).reshape(2, n)
+    features = np.frombuffer(body, dtype="<f8", count=n * d, offset=16 * n).reshape(n, d)
+    return ids[0], ids[1], features
 
 
 def _spec_from_header(path, spec) -> HierarchySpec | None:
@@ -350,8 +414,44 @@ def _spec_from_header(path, spec) -> HierarchySpec | None:
         raise FormatError(f"{path}: bad header spec: {exc}") from exc
 
 
+def _parse_records(path, lines: list[str], n_declared):
+    """(sample ids, identities, features) of the record lines of a dataset file."""
+    sample_ids = []
+    labels = []
+    feats = []
+    for ln in lines:
+        try:
+            rec = json.loads(ln)
+            sample_ids.append(int(rec["sample"]))
+            labels.append(int(rec["identity"]))
+            feats.append(rec["x"])
+        except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: bad record: {exc}") from exc
+    if len(sample_ids) != n_declared:
+        raise FormatError(
+            f"{path}: header declares {n_declared} samples, found {len(sample_ids)}"
+        )
+    try:
+        ids = np.array([sample_ids, labels], dtype=np.int64)
+        features = np.array(feats, dtype=np.float64)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: ids must fit in int64 and x must be equal-length "
+                          f"number lists: {exc}") from exc
+    return ids[0], ids[1], features
+
+
 def load_dataset_jsonl(path) -> IdentityDataset:
-    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
+    """The dataset in JSON-lines file ``path``.  A companion whose digest matches
+    the file's bytes supplies the arrays; otherwise the records are parsed."""
+    blob = Path(path).read_bytes()
+    arrays = _companion_arrays(path, blob)
+    if arrays is not None:            # bytes that save_dataset_jsonl wrote: header first
+        blob = blob.partition(b"\n")[0]
+    try:
+        lines = [ln for ln in blob.decode("utf-8").splitlines() if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    del blob                          # the lines hold the text: parse with one copy of it
     if not lines:
         raise FormatError(f"{path}: empty dataset file")
     try:
@@ -360,38 +460,19 @@ def load_dataset_jsonl(path) -> IdentityDataset:
         raise FormatError(f"{path}: bad header line: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header line must be a JSON object")
-    for key in ("input_dim", "n_samples", "n_identities"):
+    counts = ("input_dim", "n_samples", "n_identities")
+    for key in counts:
         if key not in header:
             raise FormatError(f"{path}: header missing {key!r}")
-    sample_ids = []
-    labels = []
-    feats = []
-    for ln in lines[1:]:
-        try:
-            rec = json.loads(ln)
-            sample_ids.append(int(rec["sample"]))
-            labels.append(int(rec["identity"]))
-            feats.append(rec["x"])
-        except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: bad record: {exc}") from exc
-    if len(sample_ids) != header["n_samples"]:
-        raise FormatError(
-            f"{path}: header declares {header['n_samples']} samples, "
-            f"found {len(sample_ids)}"
-        )
-    try:
-        ids = np.array([sample_ids, labels], dtype=np.int64)
-        features = np.array(feats, dtype=np.float64)
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: ids must fit in int64 and x must be equal-length "
-                          f"number lists: {exc}") from exc
+    if arrays is None:
+        arrays = _parse_records(path, lines[1:], header["n_samples"])
     ds = IdentityDataset(
-        sample_ids=ids[0],
-        labels=ids[1],
-        features=features,
+        sample_ids=arrays[0],
+        labels=arrays[1],
+        features=arrays[2],
         spec=_spec_from_header(path, header.get("spec")),
         seed=header.get("seed"),
     )
-    if ds.input_dim != header["input_dim"] or ds.n_identities != header["n_identities"]:
+    if (ds.input_dim, ds.n_samples, ds.n_identities) != tuple(header[k] for k in counts):
         raise FormatError(f"{path}: header counts disagree with records")
     return ds

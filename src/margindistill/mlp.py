@@ -21,6 +21,8 @@ from .errors import ContractViolation, DegenerateInput, FormatError
 from .numerics import Rng
 
 CHECKPOINT_MAGIC = b"TFMLP1"
+_SMALL_NORM = 2.0 ** -450     # below this a row norm may have lost bits to underflow
+_RESCALE = 2.0 ** 600         # exact, and rows below _SMALL_NORM cannot overflow by it
 
 
 @dataclass
@@ -118,9 +120,16 @@ def forward_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardCa
     z_out = a @ model.weights[-1] + model.biases[-1]
     if model.normalize_output:
         norms = np.sqrt(np.einsum("ij,ij->i", z_out, z_out))
-        if np.any(norms == 0.0):
-            raise DegenerateInput("pre-normalization output collapsed to zero norm")
+        small = norms < _SMALL_NORM
+        if small.any():
+            # squares of entries below ~1e-154 underflow: take these rows'
+            # directions at an exact power-of-two scale
+            z_out[small] *= _RESCALE
+            norms[small] = np.sqrt(np.einsum("ij,ij->i", z_out[small], z_out[small]))
+            if np.any(norms == 0.0):
+                raise DegenerateInput("pre-normalization output collapsed to zero norm")
         emb = z_out / norms[:, None]
+        norms[small] /= _RESCALE      # true norms, for the backward Jacobian
     else:
         norms = None
         emb = z_out
@@ -145,7 +154,11 @@ def backward_batch(
     if model.normalize_output:
         e = cache.emb
         dot = np.einsum("ij,ij->i", e, g)
-        g = (g - dot[:, None] * e) / cache.norms[:, None]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            g = (g - dot[:, None] * e) / cache.norms[:, None]
+        if not np.isfinite(g).all():
+            raise DegenerateInput("normalization gradient overflowed: a pre-normalization "
+                                  "output norm is too small")
     grads_w: list[np.ndarray] = [None] * model.n_layers  # type: ignore[list-item]
     grads_b: list[np.ndarray] = [None] * model.n_layers  # type: ignore[list-item]
     for layer in reversed(range(model.n_layers)):

@@ -6,9 +6,11 @@ import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from margindistill import cli, data
 from margindistill.cli import load_config, main
 from margindistill.data import load_dataset_jsonl
 from margindistill.evaluation import build_pairs, save_pairs_jsonl
@@ -74,7 +76,7 @@ calibrate.n_triplets = 5
 eval.n_pos = 6
 eval.n_neg = 6
 """
-KINDS = ["dataset", "pairs", "calibration", "config", "ckpt", "table", "evaluation"]
+KINDS = ["dataset", "pairs", "calibration", "config", "ckpt", "table", "evaluation", "companion"]
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +100,8 @@ def tiny(tmp_path_factory):
                                     "io.pairs": pairs})[0]
     return {"dataset": dataset, "table": teacher / "teacher_table.emb", "config": config,
             "ckpt": teacher / "teacher.ckpt", "pairs": pairs, "evaluation":
-            evaluation / "evaluation.json", "calibration": calibration / "calibration.json"}
+            evaluation / "evaluation.json", "calibration": calibration / "calibration.json",
+            "companion": data.companion_path(dataset)}
 
 
 def _input(tiny, work, kind, data):
@@ -120,8 +123,12 @@ def _cli_reading(tiny, kind, path, command=None):
         files = {"dataset": tiny["dataset"], "teacher": tiny["table"], "model": tiny["ckpt"],
                  "pairs": tiny["pairs"], "calibration": tiny["calibration"]}
         config = path
-        if kind != "config":
+        if kind == "companion":     # the companion under test beside an intact dataset
+            files["dataset"] = path.with_suffix("")
+            files["dataset"].write_bytes(tiny["dataset"].read_bytes())
+        elif kind != "config":
             files[{"table": "teacher", "ckpt": "model"}.get(kind, kind)] = path
+        if kind != "config":
             config = work / "run.cfg"
             config.write_text(TINY_CONFIG + "distill.use_calibration = true\n"
                               + "".join(f"io.{k} = {v}\n" for k, v in files.items()))
@@ -132,6 +139,21 @@ def _cli_reading(tiny, kind, path, command=None):
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         rc = main([*argv, "--quiet"])
     return rc, err.getvalue()
+
+
+def _outputs(runs: Path) -> dict:
+    """Artifact bytes by file name, leaving out meta.json and the path-bearing config."""
+    return {p.name: p.read_bytes() for p in runs.rglob("*")
+            if p.is_file() and p.name not in ("meta.json", "config.resolved")}
+
+
+@pytest.fixture(scope="module")
+def plain_outputs(tiny, tmp_path_factory):
+    """What the command of the ``companion`` kind writes with no companion at all."""
+    work = tmp_path_factory.mktemp("plain")
+    path = _input(tiny, work, "dataset", tiny["dataset"].read_bytes())
+    assert _cli_reading(tiny, "dataset", path) == (0, "")
+    return _outputs(work / "runs")
 
 
 def test_load_config_defaults_and_overrides(tmp_path):
@@ -490,7 +512,7 @@ def test_cli_runs_on_each_unchanged_input(tiny, kind, tmp_path):
 @settings(max_examples=100, deadline=None)
 @given(pos=st.integers(0, 2**16), how=st.sampled_from(["cut", "flip", "set"]),
        value=st.integers(0, 255))
-def test_mutated_input_never_escapes_cli(tiny, kind, pos, how, value):
+def test_mutated_input_never_escapes_cli(tiny, plain_outputs, kind, pos, how, value):
     blob = bytearray(tiny[kind].read_bytes())
     at = pos % len(blob)
     if how == "cut":
@@ -499,6 +521,9 @@ def test_mutated_input_never_escapes_cli(tiny, kind, pos, how, value):
         blob[at] = blob[at] ^ (1 << value % 8) if how == "flip" else value
     with tempfile.TemporaryDirectory() as work:
         rc, err = _cli_reading(tiny, kind, _input(tiny, Path(work), kind, bytes(blob)))
+        outputs = _outputs(Path(work) / "runs")
+    if kind == "companion":     # a damaged companion is a cache miss, never an error
+        assert (rc, err) == (0, "") and outputs == plain_outputs
     # a change can leave a valid file (a digit for a digit), which then runs normally
     assert rc in (0, 1, 2) and (rc == 0) == (err == "")
     if rc:
@@ -569,3 +594,53 @@ def test_compare_rejects_bad_evaluation_records(tiny, tmp_path, change):
     text = change if isinstance(change, str) else json.dumps(record)
     rc, err = _cli_reading(tiny, "evaluation", _input(tiny, tmp_path, "evaluation", text))
     assert rc == 1 and "bad evaluation report" in err
+
+
+def test_commands_after_gen_data_read_the_companion(tmp_path, monkeypatch):
+    out = tmp_path / "runs"
+    assert main(["gen-data", "--config", _write_config(tmp_path), "--out", str(out),
+                 "--quiet"]) == 0
+    dataset = _only_dir(out, "gen-data") / "dataset.jsonl"
+    assert data.companion_path(dataset).exists()
+
+    def refuse(*args):
+        raise AssertionError("a command parsed the dataset records")
+
+    monkeypatch.setattr(data, "_parse_records", refuse)
+    keys = {"io_dot_dataset": dataset}
+    assert main(["train-teacher", "--config", _write_config(tmp_path, **keys), "--out",
+                 str(out), "--quiet"]) == 0
+    keys["io_dot_teacher"] = _only_dir(out, "train-teacher") / "teacher_table.emb"
+    for command in ("calibrate", "distill"):
+        assert main([command, "--config", _write_config(tmp_path, **keys), "--out", str(out),
+                     "--quiet"]) == 0
+    keys["io_dot_model"] = _only_dir(out, "distill") / "student.ckpt"
+    assert main(["evaluate", "--config", _write_config(tmp_path, **keys), "--out", str(out),
+                 "--quiet"]) == 0
+
+
+def test_gen_data_refuses_a_file_that_does_not_parse_back_bit_for_bit(tmp_path, monkeypatch,
+                                                                      capsys):
+    def save_off_by_one_ulp(ds, path):
+        x = ds.X.copy()
+        x[3, 1] = np.nextafter(x[3, 1], np.inf)
+        data.save_dataset_jsonl(data.IdentityDataset(ds.sample_ids, ds.labels, x), path)
+
+    monkeypatch.setattr(cli, "save_dataset_jsonl", save_off_by_one_ulp)
+    out = tmp_path / "runs"
+    assert main(["gen-data", "--config", _write_config(tmp_path), "--out", str(out)]) == 1
+    assert "validation reload differs" in capsys.readouterr().err
+    assert not list(out.rglob("*.tfds"))
+
+
+def test_gen_data_reload_parses_the_text_over_an_earlier_companion(tmp_path, monkeypatch):
+    out = tmp_path / "runs"
+    config = _write_config(tmp_path)
+    assert main(["gen-data", "--config", config, "--out", str(out), "--quiet"]) == 0
+    companion = data.companion_path(_only_dir(out, "gen-data") / "dataset.jsonl")
+    first = companion.read_bytes()
+    parsed = []
+    parse = data._parse_records
+    monkeypatch.setattr(data, "_parse_records", lambda *a: parsed.append(1) or parse(*a))
+    assert main(["gen-data", "--config", config, "--out", str(out), "--quiet"]) == 0
+    assert parsed == [1] and companion.read_bytes() == first

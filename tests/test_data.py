@@ -13,6 +13,7 @@ from margindistill.data import (
     load_dataset_jsonl,
     mine_triplets,
     sample_pk_batch,
+    save_dataset_companion,
     save_dataset_jsonl,
 )
 from margindistill.errors import (
@@ -355,6 +356,49 @@ def test_dataset_jsonl_roundtrip_and_determinism(tmp_path):
     np.testing.assert_array_equal(back.X, ds.X)
     np.testing.assert_array_equal(back.labels, ds.labels)
     assert back.spec == ds.spec
+
+
+def _bits(ds):
+    return (ds.sample_ids.tobytes(), ds.labels.tobytes(), ds.X.shape, ds.X.tobytes(),
+            ds.spec, ds.seed)
+
+
+def _refuse_records(*args):
+    raise AssertionError("dataset records were parsed")
+
+
+@pytest.mark.parametrize("shape", [
+    dict(n_superclusters=8, identities_per_supercluster=16, samples_per_identity=50,
+         input_dim=32),                                          # the CLI benchmark's set
+    dict(n_superclusters=2, identities_per_supercluster=2, samples_per_identity=4,
+         input_dim=3),                                           # the CLI tests' tiny set
+], ids=["6400x32", "16x3"])
+def test_companion_load_equals_text_load(tmp_path, monkeypatch, shape):
+    ds = generate_hierarchical(HierarchySpec(**shape, seed=11))
+    path = tmp_path / "ds.jsonl"
+    save_dataset_jsonl(ds, path)
+    text = load_dataset_jsonl(path)
+    save_dataset_companion(ds, path)
+    monkeypatch.setattr(data, "_parse_records", _refuse_records)
+    fast = load_dataset_jsonl(path)
+    assert _bits(fast) == _bits(text) == _bits(ds)
+    assert fast.X.flags.writeable and fast.identity_list == text.identity_list
+
+
+def test_stale_companion_falls_back_to_the_text(tmp_path):
+    ds = generate_hierarchical(small_spec())
+    path = tmp_path / "ds.jsonl"
+    save_dataset_jsonl(ds, path)
+    save_dataset_companion(ds, path)
+    lines = path.read_text().splitlines(keepends=True)
+    at = lines[3].index(".", lines[3].index('"x"')) + 1          # first decimal of one value
+    lines[3] = lines[3][:at] + str((int(lines[3][at]) + 1) % 10) + lines[3][at + 1:]
+    path.write_text("".join(lines))
+    stale = load_dataset_jsonl(path)
+    data.companion_path(path).unlink()
+    text = load_dataset_jsonl(path)
+    assert _bits(stale) == _bits(text) != _bits(ds)
+    assert stale.X[2, 0] != ds.X[2, 0]
 
 
 def test_dataset_jsonl_header_mismatch_rejected(tmp_path):

@@ -113,6 +113,19 @@ def test_zero_prenorm_output_raises():
         forward(model, [1.0, 1.0])
 
 
+def test_backward_tiny_prenorm_row_raises_instead_of_inf_gradients():
+    model = MlpModel(layer_dims=(3, 3), weights=[np.eye(3)], biases=[np.zeros(3)],
+                     normalize_output=True)
+    x = np.array([[1e-160, 0, 0], [3, 4, 0], [1e-300, 2e-300, 1e-320], [5e-324, 0, 0]])
+    emb, cache = forward_batch(model, x)
+    np.testing.assert_allclose(np.linalg.norm(emb, axis=1), 1.0, atol=1e-15)
+    with np.errstate(all="raise"), pytest.raises(DegenerateInput, match="too small"):
+        backward_batch(model, cache, np.ones_like(emb))
+    emb, cache = forward_batch(model, x[:3])        # norms down to 2e-300: finite gradients
+    grads = backward_batch(model, cache, np.ones_like(emb))
+    assert all(np.isfinite(g).all() for g in grads.weights + grads.biases)
+
+
 def test_backward_zero_grad_gives_zero():
     model = init_mlp((3, 5, 2), True, Rng(7))
     emb, cache = forward(model, [0.1, 0.2, 0.3])

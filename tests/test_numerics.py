@@ -373,3 +373,25 @@ def test_normalize_gives_unit_norm(values):
         return
     emb, _ = forward_batch(_identity_model(v.shape[1], normalize=True), v)
     assert abs(float(np.linalg.norm(emb[0])) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("row", [
+    [1.2584540058069288e-160],            # squares underflow to a subnormal
+    [1e-300, -2e-300, 5e-324],           # squares underflow to zero
+    [5e-324, 0.0, 0.0],
+    [1e-160, 1e-170, -3e-155],
+])
+def test_normalize_tiny_rows_gives_unit_norm(row):
+    emb, _ = forward_batch(_identity_model(len(row), normalize=True), np.array([row]))
+    assert abs(float(np.linalg.norm(emb[0])) - 1.0) < 1e-15
+    np.testing.assert_array_equal(np.sign(emb[0]), np.sign(row))
+
+
+def test_normalize_rescale_leaves_other_rows_bitwise():
+    rows = np.array([[3.0, 4.0, 0.0], [1e-160, 0.0, 0.0], [1e-120, 2e-130, 7.0], [0.1, -0.2, 0.3]])
+    emb, cache = forward_batch(_identity_model(3, normalize=True), rows)
+    keep = [0, 2, 3]
+    norms = np.sqrt(np.einsum("ij,ij->i", rows[keep], rows[keep]))
+    assert emb[keep].tobytes() == (rows[keep] / norms[:, None]).tobytes()
+    assert cache.norms[keep].tobytes() == norms.tobytes()
+    assert cache.norms[1] == 1e-160
