@@ -9,6 +9,7 @@ which makes generation a pure function of (spec, seed).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -27,7 +28,7 @@ from .errors import (
     NoTripletsError,
     UnknownSampleError,
 )
-from .numerics import Rng, gram_sq_euclidean, pairwise_sq_euclidean
+from .numerics import Rng, gram_sq_euclidean, pairwise_sq_euclidean, randint_limit
 
 MINING_STRATEGIES = ("all", "random_per_anchor", "semi_hard")
 
@@ -118,9 +119,6 @@ class IdentityDataset:
         self._rows_by_identity = {
             ident: np.where(self.labels == ident)[0] for ident in self.identity_list
         }
-        # populated by generate_hierarchical; not serialized
-        self.identity_centers: np.ndarray | None = None
-        self.supercluster_of: np.ndarray | None = None
 
     @property
     def n_samples(self) -> int:
@@ -169,16 +167,13 @@ def generate_hierarchical(spec: HierarchySpec) -> IdentityDataset:
     identity_centers = s_centers[supercluster_of] + spec.identity_spread * draw(spec.n_identities)
     labels = np.repeat(np.arange(spec.n_identities), spec.samples_per_identity)
     features = identity_centers[labels] + spec.sample_noise * draw(spec.n_samples)
-    ds = IdentityDataset(
+    return IdentityDataset(
         sample_ids=np.arange(spec.n_samples),
         labels=labels,
         features=features,
         spec=spec,
         seed=spec.seed,
     )
-    ds.identity_centers = identity_centers
-    ds.supercluster_of = supercluster_of
-    return ds
 
 
 @dataclass
@@ -231,6 +226,78 @@ def sample_pk_batch(ds: IdentityDataset, p: int, k: int, rng: Rng) -> PkBatch:
     return PkBatch._built(p, k, np.concatenate(entries), np.repeat(chosen, k))
 
 
+def sample_pk_batches(
+    ds: IdentityDataset, p: int, k: int, rng: Rng, count: int
+) -> list[PkBatch] | None:
+    """The next ``count`` batches of ``sample_pk_batch(ds, p, k, rng)``, drawn at once.
+
+    One ``rng.uint64s`` call draws every word, and the partial Fisher-Yates
+    steps run across all batches: first over the eligible identities, then
+    over each chosen identity's rows.  The batches and the final state equal
+    those of ``count`` calls only when every ``randint`` takes exactly one
+    word, that is when
+
+    - more than p identities are eligible and every eligible identity has
+      more than k samples (``randint(1)`` draws no word), and
+    - no word is rejected (at or above ``randint_limit``).
+
+    Otherwise returns None and leaves rng as it was.
+    """
+    if p < 1 or k < 1:
+        raise ContractViolation("p and k must be >= 1")
+    eligible = ds.identities_with(k)
+    rows = [ds.rows_of(ident) for ident in eligible.tolist()]
+    sizes = np.array([r.size for r in rows], dtype=np.uint64)
+    if eligible.size <= p or sizes.min() <= k:
+        return None
+    saved = list(rng._s)
+    words = rng.uint64s(count * (p + p * k)).reshape(count, p + p * k)
+    id_words, row_words = words[:, :p], words[:, p:].reshape(count, p, k)
+    id_bounds = eligible.size - np.arange(p, dtype=np.uint64)
+    row_bounds = sizes[:, None] - np.arange(k, dtype=np.uint64)         # per eligible identity
+    chosen = _partial_shuffles(id_words, id_bounds)
+    rejected = np.any(id_words > _accepted(id_bounds))
+    if rejected or np.any(row_words > _accepted(row_bounds)[chosen]):
+        rng._s = saved
+        return None
+    picked = _partial_shuffles(row_words.reshape(-1, k), row_bounds[chosen.ravel()])
+    starts = (np.cumsum(sizes) - sizes).astype(np.int64)
+    entries = np.concatenate(rows)[starts[chosen].reshape(-1, 1) + picked]
+    labels = np.repeat(eligible[chosen], k, axis=1)
+    # as in sample_pk_batch: distinct identities, k distinct rows of each
+    return [PkBatch._built(p, k, e, c) for e, c in zip(entries.reshape(count, p * k), labels)]
+
+
+def _accepted(bounds: np.ndarray) -> np.ndarray:
+    """The largest word ``randint(n)`` accepts, for each bound n."""
+    limits = [randint_limit(n) - 1 for n in bounds.ravel().tolist()]
+    return np.array(limits, dtype=np.uint64).reshape(bounds.shape)
+
+
+def _partial_shuffles(words: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Row r: ``Rng.sample_indices(n, k)`` for the words its k draws take, where
+    bounds (broadcast against words) holds n, n - 1, ..., n - k + 1 and no word
+    is rejected.
+
+    The swap targets j = i + w mod (n - i) depend on the words alone.  As in
+    ``sample_indices`` only displaced values are tracked: step i takes the
+    value at position j and moves the value at position i there, and a
+    position holds what the last earlier step moved to it, or itself.
+    """
+    n_rows, k = words.shape
+    steps = np.arange(k, dtype=np.uint64)
+    targets = (words % bounds + steps).astype(np.int64).T    # (k, rows)
+    taken = np.empty((k, n_rows), dtype=np.int64)
+    moved = np.empty((k, n_rows), dtype=np.int64)           # moved[t]: put at targets[t]
+    for i, target in enumerate(targets):
+        take, move = target, np.full(n_rows, i)
+        for t in range(i):                                  # later moves win
+            take = np.where(targets[t] == target, moved[t], take)
+            move = np.where(targets[t] == i, moved[t], move)
+        taken[i], moved[i] = take, move
+    return taken.T
+
+
 def mine_triplets(
     batch: PkBatch,
     embeddings: np.ndarray,
@@ -256,6 +323,10 @@ def mine_triplets(
     ``pairwise_sq_euclidean`` row would.  Every other row (ties, overflow,
     underflow) is recomputed with ``pairwise_sq_euclidean``, so the selected
     triplets equal those from the exact matrix bit for bit.
+
+    The label masks and index arrays depend on the labels alone; for an
+    identity-major batch (k equal labels per block, as the samplers build)
+    they depend only on (p, k) and are cached.
     """
     if strategy not in MINING_STRATEGIES:
         raise ContractViolation(f"unknown mining strategy {strategy!r}")
@@ -265,15 +336,14 @@ def mine_triplets(
         raise ContractViolation("need one embedding per batch entry")
     if batch.p < 2:
         raise NoTripletsError("mining needs at least two identities in the batch")
-    labels = batch.labels
-    negative = labels[:, None] != labels[None, :]     # (B, B) other-identity mask
-    positive = ~negative
-    np.fill_diagonal(positive, False)
-    a_idx, p_idx = np.nonzero(positive)                # anchor-major, positives ascending
+    blocks = batch.labels.reshape(batch.p, batch.k)
+    if np.all(blocks == blocks[:, :1]):               # identity-major, as the samplers build
+        negative, positive, a_idx, p_idx, negatives = _pk_layout(batch.p, batch.k)
+    else:
+        negative, positive, a_idx, p_idx, negatives = _label_layout(batch.labels, batch.k)
 
     if strategy == "all":
-        per_pair = b - batch.k                         # a PK batch gives every anchor B - k negatives
-        negatives = np.nonzero(negative)[1].reshape(b, per_pair)
+        per_pair = b - batch.k
         return np.column_stack([
             np.repeat(a_idx, per_pair), np.repeat(p_idx, per_pair), negatives[a_idx].ravel()
         ])
@@ -305,12 +375,33 @@ def mine_triplets(
     has_violating = np.fmax.reduce(neg_dist, axis=1)[a_idx] > d_ap   # NaN never violates
     # where(rows > d_ap, rows, inf) without a branch per element: fmax with
     # -inf keeps a violating value, fmax with +inf replaces the rest, NaN too
-    candidates = 0.5 - (rows > d_ap[:, None])
-    candidates *= np.inf
+    candidates = np.where(rows > d_ap[:, None], -np.inf, np.inf)
     hardest_violating = np.fmax(rows, candidates, out=candidates).argmin(axis=1)
     farthest = neg_dist.argmax(axis=1)[a_idx]         # one per anchor
     n_idx = np.where(has_violating, hardest_violating, farthest)
     return np.column_stack([a_idx, p_idx, n_idx])
+
+
+def _label_layout(labels: np.ndarray, k: int):
+    """Masks and index arrays of a PK batch that depend on its labels alone:
+    the (B, B) other-identity and same-identity masks (no diagonal), the
+    (anchor, positive) pairs anchor-major with positives ascending, and each
+    anchor's B - k negatives ascending."""
+    negative = labels[:, None] != labels[None, :]
+    positive = ~negative
+    np.fill_diagonal(positive, False)
+    a_idx, p_idx = np.nonzero(positive)
+    negatives = np.nonzero(negative)[1].reshape(labels.size, labels.size - k)
+    return negative, positive, a_idx, p_idx, negatives
+
+
+@functools.cache
+def _pk_layout(p: int, k: int):
+    """``_label_layout`` of every identity-major (p, k) batch, read-only and shared."""
+    arrays = _label_layout(np.arange(p * k) // k, k)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,11 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return (z ^ (z >> 31)) & _MASK64, state
 
 
+def randint_limit(n: int) -> int:
+    """``Rng.randint(n)`` redraws every word at or above this: 2^64 - (2^64 mod n)."""
+    return _SPAN64 - _SPAN64 % n
+
+
 class Rng:
     """xoshiro256** pseudo-random generator with a fixed 64-bit seed.
 
@@ -132,20 +137,26 @@ class Rng:
         if n == 1:
             return 0
         v = self.next_uint64()
-        limit = _SPAN64 - _SPAN64 % n
+        limit = randint_limit(n)
         while v >= limit:
             v = self.next_uint64()
         return v % n
 
     def sample_indices(self, n: int, k: int) -> list[int]:
-        """k distinct indices from range(n), via partial Fisher-Yates."""
+        """k distinct indices from range(n), via partial Fisher-Yates.
+
+        Only the k swaps are kept, as the values displaced from their
+        positions, so a call costs O(k) whatever n is.
+        """
         if k < 0 or k > n:
             raise ContractViolation(f"cannot sample {k} distinct items from {n}")
-        idx = list(range(n))
+        moved: dict[int, int] = {}
+        out = []
         for i in range(k):
             j = i + self.randint(n - i)
-            idx[i], idx[j] = idx[j], idx[i]
-        return idx[:k]
+            out.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        return out
 
     def uint64s(self, n: int) -> np.ndarray:
         """The next n words of next_uint64 as a uint64 array.

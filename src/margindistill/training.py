@@ -17,7 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evaluation
-from .data import IdentityDataset, MINING_STRATEGIES, mine_triplets, sample_pk_batch
+from .data import (
+    IdentityDataset,
+    MINING_STRATEGIES,
+    mine_triplets,
+    sample_pk_batch,
+    sample_pk_batches,
+)
 from .errors import ContractViolation, StagnationError
 from .loss import MarginConfig, batch_loss
 from .mlp import MlpModel, backward_batch, forward_batch, init_mlp, init_sgd, sgd_step
@@ -26,6 +32,7 @@ from .numerics import Rng, derive_subseed, pairwise_sq_euclidean  # noqa: F401
 from .teacher import TeacherOracle, tabulate, triplet_gaps
 
 MAX_CONSECUTIVE_EMPTY = 50
+SCHEDULE_CHUNK = 1024        # iterations whose PK batches are drawn at once
 
 
 def _check_loop(cfg) -> None:
@@ -103,6 +110,24 @@ class TrainLog:
             fh.writelines(json.dumps(records[it]) + "\n" for it in sorted(records))
 
 
+def _pk_batches(ds: IdentityDataset, cfg, rng: Rng):
+    """The loop's batches: one ``sample_pk_batch`` draw per iteration, in order.
+
+    When mining draws no random numbers, each chunk of up to SCHEDULE_CHUNK
+    iterations is drawn at once by ``sample_pk_batches``, with the same
+    batches and final state.  A chunk it cannot draw exactly is sampled one
+    batch at a time as the loop asks for it, so mining's draws interleave.
+    """
+    for start in range(0, cfg.iterations, SCHEDULE_CHUNK):
+        count = min(SCHEDULE_CHUNK, cfg.iterations - start)
+        batches = None
+        if cfg.mining in ("all", "semi_hard"):          # mining that draws nothing
+            batches = sample_pk_batches(ds, cfg.p, cfg.k, rng, count)
+        if batches is None:
+            batches = (sample_pk_batch(ds, cfg.p, cfg.k, rng) for _ in range(count))
+        yield from batches
+
+
 def _run_triplet_loop(
     model: MlpModel,
     ds: IdentityDataset,
@@ -118,8 +143,7 @@ def _run_triplet_loop(
         return log
     sgd = init_sgd(model, cfg.learning_rate, cfg.momentum)
     consecutive_empty = 0
-    for it in range(cfg.iterations):
-        batch = sample_pk_batch(ds, cfg.p, cfg.k, rng)
+    for it, batch in enumerate(_pk_batches(ds, cfg, rng)):
         emb, cache = forward_batch(model, ds.X[batch.entries])
         triplets = mine_triplets(batch, emb, cfg.mining, rng)
         if triplets.shape[0] == 0:

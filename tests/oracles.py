@@ -11,8 +11,13 @@ import struct
 
 import numpy as np
 
-from margindistill.data import IdentityDataset
+from margindistill.data import IdentityDataset, mine_triplets, sample_pk_batch
+from margindistill.errors import StagnationError
+from margindistill.loss import batch_loss
+from margindistill.mlp import backward_batch, forward_batch, init_sgd, sgd_step
 from margindistill.numerics import Rng, pairwise_sq_euclidean
+from margindistill.teacher import triplet_gaps
+from margindistill.training import MAX_CONSECUTIVE_EMPTY, TrainLog
 
 
 def central_diff_grad(f, x, h=1e-5):
@@ -242,6 +247,38 @@ def per_triplet_calibration(vectors, ds, n_triplets, rng):
     return d_values, rows
 
 
+def per_iteration_triplet_loop(model, ds, cfg, margin, rng, teacher_vectors=None):
+    """training._run_triplet_loop drawing one sample_pk_batch per iteration."""
+    log = TrainLog()
+    if cfg.iterations == 0:
+        return log
+    sgd = init_sgd(model, cfg.learning_rate, cfg.momentum)
+    consecutive_empty = 0
+    for it in range(cfg.iterations):
+        batch = sample_pk_batch(ds, cfg.p, cfg.k, rng)
+        emb, cache = forward_batch(model, ds.X[batch.entries])
+        triplets = mine_triplets(batch, emb, cfg.mining, rng)
+        if triplets.shape[0] == 0:
+            log.skipped.append(it)
+            consecutive_empty += 1
+            if consecutive_empty > MAX_CONSECUTIVE_EMPTY:
+                raise StagnationError(
+                    f"no usable triplets for {consecutive_empty} consecutive batches"
+                )
+            continue
+        consecutive_empty = 0
+        gaps = None
+        if margin.mode == "dynamic":
+            gaps = triplet_gaps(teacher_vectors[batch.entries], triplets)
+        result = batch_loss(emb, triplets, gaps, margin)
+        grads = backward_batch(model, cache, result.grad)
+        sgd_step(sgd, model, grads)
+        log.append(
+            it, result.loss, float(result.margins.mean()), float(result.active.mean())
+        )
+    return log
+
+
 def sq_euclidean(a, b):
     """Squared Euclidean distance of two vectors, one np.dot."""
     d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
@@ -254,6 +291,15 @@ def sq_euclidean(a, b):
 # bit for bit (the draws, the generator, the pair picks) or rank for rank
 # (the centroid matrix).
 # ---------------------------------------------------------------------------
+
+def list_sample_indices(rng, n, k):
+    """Rng.sample_indices swapping entries of a full list(range(n))."""
+    idx = list(range(n))
+    for i in range(k):
+        j = i + rng.randint(n - i)
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:k]
+
 
 def scalar_words(next_word, n):
     """n stream words, one next_word() call each."""
@@ -280,7 +326,8 @@ def scalar_normals(next_word, count):
 
 def nested_loop_generate(spec):
     """generate_hierarchical drawing one vector at a time: supercluster
-    centers, then identity centers per supercluster, then samples per identity."""
+    centers, then identity centers per supercluster, then samples per identity.
+    Returns the dataset, the identity centers and each identity's supercluster."""
     rng = Rng(spec.seed)
 
     def draw():
@@ -301,9 +348,7 @@ def nested_loop_generate(spec):
             labels.append(ident)
     ds = IdentityDataset(np.arange(len(features)), np.array(labels), np.stack(features),
                          spec=spec, seed=spec.seed)
-    ds.identity_centers = np.stack(identity_centers)
-    ds.supercluster_of = np.array(supercluster_of, dtype=np.int64)
-    return ds
+    return ds, np.stack(identity_centers), np.array(supercluster_of, dtype=np.int64)
 
 
 def per_pair_centroid_matrix(emb, ds):

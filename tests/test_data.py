@@ -90,8 +90,8 @@ def test_generation_deterministic_per_seed():
                     f"x{spec.samples_per_identity}x{spec.input_dim}-seed{spec.seed}")
 def test_generator_bytes_equal_nested_loop_draws(spec):
     ds = generate_hierarchical(spec)
-    ref = nested_loop_generate(spec)
-    for name in ("X", "labels", "sample_ids", "identity_centers", "supercluster_of"):
+    ref, _, _ = nested_loop_generate(spec)
+    for name in ("X", "labels", "sample_ids"):
         got, want = getattr(ds, name), getattr(ref, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
@@ -103,9 +103,8 @@ def test_hierarchy_intra_supercluster_identities_are_closer():
         input_dim=8, supercluster_spread=1.5, identity_spread=0.3,
         sample_noise=0.05, seed=3,
     )
-    ds = generate_hierarchical(spec)
-    centers = ds.identity_centers
-    sc = ds.supercluster_of
+    ds, centers, sc = nested_loop_generate(spec)
+    assert ds.X.tobytes() == generate_hierarchical(spec).X.tobytes()
     dmat = pairwise_sq_euclidean(centers)
     iu = np.triu_indices(centers.shape[0], 1)
     same = sc[iu[0]] == sc[iu[1]]
@@ -309,6 +308,26 @@ def test_semi_hard_tie_grid_takes_exact_rows(monkeypatch):
     gen = np.random.default_rng(5)
     emb = gen.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(64, 4))
     assert _exact_rows_of_semi_hard(monkeypatch, _pk8x8(), emb) > 0
+
+
+def test_identity_major_batches_take_the_cached_layout(monkeypatch):
+    # the sampler's batches must not rebuild their label masks on every call
+    batch, emb = _pk8x8(), np.random.default_rng(3).standard_normal((64, 16))
+    layout = data._pk_layout(8, 8)
+    assert not any(array.flags.writeable for array in layout)
+
+    def rebuild(*args):
+        raise AssertionError("label layout rebuilt for an identity-major batch")
+
+    monkeypatch.setattr(data, "_label_layout", rebuild)
+    for strategy in ("semi_hard", "random_per_anchor"):
+        got = mine_triplets(batch, emb, strategy, Rng(4))
+        np.testing.assert_array_equal(
+            got, per_anchor_mining(batch.labels, emb, strategy, Rng(4)))
+        assert got.flags.writeable
+    got = mine_triplets(batch, emb, "all")
+    np.testing.assert_array_equal(got, brute_force_all_triplets(batch.labels.tolist()))
+    assert got.flags.writeable
 
 
 @pytest.mark.parametrize("dim", [16, 32])

@@ -19,6 +19,7 @@ from margindistill.numerics import (
 )
 
 from oracles import (
+    list_sample_indices,
     scalar_normals,
     scalar_uniforms,
     scalar_words,
@@ -214,6 +215,20 @@ def test_sample_indices_distinct_and_in_range():
         out = rng.sample_indices(20, 7)
         assert len(set(out)) == 7
         assert all(0 <= v < 20 for v in out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, _MASK64), n=st.integers(0, 300), data=st.data())
+def test_sample_indices_equals_full_list_shuffle(seed, n, data):
+    k = data.draw(st.integers(0, n))
+    fast, ref = Rng(seed), Rng(seed)
+    assert fast.sample_indices(n, k) == list_sample_indices(ref, n, k)
+    assert fast._s == ref._s
+
+
+def test_sample_indices_cost_does_not_grow_with_n():
+    out = Rng(3).sample_indices(2**62, 4)       # a list of 2^62 entries would not fit
+    assert len(set(out)) == 4 and all(0 <= v < 2**62 for v in out)
 
 
 def test_normals_are_deterministic_and_sane():

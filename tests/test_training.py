@@ -1,13 +1,23 @@
 import hashlib
 import json
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import margindistill.training as training
-from margindistill.data import HierarchySpec, generate_hierarchical, mine_triplets, sample_pk_batch
-from margindistill.errors import ContractViolation, StagnationError
+from margindistill import data, numerics
+from margindistill.data import (
+    HierarchySpec,
+    IdentityDataset,
+    generate_hierarchical,
+    mine_triplets,
+    sample_pk_batch,
+    sample_pk_batches,
+)
+from margindistill.errors import CapacityError, ContractViolation, StagnationError
 from margindistill.evaluation import build_pairs, verify
 from margindistill.loss import MarginConfig, batch_loss
 from margindistill.mlp import backward_batch, forward_batch, init_mlp
@@ -21,7 +31,14 @@ from margindistill.training import (
     train_teacher,
 )
 
-from oracles import add_at_batch_grad, central_diff_grad, pairwise_matrix_gaps, per_anchor_mining
+from oracles import (
+    add_at_batch_grad,
+    central_diff_grad,
+    list_sample_indices,
+    pairwise_matrix_gaps,
+    per_anchor_mining,
+    per_iteration_triplet_loop,
+)
 
 
 def tiny_dataset(seed=0, **kw):
@@ -265,6 +282,185 @@ def test_empty_batches_are_logged_and_skipped(monkeypatch):
     trained, log = distill(ds, teacher, student, cfg)
     assert len(log.skipped) == 10
     assert len(log.iterations) == 20
+
+
+# ---------------------------------------------------------------------------
+# PK batches drawn a chunk of iterations at a time
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _pk_datasets(draw):
+    """(dataset, p, k, seed): identities of uneven size with rows and ids in
+    shuffled order.  From p - 1 to p + 6 identities have more than k samples,
+    and up to four have k or fewer, so some datasets hold identities of
+    exactly k samples, exactly p eligible identities, or too few."""
+    p, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(k + 1, k + 6), min_size=p - 1, max_size=p + 6))
+    sizes += draw(st.lists(st.integers(1, k), min_size=0 if sizes else 1, max_size=4))
+    seed = draw(st.integers(0, 2**64 - 1))
+    gen = np.random.default_rng(seed % 2**32)
+    labels = gen.permutation(np.repeat(np.arange(len(sizes)) * 3 + 1, sizes))
+    ds = IdentityDataset(gen.permutation(labels.size) + 50, labels,
+                         gen.standard_normal((labels.size, 2)))
+    return ds, p, k, seed
+
+
+def _schedule_is_exact(ds, p, k):
+    sizes = [ds.rows_of(ident).size for ident in ds.identities_with(k).tolist()]
+    return len(sizes) > p and min(sizes) > k
+
+
+def _assert_same_batches(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.p, g.k) == (w.p, w.k)
+        assert g.entries.dtype == w.entries.dtype and g.labels.dtype == w.labels.dtype
+        np.testing.assert_array_equal(g.entries, w.entries)
+        np.testing.assert_array_equal(g.labels, w.labels)
+
+
+def _per_batch_draws(ds, p, k, rng, count):
+    """count sample_pk_batch calls, or None if the dataset cannot fill a batch."""
+    try:
+        return [sample_pk_batch(ds, p, k, rng) for _ in range(count)]
+    except CapacityError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pk_datasets(), st.integers(1, 9))
+def test_pk_schedule_equals_per_batch_draws(case, count):
+    ds, p, k, seed = case
+    rng, ref = Rng(seed), Rng(seed)
+    batches = sample_pk_batches(ds, p, k, rng, count)
+    if not _schedule_is_exact(ds, p, k):
+        assert batches is None and rng._s == ref._s
+        return
+    event("exact")
+    _assert_same_batches(batches, _per_batch_draws(ds, p, k, ref, count))
+    assert rng._s == ref._s
+
+
+@settings(max_examples=40, deadline=None)
+@given(_pk_datasets(), st.sampled_from([1, 2, 1023, 1024, 1025]))
+def test_loop_batches_equal_per_iteration_draws_across_chunks(case, iterations):
+    ds, p, k, seed = case
+    cfg = SimpleNamespace(p=p, k=k, iterations=iterations, mining="semi_hard")
+    rng, ref = Rng(seed), Rng(seed)
+    want = _per_batch_draws(ds, p, k, ref, iterations)
+    if want is None:
+        with pytest.raises(CapacityError):
+            list(training._pk_batches(ds, cfg, rng))
+        return
+    _assert_same_batches(list(training._pk_batches(ds, cfg, rng)), want)
+    assert rng._s == ref._s
+
+
+def _counting_sampler(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return sample_pk_batch(*args)
+
+    monkeypatch.setattr(training, "sample_pk_batch", counted)
+    return calls
+
+
+@pytest.mark.parametrize("draws", ["identity", "row"])
+def test_rejected_word_replays_its_chunk_on_the_scalar_path(monkeypatch, draws):
+    # 64 identities of 30 samples: identity draws have bounds 57-64, row draws 23-30
+    ds = generate_hierarchical(HierarchySpec(identities_per_supercluster=16, seed=2))
+
+    def limit(n):
+        """randint's limit, less n * 2^48 (still a multiple of n) for one kind of draw:
+        about n * 2^-16 of those words are rejected."""
+        return 2**64 - 2**64 % n - (n * 2**48 if (n > 40) == (draws == "identity") else 0)
+
+    for module in (numerics, data):
+        monkeypatch.setattr(module, "randint_limit", limit)
+    calls = _counting_sampler(monkeypatch)
+    cfg = SimpleNamespace(p=8, k=8, iterations=1025, mining="semi_hard")
+    rng, ref = Rng(7), Rng(7)
+    got = list(training._pk_batches(ds, cfg, rng))
+    # the first chunk's 73,728 words hold a rejected one, the last batch's 72 do not
+    assert len(calls) == 1024
+    _assert_same_batches(got, _per_batch_draws(ds, 8, 8, ref, 1025))
+    assert rng._s == ref._s
+
+
+def test_rejected_first_word_leaves_the_generator_untouched():
+    ds = tiny_dataset()                          # 6 identities: randint(6) rejects 2^64 - 1
+    mask = 2**64 - 1
+    out = mask * pow(9, -1, 2**64) & mask        # next word = rotl(s1 * 5, 7) * 9
+    s1 = ((out >> 7) | (out << 57)) & mask
+    rng = Rng(0)
+    rng._s = [1, s1 * pow(5, -1, 2**64) & mask, 2, 3]
+    probe, ref = Rng(0), Rng(0)
+    probe._s, ref._s = list(rng._s), list(rng._s)
+    assert probe.next_uint64() == mask
+    assert sample_pk_batches(ds, 3, 3, rng, 4) is None and rng._s == ref._s
+    cfg = SimpleNamespace(p=3, k=3, iterations=4, mining="all")
+    _assert_same_batches(list(training._pk_batches(ds, cfg, rng)),
+                         _per_batch_draws(ds, 3, 3, ref, 4))
+    assert rng._s == ref._s
+
+
+def test_random_per_anchor_batches_are_drawn_between_minings():
+    ds = tiny_dataset()
+    cfg = SimpleNamespace(p=3, k=3, iterations=5, mining="random_per_anchor")
+    rng, ref = Rng(1), Rng(1)
+    first = next(training._pk_batches(ds, cfg, rng))
+    _assert_same_batches([first], [sample_pk_batch(ds, 3, 3, ref)])
+    assert rng._s == ref._s                      # nothing drawn ahead of mining
+
+
+@pytest.mark.filterwarnings("ignore:under-trained teacher")
+@pytest.mark.parametrize("mining", ["semi_hard", "all", "random_per_anchor"])
+def test_loop_trains_bitwise_like_per_iteration_sampling(monkeypatch, mining):
+    """train_teacher and distill (fixed and dynamic) give the same weight bytes
+    and TrainLogs as the loop that samples one batch per iteration with the
+    list-form sample_indices; chunks of 16 put four chunk boundaries in a run."""
+    ds = tiny_dataset(seed=5)
+    tcfg = TeacherTrainConfig(hidden_dims=(12,), embed_dim=6, iterations=70, p=3, k=3,
+                              mining=mining, floor_pairs=20)
+    student = init_mlp((6, 10, 4), True, Rng(2))
+    configs = [DistillConfig(margin=margin, p=3, k=3, iterations=70, mining=mining, seed=3)
+               for margin in (MarginConfig.dynamic(0.2, 0.5), MarginConfig.fixed(0.3))]
+
+    def run():
+        teacher, teacher_log = train_teacher(ds, tcfg, seed=4)
+        students = [distill(ds, teacher, student, cfg) for cfg in configs]
+        return [(teacher.model, teacher_log), *students], teacher.vectors
+
+    monkeypatch.setattr(training, "SCHEDULE_CHUNK", 16)
+    calls = _counting_sampler(monkeypatch)
+    fast, fast_vectors = run()
+    assert len(calls) == (210 if mining == "random_per_anchor" else 0)
+    monkeypatch.setattr(training, "_run_triplet_loop", per_iteration_triplet_loop)
+    monkeypatch.setattr(Rng, "sample_indices", list_sample_indices)
+    reference, reference_vectors = run()
+    assert fast_vectors.tobytes() == reference_vectors.tobytes()
+    for (model, log), (ref_model, ref_log) in zip(fast, reference):
+        assert len(log.iterations) + len(log.skipped) == 70
+        for got, want in zip(model.weights + model.biases, ref_model.weights + ref_model.biases):
+            assert got.tobytes() == want.tobytes()
+        assert log == ref_log
+
+
+@pytest.mark.filterwarnings("ignore:under-trained teacher")
+def test_semi_hard_training_at_default_spec_draws_the_schedule(monkeypatch):
+    # the loop's case: if it fell back to per-iteration sampling, the speedup is gone
+    def refuse(*args):
+        raise AssertionError("a PK batch was sampled one iteration at a time")
+
+    monkeypatch.setattr(training, "sample_pk_batch", refuse)
+    ds = generate_hierarchical(HierarchySpec(seed=6))
+    teacher, _ = train_teacher(ds, TeacherTrainConfig(iterations=30, floor_pairs=20), seed=1)
+    student = init_mlp((16, 32, 32, 16), True, Rng(2))
+    for margin in (MarginConfig.dynamic(0.6, 1.8), MarginConfig.fixed(0.3)):
+        _, log = distill(ds, teacher, student, DistillConfig(margin=margin, iterations=50))
+        assert len(log.iterations) + len(log.skipped) == 50
 
 
 # ---------------------------------------------------------------------------
