@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -24,7 +25,8 @@ import numpy as np
 
 from . import __version__, evaluation
 from .data import (HierarchySpec, IdentityDataset, companion_path, generate_hierarchical,
-                   load_dataset_jsonl, read_text, save_dataset_companion, save_dataset_jsonl)
+                   json_field, load_dataset_jsonl, read_text, save_dataset_companion,
+                   save_dataset_jsonl)
 from .errors import FormatError, MarginDistillError
 from .loss import MarginConfig
 from .mlp import CHECKPOINT_MAGIC, init_mlp, load_checkpoint, save_checkpoint
@@ -58,27 +60,32 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-# key -> (parser, default, help)
+# key -> (parser, default, help); keys of config-class fields take the field's default
 CONFIG_KEYS: dict[str, tuple] = {
     "run.label": (str, "run", "label attached to evaluation reports"),
     "run.seed": (int, 0, "master seed; stages derive labeled sub-seeds"),
-    "data.n_superclusters": (int, 4, "superclusters in the synthetic hierarchy"),
-    "data.identities_per_supercluster": (int, 8, "identities per supercluster"),
-    "data.samples_per_identity": (int, 30, "samples per identity"),
-    "data.input_dim": (int, 16, "feature dimension"),
-    "data.supercluster_spread": (float, 2.0, "supercluster center scale"),
-    "data.identity_spread": (float, 0.35, "identity center noise scale"),
-    "data.sample_noise": (float, 0.06, "per-sample noise scale"),
-    "teacher.hidden_dims": (_parse_ints, (128, 128, 128), "teacher hidden layers"),
-    "teacher.embed_dim": (int, 32, "teacher embedding dimension"),
-    "teacher.margin": (float, 0.3, "fixed margin for teacher pre-training"),
-    "teacher.learning_rate": (float, 0.01, "teacher SGD learning rate"),
-    "teacher.momentum": (float, 0.9, "teacher SGD momentum"),
-    "teacher.iterations": (int, 1500, "teacher training iterations"),
-    "teacher.batch_p": (int, 8, "identities per teacher batch"),
-    "teacher.batch_k": (int, 8, "samples per identity per teacher batch"),
-    "teacher.mining": (str, "semi_hard", "teacher mining strategy"),
-    "teacher.accuracy_floor": (float, 0.95, "warn if teacher accuracy is below this"),
+    "data.n_superclusters": (int, HierarchySpec.n_superclusters,
+                             "superclusters in the synthetic hierarchy"),
+    "data.identities_per_supercluster": (int, HierarchySpec.identities_per_supercluster,
+                                         "identities per supercluster"),
+    "data.samples_per_identity": (int, HierarchySpec.samples_per_identity, "samples per identity"),
+    "data.input_dim": (int, HierarchySpec.input_dim, "feature dimension"),
+    "data.supercluster_spread": (float, HierarchySpec.supercluster_spread,
+                                 "supercluster center scale"),
+    "data.identity_spread": (float, HierarchySpec.identity_spread, "identity center noise scale"),
+    "data.sample_noise": (float, HierarchySpec.sample_noise, "per-sample noise scale"),
+    "teacher.hidden_dims": (_parse_ints, TeacherTrainConfig.hidden_dims, "teacher hidden layers"),
+    "teacher.embed_dim": (int, TeacherTrainConfig.embed_dim, "teacher embedding dimension"),
+    "teacher.margin": (float, TeacherTrainConfig.margin, "fixed margin for teacher pre-training"),
+    "teacher.learning_rate": (float, TeacherTrainConfig.learning_rate,
+                              "teacher SGD learning rate"),
+    "teacher.momentum": (float, TeacherTrainConfig.momentum, "teacher SGD momentum"),
+    "teacher.iterations": (int, TeacherTrainConfig.iterations, "teacher training iterations"),
+    "teacher.batch_p": (int, TeacherTrainConfig.p, "identities per teacher batch"),
+    "teacher.batch_k": (int, TeacherTrainConfig.k, "samples per identity per teacher batch"),
+    "teacher.mining": (str, TeacherTrainConfig.mining, "teacher mining strategy"),
+    "teacher.accuracy_floor": (float, TeacherTrainConfig.accuracy_floor,
+                               "warn if teacher accuracy is below this"),
     "student.hidden_dims": (_parse_ints, (32, 32), "student hidden layers"),
     "student.embed_dim": (int, 16, "student embedding dimension"),
     "distill.margin_mode": (str, "dynamic", "fixed | dynamic"),
@@ -86,12 +93,12 @@ CONFIG_KEYS: dict[str, tuple] = {
     "distill.m_min": (float, 0.6, "dynamic-mode lower margin bound"),
     "distill.m_max": (float, 1.8, "dynamic-mode upper margin bound"),
     "distill.use_calibration": (_parse_bool, False, "take margin bounds from io.calibration"),
-    "distill.learning_rate": (float, 0.001, "student SGD learning rate"),
-    "distill.momentum": (float, 0.9, "student SGD momentum"),
-    "distill.iterations": (int, 2500, "distillation iterations"),
-    "distill.batch_p": (int, 8, "identities per distillation batch"),
-    "distill.batch_k": (int, 8, "samples per identity per distillation batch"),
-    "distill.mining": (str, "semi_hard", "distillation mining strategy"),
+    "distill.learning_rate": (float, DistillConfig.learning_rate, "student SGD learning rate"),
+    "distill.momentum": (float, DistillConfig.momentum, "student SGD momentum"),
+    "distill.iterations": (int, DistillConfig.iterations, "distillation iterations"),
+    "distill.batch_p": (int, DistillConfig.p, "identities per distillation batch"),
+    "distill.batch_k": (int, DistillConfig.k, "samples per identity per distillation batch"),
+    "distill.mining": (str, DistillConfig.mining, "distillation mining strategy"),
     "calibrate.n_triplets": (int, 1000, "triplets sampled for calibration"),
     "eval.n_pos": (int, 300, "positive verification pairs"),
     "eval.n_neg": (int, 300, "negative verification pairs"),
@@ -150,6 +157,17 @@ def load_config(path: str | None, seed_override: int | None = None) -> Experimen
     return ExperimentConfig(values)
 
 
+_KEY_NAMES = {"p": "batch_p", "k": "batch_k"}     # config field -> key name, where they differ
+
+
+def _from_config(cls, cfg: ExperimentConfig, section: str, **given):
+    """``cls`` with every field that has a ``section.*`` key read from that key;
+    the fields in ``given`` are passed in, and the rest keep their defaults."""
+    keys = {f.name: f"{section}.{_KEY_NAMES.get(f.name, f.name)}" for f in fields(cls)
+            if f.name not in given}
+    return cls(**{name: cfg[key] for name, key in keys.items() if key in CONFIG_KEYS}, **given)
+
+
 # ---------------------------------------------------------------------------
 # artifact helpers
 # ---------------------------------------------------------------------------
@@ -170,12 +188,12 @@ def _write_run_files(dirpath: Path, command: str, cfg: ExperimentConfig) -> None
     (dirpath / "meta.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
 
-def _require_input(path_str: str, what: str) -> Path:
-    if not path_str:
-        raise ConfigError(f"missing config key for {what} (expected a path)")
-    p = Path(path_str)
+def _require_input(cfg: ExperimentConfig, key: str) -> Path:
+    if not cfg[key]:
+        raise ConfigError(f"missing config key for {key} (expected a path)")
+    p = Path(cfg[key])
     if not p.exists():
-        raise ConfigError(f"{what} not found: expected file {p}")
+        raise ConfigError(f"{key} not found: expected file {p}")
     return p
 
 
@@ -204,8 +222,7 @@ def _say(quiet: bool, *parts) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
-    shape = {f.name: cfg[f"data.{f.name}"] for f in fields(HierarchySpec) if f.name != "seed"}
-    spec = HierarchySpec(**shape, seed=derive_subseed(cfg["run.seed"], "data"))
+    spec = _from_config(HierarchySpec, cfg, "data", seed=derive_subseed(cfg["run.seed"], "data"))
     ds = generate_hierarchical(spec)
     d = _artifact_dir(out, "gen-data", cfg)
     target = d / "dataset.jsonl"
@@ -224,19 +241,8 @@ def cmd_gen_data(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
 
 
 def cmd_train_teacher(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
-    ds = load_dataset_jsonl(_require_input(cfg["io.dataset"], "io.dataset"))
-    tcfg = TeacherTrainConfig(
-        hidden_dims=cfg["teacher.hidden_dims"],
-        embed_dim=cfg["teacher.embed_dim"],
-        margin=cfg["teacher.margin"],
-        learning_rate=cfg["teacher.learning_rate"],
-        momentum=cfg["teacher.momentum"],
-        iterations=cfg["teacher.iterations"],
-        p=cfg["teacher.batch_p"],
-        k=cfg["teacher.batch_k"],
-        mining=cfg["teacher.mining"],
-        accuracy_floor=cfg["teacher.accuracy_floor"],
-    )
+    ds = load_dataset_jsonl(_require_input(cfg, "io.dataset"))
+    tcfg = _from_config(TeacherTrainConfig, cfg, "teacher")
     oracle, log = train_teacher(ds, tcfg, seed=derive_subseed(cfg["run.seed"], "teacher"))
     d = _artifact_dir(out, "train-teacher", cfg)
     ckpt = d / "teacher.ckpt"
@@ -255,12 +261,10 @@ def cmd_train_teacher(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
 
 
 def cmd_calibrate(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
-    ds = load_dataset_jsonl(_require_input(cfg["io.dataset"], "io.dataset"))
-    oracle = _load_model_file(_require_input(cfg["io.teacher"], "io.teacher"), teacher_of=ds)
-    report = calibrate_margins(
-        oracle, ds, cfg["calibrate.n_triplets"],
-        Rng(derive_subseed(cfg["run.seed"], "calibrate")),
-    )
+    ds = load_dataset_jsonl(_require_input(cfg, "io.dataset"))
+    oracle = _load_model_file(_require_input(cfg, "io.teacher"), teacher_of=ds)
+    report = calibrate_margins(oracle, ds, cfg["calibrate.n_triplets"],
+                               Rng(derive_subseed(cfg["run.seed"], "calibrate")))
     d = _artifact_dir(out, "calibrate", cfg)
     target = d / "calibration.json"
     target.write_text(report.to_json() + "\n", encoding="utf-8")
@@ -278,31 +282,21 @@ def _margin_from_config(cfg: ExperimentConfig) -> MarginConfig:
     if mode != "dynamic":
         raise ConfigError(f"distill.margin_mode must be fixed or dynamic, got {mode!r}")
     if cfg["distill.use_calibration"]:
-        path = _require_input(cfg["io.calibration"], "io.calibration")
+        path = _require_input(cfg, "io.calibration")
         report = CalibrationReport.from_json(read_text(path))
         return MarginConfig.dynamic(report.suggested_m_min, report.suggested_m_max)
     return MarginConfig.dynamic(cfg["distill.m_min"], cfg["distill.m_max"])
 
 
 def cmd_distill(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
-    ds = load_dataset_jsonl(_require_input(cfg["io.dataset"], "io.dataset"))
-    oracle = _load_model_file(_require_input(cfg["io.teacher"], "io.teacher"), teacher_of=ds)
+    ds = load_dataset_jsonl(_require_input(cfg, "io.dataset"))
+    oracle = _load_model_file(_require_input(cfg, "io.teacher"), teacher_of=ds)
     margin = _margin_from_config(cfg)
-    student = init_mlp(
-        (ds.input_dim, *cfg["student.hidden_dims"], cfg["student.embed_dim"]),
-        normalize_output=True,
-        rng=Rng(derive_subseed(cfg["run.seed"], "student-init")),
-    )
-    dcfg = DistillConfig(
-        margin=margin,
-        p=cfg["distill.batch_p"],
-        k=cfg["distill.batch_k"],
-        iterations=cfg["distill.iterations"],
-        learning_rate=cfg["distill.learning_rate"],
-        momentum=cfg["distill.momentum"],
-        mining=cfg["distill.mining"],
-        seed=derive_subseed(cfg["run.seed"], "distill"),
-    )
+    student = init_mlp((ds.input_dim, *cfg["student.hidden_dims"], cfg["student.embed_dim"]),
+                       normalize_output=True,
+                       rng=Rng(derive_subseed(cfg["run.seed"], "student-init")))
+    dcfg = _from_config(DistillConfig, cfg, "distill", margin=margin,
+                        seed=derive_subseed(cfg["run.seed"], "distill"))
     trained, log = distill(ds, oracle, student, dcfg)
     d = _artifact_dir(out, "distill", cfg)
     ckpt = d / "student.ckpt"
@@ -316,34 +310,26 @@ def cmd_distill(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
 
 
 def cmd_evaluate(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
-    ds = load_dataset_jsonl(_require_input(cfg["io.dataset"], "io.dataset"))
-    embedder = _load_model_file(_require_input(cfg["io.model"], "io.model"))
+    ds = load_dataset_jsonl(_require_input(cfg, "io.dataset"))
+    embedder = _load_model_file(_require_input(cfg, "io.model"))
     if cfg["io.pairs"]:
-        pairs = evaluation.load_pairs_jsonl(_require_input(cfg["io.pairs"], "io.pairs"))
+        pairs = evaluation.load_pairs_jsonl(_require_input(cfg, "io.pairs"))
     else:
-        pairs = evaluation.build_pairs(
-            ds, cfg["eval.n_pos"], cfg["eval.n_neg"],
-            Rng(derive_subseed(cfg["run.seed"], "eval")),
-        )
+        pairs = evaluation.build_pairs(ds, cfg["eval.n_pos"], cfg["eval.n_neg"],
+                                       Rng(derive_subseed(cfg["run.seed"], "eval")))
     report = evaluation.verify(embedder, ds, pairs)
     structure = None
     if cfg["io.teacher"]:
-        oracle = _load_model_file(_require_input(cfg["io.teacher"], "io.teacher"), teacher_of=ds)
+        oracle = _load_model_file(_require_input(cfg, "io.teacher"), teacher_of=ds)
         _, tmat = evaluation.centroid_distance_matrix(oracle, ds)
         _, smat = evaluation.centroid_distance_matrix(embedder, ds)
         structure = evaluation.structure_correlation(tmat, smat)
     d = _artifact_dir(out, "evaluate", cfg)
-    payload = {
-        "label": cfg["run.label"],
-        "seed": cfg["run.seed"],
-        "n_pairs": len(pairs),
-        "best_accuracy": report.best_accuracy,
-        "best_threshold": report.best_threshold,
-        "structure_correlation": structure,
-    }
-    (d / "evaluation.json").write_text(
-        json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    payload = {"label": cfg["run.label"], "seed": cfg["run.seed"], "n_pairs": len(pairs),
+               "best_accuracy": report.best_accuracy, "best_threshold": report.best_threshold,
+               "structure_correlation": structure}
+    (d / "evaluation.json").write_text(json.dumps(payload, sort_keys=True) + "\n",
+                                       encoding="utf-8")
     with open(d / "roc.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["false_accept_rate", "true_accept_rate"])
@@ -361,12 +347,12 @@ def _read_evaluation(path: Path) -> tuple[str, int, float, float | None]:
     """(label, seed, best_accuracy, structure_correlation) of one evaluation.json."""
     try:
         obj = json.loads(read_text(path))
-        label, seed, acc = obj["label"], obj["seed"], obj["best_accuracy"]
+        if not isinstance(obj["label"], str):
+            raise TypeError(f"label must be a string, got {obj['label']!r:.40}")
         struct = obj.get("structure_correlation")
-        if not (isinstance(label, str) and type(seed) is int and type(acc) in (int, float)
-                and type(struct) in (int, float, type(None))):
-            raise TypeError("label must be a string, seed an integer and the scores numbers")
-        return label, seed, float(acc), None if struct is None else float(struct)
+        return (obj["label"], json_field(obj["seed"], int),
+                json_field(obj["best_accuracy"], float),
+                None if struct is None else json_field(struct, float))
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad evaluation report: {exc}") from exc
 
@@ -385,18 +371,10 @@ def cmd_compare(run_dirs: list[str], csv_out: str, quiet: bool) -> int:
     table = [("label", "seed", "best_accuracy", "structure_correlation")]
     for label, seed, acc, struct in rows:
         table.append((label, str(seed), repr(acc), "" if struct is None else repr(struct)))
-    by_label: dict[str, list] = {}
-    for label, _, acc, struct in rows:
-        by_label.setdefault(label, []).append((acc, struct))
-    for label in sorted(by_label):
-        accs = [a for a, _ in by_label[label]]
-        structs = [s for _, s in by_label[label] if s is not None]
-        mean_acc = float(np.mean(accs))
-        mean_struct = (
-            repr(float(np.mean(structs)))
-            if len(structs) == len(by_label[label]) else ""
-        )
-        table.append((label, "mean", repr(mean_acc), mean_struct))
+    for label, group in itertools.groupby(rows, key=lambda r: r[0]):
+        _, _, accs, structs = zip(*group)
+        mean_struct = "" if None in structs else repr(float(np.mean(structs)))
+        table.append((label, "mean", repr(float(np.mean(accs))), mean_struct))
 
     widths = [max(len(row[i]) for row in table) for i in range(4)]
     for row in table:

@@ -421,6 +421,18 @@ def read_text(path, error: type[Exception] = FormatError) -> str:
         raise error(f"{path}: not UTF-8 text: {exc}") from exc
 
 
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,)}
+
+
+def json_field(value, kind: type):
+    """A decoded JSON value as ``kind``, if it has that JSON type: an id or count
+    (``int``) is an integer, a score (``float``) any number, a flag (``bool``)
+    true or false.  Booleans are not numbers.  TypeError otherwise."""
+    if type(value) not in _JSON_TYPES[kind]:
+        raise TypeError(f"expected a JSON {kind.__name__}, got {value!r:.40}")
+    return float(value) if kind is float else value
+
+
 def save_dataset_jsonl(ds: IdentityDataset, path) -> None:
     header = {
         "input_dim": ds.input_dim,
@@ -513,8 +525,8 @@ def _parse_records(path, lines: list[str], n_declared):
     for ln in lines:
         try:
             rec = json.loads(ln)
-            sample_ids.append(int(rec["sample"]))
-            labels.append(int(rec["identity"]))
+            sample_ids.append(json_field(rec["sample"], int))
+            labels.append(json_field(rec["identity"], int))
             feats.append(rec["x"])
         except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: bad record: {exc}") from exc

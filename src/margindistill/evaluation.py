@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import IdentityDataset, read_text
+from .data import IdentityDataset, json_field, read_text
 from .errors import (
     CapacityError,
     ContractViolation,
@@ -260,9 +260,9 @@ def load_pairs_jsonl(path) -> PairSet:
             continue
         try:
             rec = json.loads(ln)
-            a_ids.append(int(rec["a"]))
-            b_ids.append(int(rec["b"]))
-            same.append(bool(rec["same"]))
+            a_ids.append(json_field(rec["a"], int))
+            b_ids.append(json_field(rec["b"], int))
+            same.append(json_field(rec["same"], bool))
         except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: bad pair record: {exc}") from exc
     if not a_ids:

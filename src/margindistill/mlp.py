@@ -220,48 +220,45 @@ def sgd_step(state: SgdState, model: MlpModel, grads: ModelGrads) -> None:
 # then per layer row-major little-endian f32 weights followed by biases
 # ---------------------------------------------------------------------------
 
+def _layer_record(dims) -> np.dtype:
+    """Every layer of a TFMLP1 file as one record: fields w0, b0, w1, b1, ..."""
+    return np.dtype([(f"{kind}{i}", "<f4", shape)
+                     for i, (fi, fo) in enumerate(zip(dims[:-1], dims[1:]))
+                     for kind, shape in (("w", (fi, fo)), ("b", (fo,)))])
+
+
 def save_checkpoint(model: MlpModel, path) -> None:
+    dims = model.layer_dims
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(model.layer_dims)))
-        fh.write(struct.pack(f"<{len(model.layer_dims)}I", *model.layer_dims))
-        fh.write(struct.pack("<B", 1 if model.normalize_output else 0))
+        fh.write(CHECKPOINT_MAGIC + struct.pack(f"<I{len(dims)}IB", len(dims), *dims,
+                                                bool(model.normalize_output)))
         for w, b in zip(model.weights, model.biases):
-            fh.write(w.astype("<f4").tobytes(order="C"))
-            fh.write(b.astype("<f4").tobytes())
+            fh.write(w.astype("<f4").tobytes() + b.astype("<f4").tobytes())
 
 
 def load_checkpoint(path) -> MlpModel:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < len(CHECKPOINT_MAGIC) or not blob.startswith(CHECKPOINT_MAGIC):
+    if not blob.startswith(CHECKPOINT_MAGIC):
         raise FormatError(f"{path}: bad checkpoint magic (expected TFMLP1)")
-    off = len(CHECKPOINT_MAGIC)
     try:
-        (n_dims,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        dims = struct.unpack_from(f"<{n_dims}I", blob, off)
-        off += 4 * n_dims
-        (flag,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        weights = []
-        biases = []
-        for fi, fo in zip(dims[:-1], dims[1:]):
-            w = np.frombuffer(blob, dtype="<f4", count=fi * fo, offset=off)
-            off += 4 * fi * fo
-            b = np.frombuffer(blob, dtype="<f4", count=fo, offset=off)
-            off += 4 * fo
-            weights.append(w.reshape(fi, fo).astype(np.float64))
-            biases.append(b.astype(np.float64))
-    except (struct.error, ValueError) as exc:
+        (n_dims,) = struct.unpack_from("<I", blob, len(CHECKPOINT_MAGIC))
+        *dims, flag = struct.unpack_from(f"<{n_dims}IB", blob, len(CHECKPOINT_MAGIC) + 4)
+    except struct.error as exc:
         raise FormatError(f"{path}: truncated checkpoint: {exc}") from exc
-    if off != len(blob):
-        raise FormatError(f"{path}: {len(blob) - off} trailing bytes in checkpoint")
     if n_dims < 2:
         raise FormatError(f"{path}: checkpoint needs >= 2 layer dims")
-    if not all(np.isfinite(a).all() for a in weights + biases):
+    off = len(CHECKPOINT_MAGIC) + 4 * (1 + n_dims) + 1
+    count = sum(fi * fo + fo for fi, fo in zip(dims[:-1], dims[1:]))   # Python ints
+    if len(blob) != off + 4 * count:     # checked before the dtype or any array is built
+        raise FormatError(f"{path}: header declares {count} weights in {off + 4 * count} "
+                          f"bytes, file has {len(blob)}")
+    if not np.isfinite(np.frombuffer(blob, dtype="<f4", offset=off)).all():
         raise FormatError(f"{path}: checkpoint weights must be finite")
+    layers = np.frombuffer(blob, dtype=_layer_record(dims), count=1, offset=off)[0]
     return MlpModel(
-        layer_dims=dims, weights=weights, biases=biases,
+        layer_dims=dims,
+        weights=[layers[f"w{i}"].astype(np.float64) for i in range(n_dims - 1)],
+        biases=[layers[f"b{i}"].astype(np.float64) for i in range(n_dims - 1)],
         normalize_output=bool(flag),
     )

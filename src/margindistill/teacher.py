@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import IdentityDataset, IdIndex
+from .data import IdentityDataset, IdIndex, json_field
 from .errors import (
     CapacityError,
     ContractViolation,
@@ -145,13 +145,13 @@ class CalibrationReport:
         try:
             obj = json.loads(text)
             report = cls(
-                sample_count=int(obj["sample_count"]),
-                d_values=[float(v) for v in obj["d_values"]],
-                d_min_observed=float(obj["d_min_observed"]),
-                d_max_observed=float(obj["d_max_observed"]),
-                suggested_m_min=float(obj["suggested_m_min"]),
-                suggested_m_max=float(obj["suggested_m_max"]),
-                triplets=[tuple(int(v) for v in t) for t in obj.get("triplets", [])],
+                sample_count=json_field(obj["sample_count"], int),
+                d_values=[json_field(v, float) for v in obj["d_values"]],
+                d_min_observed=json_field(obj["d_min_observed"], float),
+                d_max_observed=json_field(obj["d_max_observed"], float),
+                suggested_m_min=json_field(obj["suggested_m_min"], float),
+                suggested_m_max=json_field(obj["suggested_m_max"], float),
+                triplets=[tuple(json_field(v, int) for v in t) for t in obj.get("triplets", [])],
             )
         except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise FormatError(f"bad calibration report: {exc}") from exc

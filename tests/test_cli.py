@@ -4,6 +4,7 @@ import io
 import json
 import struct
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from margindistill import cli, data
 from margindistill.cli import load_config, main
-from margindistill.data import load_dataset_jsonl
+from margindistill.data import HierarchySpec, load_dataset_jsonl
 from margindistill.evaluation import build_pairs, save_pairs_jsonl
+from margindistill.loss import MarginConfig
 from margindistill.mlp import load_checkpoint
 from margindistill.numerics import Rng, derive_subseed
 from margindistill.teacher import TeacherOracle, calibrate_margins, tabulate
+from margindistill.training import DistillConfig, TeacherTrainConfig
 
 SMALL_CONFIG = """
 # small pipeline config for tests
@@ -169,6 +172,26 @@ def test_load_config_defaults_and_overrides(tmp_path):
     assert cfg["run.seed"] == 99
 
 
+@pytest.mark.parametrize("section, cls, given, text, want", [
+    ("data", HierarchySpec, {"seed": 5}, "data.n_superclusters = 3\ndata.sample_noise = 0.01",
+     {"n_superclusters": 3, "sample_noise": 0.01}),
+    ("teacher", TeacherTrainConfig, {}, "teacher.batch_p = 3\nteacher.hidden_dims = 4,2",
+     {"p": 3, "hidden_dims": (4, 2)}),
+    ("distill", DistillConfig, {"margin": MarginConfig.fixed(0.3), "seed": 5},
+     "distill.batch_k = 3\ndistill.mining = all", {"k": 3, "mining": "all"}),
+])
+def test_section_keys_map_onto_config_fields(tmp_path, section, cls, given, text, want):
+    # a field's key is named after it, except p and k, and takes the field's default
+    renamed = {"p": "batch_p", "k": "batch_k"}
+    names = {f.name for f in fields(cls)} - set(given) - {"floor_pairs"}
+    assert {f"{section}.{renamed.get(n, n)}" for n in names} <= set(cli.CONFIG_KEYS)
+    assert cli._from_config(cls, load_config(None), section, **given) == cls(**given)
+    path = tmp_path / "c.txt"
+    path.write_text(text + "\n")
+    assert cli._from_config(cls, load_config(str(path)), section, **given) \
+        == cls(**given, **want)
+
+
 def test_unknown_config_key_rejected(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("data.nope = 3\n")
@@ -234,6 +257,14 @@ def test_oversized_table_header_is_format_error(tiny, tmp_path):
     huge = b"TFEMB1" + struct.pack("<II", 200_000, 100_000)
     rc, err = _cli_reading(tiny, "table", _input(tiny, tmp_path, "table", huge))
     assert rc == 1 and "header declares" in err
+
+
+@pytest.mark.parametrize("kind", ["ckpt", "table"])   # evaluate's io.model, calibrate's io.teacher
+def test_oversized_checkpoint_header_is_format_error(tiny, tmp_path, kind):
+    huge = b"TFMLP1" + struct.pack("<I2IB", 2, 2**32 - 1, 2**32 - 1, 1) + bytes(64)
+    rc, err = _cli_reading(tiny, kind, _input(tiny, tmp_path, kind, huge))
+    assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
+    assert "header declares" in err
 
 
 def test_ragged_dataset_rows_are_format_error(tiny, tmp_path):
@@ -579,6 +610,22 @@ def test_out_of_range_numbers_are_format_errors(tiny, tmp_path, kind, key, raw):
     lines[kind == "dataset"] = _with_raw(lines[kind == "dataset"], key, raw)
     rc, err = _cli_reading(tiny, kind, _input(tiny, tmp_path, kind, "\n".join(lines)))
     assert rc == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("kind, key, raw", [
+    ("dataset", "sample", "0.7"), ("dataset", "identity", '"0"'), ("pairs", "a", "3.9"),
+    ("pairs", "same", '"false"'), ("calibration", "sample_count", "1.9"),
+    ("calibration", "triplets", '[[0.2, "1", true]]'),
+], ids=str)
+def test_json_fields_of_the_wrong_type_are_format_errors(tiny, tmp_path, kind, key, raw):
+    # ids and counts are JSON integers, scores numbers and ``same`` a boolean
+    lines = tiny[kind].read_text().splitlines()
+    record = json.loads(lines[kind == "dataset"])
+    if key == "triplets":       # the bad triplet first, so the report stays consistent
+        raw = raw[:-1] + ", " + json.dumps(record["triplets"][1:])[1:]
+    lines[kind == "dataset"] = _with_raw(lines[kind == "dataset"], key, raw)
+    rc, err = _cli_reading(tiny, kind, _input(tiny, tmp_path, kind, "\n".join(lines)))
+    assert rc == 1 and err.startswith("error: ") and "expected a JSON" in err
 
 
 @pytest.mark.parametrize("change", [

@@ -438,6 +438,15 @@ def test_dataset_jsonl_garbage_rejected(tmp_path):
             load_dataset_jsonl(path)
 
 
+def test_json_field_rule():
+    assert data.json_field(3, int) == 3 and data.json_field(-2, float) == -2.0
+    assert type(data.json_field(1, float)) is float and data.json_field(False, bool) is False
+    for value, kind in [(True, int), (False, float), (0.0, int), ("1", int), ("0.5", float),
+                        (1, bool), ("true", bool), (None, float), ([1], int)]:
+        with pytest.raises(TypeError):
+            data.json_field(value, kind)
+
+
 def test_mine_k1_batch_yields_no_triplets():
     # two identities with a single sample each: no positives exist
     spec = small_spec(n_superclusters=2, identities_per_supercluster=1,
