@@ -136,6 +136,7 @@ def load_config(path: str | None, seed_override: int | None = None) -> Experimen
     values = {key: default for key, (_, default, _) in CONFIG_KEYS.items()}
     if path is not None:
         text = read_text(path, ConfigError)
+        set_on: dict[str, int] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -147,6 +148,8 @@ def load_config(path: str | None, seed_override: int | None = None) -> Experimen
             val = val.strip()
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            if set_on.setdefault(key, lineno) != lineno:
+                raise ConfigError(f"{path}:{lineno}: {key} was already set on line {set_on[key]}")
             parser = CONFIG_KEYS[key][0]
             try:
                 values[key] = parser(val)

@@ -509,10 +509,10 @@ def _companion_arrays(path, blob: bytes):
 
 def _spec_from_header(path, spec) -> HierarchySpec | None:
     keys = {f.name for f in fields(HierarchySpec)}
-    if spec and (not isinstance(spec, dict) or set(spec) != keys):
-        raise FormatError(f"{path}: header spec must have exactly the keys {sorted(keys)}")
+    if spec is not None and (not isinstance(spec, dict) or set(spec) != keys):
+        raise FormatError(f"{path}: header spec must be null or have the keys {sorted(keys)}")
     try:
-        return HierarchySpec(**spec) if spec else None
+        return HierarchySpec(**spec) if spec is not None else None
     except ContractViolation as exc:
         raise FormatError(f"{path}: bad header spec: {exc}") from exc
 
@@ -563,19 +563,22 @@ def load_dataset_jsonl(path) -> IdentityDataset:
         raise FormatError(f"{path}: bad header line: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header line must be a JSON object")
-    counts = ("input_dim", "n_samples", "n_identities")
-    for key in counts:
-        if key not in header:
-            raise FormatError(f"{path}: header missing {key!r}")
+    try:
+        counts = tuple(json_field(header[k], int) for k in ("input_dim", "n_samples",
+                                                            "n_identities"))
+        seed = None if header.get("seed") is None else json_field(header["seed"], int)
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"{path}: the header needs integer input_dim, n_samples and "
+                          f"n_identities, and an integer or null seed: {exc}") from exc
     if arrays is None:
-        arrays = _parse_records(path, lines[1:], header["n_samples"])
+        arrays = _parse_records(path, lines[1:], counts[1])
     ds = IdentityDataset(
         sample_ids=arrays[0],
         labels=arrays[1],
         features=arrays[2],
         spec=_spec_from_header(path, header.get("spec")),
-        seed=header.get("seed"),
+        seed=seed,
     )
-    if (ds.input_dim, ds.n_samples, ds.n_identities) != tuple(header[k] for k in counts):
+    if (ds.input_dim, ds.n_samples, ds.n_identities) != counts:
         raise FormatError(f"{path}: header counts disagree with records")
     return ds

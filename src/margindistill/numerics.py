@@ -249,26 +249,15 @@ def _step_lanes(s: np.ndarray) -> None:
 def _gf2_apply(images: np.ndarray, states: np.ndarray) -> np.ndarray:
     """The linear map given by images applied to each row of states (B, 4).
 
-    A table per 4-bit nibble of the state holds the XOR of the images of
-    every subset of its bits, so each state costs 64 lookups.
+    One product of 0/1 bit rows, taken mod 2.  Each entry counts ones, at
+    most 256, so float32 holds it exactly in any summation order.
     """
-    by_nibble = images.reshape(64, 4, 4)
-    table = np.zeros((64, 16, 4), dtype=np.uint64)
-    for b in range(4):
-        table[:, 1 << b:2 << b] = table[:, :1 << b] ^ by_nibble[:, b, None, :]
-    table = table.reshape(-1, 4)
-    octets = np.ascontiguousarray(states, dtype="<u8").view(np.uint8).reshape(-1, 32)
-    rows = np.empty((octets.shape[0], 64), dtype=np.intp)
-    rows[:, 0::2] = octets & 15
-    rows[:, 1::2] = octets >> 4
-    rows += np.arange(0, 64 * 16, 16)
-    out = np.empty((rows.shape[0], 4), dtype=np.uint64)
-    for i in range(0, rows.shape[0], 32):               # blocks bound the lookups at 64 KiB
-        x = table[rows[i:i + 32]]
-        while x.shape[1] > 1:                           # XOR the lookups pairwise
-            x = x[:, :x.shape[1] // 2] ^ x[:, x.shape[1] // 2:]
-        out[i:i + 32] = x[:, 0]
-    return out
+    def bits(words: np.ndarray) -> np.ndarray:             # column i: bit i % 64 of word i // 64
+        octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+        return np.unpackbits(octets, axis=1, bitorder="little").astype(np.float32)
+
+    parity = (bits(states) @ bits(images)).astype(np.uint16) & 1     # counts reach 256
+    return np.packbits(parity, axis=1, bitorder="little").view("<u8").astype(np.uint64)
 
 
 @functools.cache

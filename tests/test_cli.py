@@ -47,9 +47,10 @@ eval.n_neg = 40
 
 
 def _write_config(tmp_path, text=SMALL_CONFIG, **extra):
-    lines = [text]
-    for key, val in extra.items():
-        lines.append(f"{key.replace('_dot_', '.')} = {val}")
+    """``text`` with the keys in ``extra`` set, replacing any line that sets them."""
+    extra = {key.replace("_dot_", "."): val for key, val in extra.items()}
+    lines = [ln for ln in text.splitlines() if ln.partition("=")[0].strip() not in extra]
+    lines += [f"{key} = {val}" for key, val in extra.items()]
     path = tmp_path / "config.txt"
     path.write_text("\n".join(lines) + "\n")
     return str(path)
@@ -197,6 +198,15 @@ def test_unknown_config_key_rejected(tmp_path):
     path.write_text("data.nope = 3\n")
     rc = main(["gen-data", "--config", str(path), "--out", str(tmp_path / "runs")])
     assert rc == 2
+
+
+def test_config_key_set_twice_rejected(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_text("data.input_dim = 3\n# data.input_dim = 5\ndata.input_dim = 4  # again\n")
+    rc = main(["gen-data", "--config", str(path), "--out", str(tmp_path / "runs")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and err == [f"error: {path}:3: data.input_dim was already set on line 1"]
+    assert not (tmp_path / "runs").exists()
 
 
 def test_removed_eval_every_key_rejected(tmp_path, capsys):
@@ -616,16 +626,27 @@ def test_out_of_range_numbers_are_format_errors(tiny, tmp_path, kind, key, raw):
     ("dataset", "sample", "0.7"), ("dataset", "identity", '"0"'), ("pairs", "a", "3.9"),
     ("pairs", "same", '"false"'), ("calibration", "sample_count", "1.9"),
     ("calibration", "triplets", '[[0.2, "1", true]]'),
+    ("header", "input_dim", "3.0"), ("header", "n_samples", "16.0"),
+    ("header", "n_identities", "4.0"), ("header", "seed", '"x"'), ("header", "seed", "[1, 2]"),
+    ("header", "spec", "0"), ("header", "spec", "[]"),
 ], ids=str)
 def test_json_fields_of_the_wrong_type_are_format_errors(tiny, tmp_path, kind, key, raw):
-    # ids and counts are JSON integers, scores numbers and ``same`` a boolean
-    lines = tiny[kind].read_text().splitlines()
-    record = json.loads(lines[kind == "dataset"])
+    # ids and counts are JSON integers, scores numbers and ``same`` a boolean; a
+    # dataset header's seed is an integer or null and its spec an object or null
+    file = "dataset" if kind == "header" else kind
+    at = int(kind == "dataset")     # a dataset's first record; the header or only line else
+    lines = tiny[file].read_text().splitlines()
+    record = json.loads(lines[at])
     if key == "triplets":       # the bad triplet first, so the report stays consistent
         raw = raw[:-1] + ", " + json.dumps(record["triplets"][1:])[1:]
-    lines[kind == "dataset"] = _with_raw(lines[kind == "dataset"], key, raw)
-    rc, err = _cli_reading(tiny, kind, _input(tiny, tmp_path, kind, "\n".join(lines)))
-    assert rc == 1 and err.startswith("error: ") and "expected a JSON" in err
+    lines[at] = _with_raw(lines[at], key, raw)
+    path = _input(tiny, tmp_path, file, "\n".join(lines))
+    for companion in (False, True) if kind == "header" else (False,):
+        if companion:           # the records' arrays from a companion that matches the file
+            data.save_dataset_companion(load_dataset_jsonl(tiny["dataset"]), path)
+        rc, err = _cli_reading(tiny, file, path)
+        assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
+        assert ("header spec" if key == "spec" else "expected a JSON") in err
 
 
 @pytest.mark.parametrize("change", [

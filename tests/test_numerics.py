@@ -303,12 +303,16 @@ def test_uint64s_validates():
 
 @pytest.mark.parametrize("m", range(12))
 def test_jump_table_advances_2_to_the_m_steps(m):
-    rng = Rng(m)
-    state = np.array([rng._s], dtype=np.uint64)
-    for _ in range(1 << m):
-        rng.next_uint64()
-    jumped = numerics._gf2_apply(numerics._step_power(m), state)
-    assert [int(v) for v in jumped[0]] == rng._s
+    # 33 states in one apply, the last with all 256 bits set: its product entries
+    # count the most ones
+    rngs = [Rng(64 * m + i) for i in range(33)]
+    rngs[-1]._s = [_MASK64] * 4
+    states = np.array([rng._s for rng in rngs], dtype=np.uint64)
+    for rng in rngs:
+        for _ in range(1 << m):
+            rng.next_uint64()
+    jumped = numerics._gf2_apply(numerics._step_power(m), states)
+    assert [[int(v) for v in row] for row in jumped] == [rng._s for rng in rngs]
 
 
 def test_jump_tables_are_not_built_at_import():
