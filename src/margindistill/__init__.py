@@ -14,6 +14,7 @@ from .errors import (
     CapacityError,
     ContractViolation,
     DegenerateInput,
+    DivergenceError,
     FormatError,
     InsufficientData,
     MarginDistillError,

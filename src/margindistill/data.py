@@ -320,9 +320,12 @@ def mine_triplets(
     row is certified when its values and its error bound are finite and every
     gap between its consecutive sorted values exceeds twice the bound: the
     Gram row then orders its entries strictly, exactly as the
-    ``pairwise_sq_euclidean`` row would.  Every other row (ties, overflow,
-    underflow) is recomputed with ``pairwise_sq_euclidean``, so the selected
-    triplets equal those from the exact matrix bit for bit.
+    ``pairwise_sq_euclidean`` row would.  When every row is certified, the
+    sort that certified a row also picks its pairs' negatives.  Otherwise every
+    other row (ties, overflow, underflow) is recomputed with
+    ``pairwise_sq_euclidean`` and ``_select_semi_hard`` compares each pair
+    against the whole row.  Either way the selected triplets equal those from
+    the exact matrix bit for bit.
 
     The label masks and index arrays depend on the labels alone; for an
     identity-major batch (k equal labels per block, as the samplers build)
@@ -338,9 +341,10 @@ def mine_triplets(
         raise NoTripletsError("mining needs at least two identities in the batch")
     blocks = batch.labels.reshape(batch.p, batch.k)
     if np.all(blocks == blocks[:, :1]):               # identity-major, as the samplers build
-        negative, positive, a_idx, p_idx, negatives = _pk_layout(batch.p, batch.k)
+        layout = _pk_layout(batch.p, batch.k)
     else:
-        negative, positive, a_idx, p_idx, negatives = _label_layout(batch.labels, batch.k)
+        layout = _label_layout(batch.labels, batch.k)
+    negative, positive, a_idx, p_idx, negatives, row_starts, pair_at, pair_last = layout
 
     if strategy == "all":
         per_pair = b - batch.k
@@ -360,15 +364,34 @@ def mine_triplets(
             rows.append((a, pos[rng.randint(pos.size)], neg[rng.randint(neg.size)]))
         return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
-    # semi_hard: Gram rows where certified, exact rows elsewhere
+    # semi_hard: one sort per Gram row certifies the row and ranks its negatives
     dmat, bound = gram_sq_euclidean(emb)
-    ranked = np.sort(dmat, axis=1)
+    order = np.argsort(dmat, axis=1)
+    sorted_at = order + row_starts                    # flat positions, each row ascending
+    ranked = dmat.take(sorted_at)
     with np.errstate(invalid="ignore"):               # inf - inf in rows that fail anyway
         certified = np.isfinite(ranked[:, -1]) & (np.diff(ranked).min(axis=1) > 2.0 * bound)
     if not certified.all():
         uncertain = np.flatnonzero(~certified)
         dmat[uncertain] = pairwise_sq_euclidean(emb[uncertain], emb)
-    # then vectorize over all (anchor, positive) pairs
+        return _select_semi_hard(dmat, negative, a_idx, p_idx)
+    # Certified values are distinct, so a pair's negative is the first negative
+    # ranked after its positive, or the anchor's last negative if none is.
+    # Every sorted row holds k same-identity entries: the s-th of them, counted
+    # row-major, at flat position i has i - s negatives before it, so i - s
+    # indexes the first negative after it in order[is_negative], the row-major
+    # ranked negatives; pair_last caps that at the anchor's last negative.
+    is_negative = negative.take(sorted_at)
+    same_at = np.flatnonzero(~is_negative)
+    first_after = np.empty(b * b, dtype=np.intp)
+    first_after[sorted_at.take(same_at)] = same_at - np.arange(same_at.size)
+    n_idx = order[is_negative].take(np.minimum(first_after.take(pair_at), pair_last))
+    return np.column_stack([a_idx, p_idx, n_idx])
+
+
+def _select_semi_hard(dmat, negative, a_idx, p_idx):
+    """Semi-hard negatives read from a (pairs x B) candidate matrix of dmat's rows,
+    for rows that may hold ties or NaN."""
     neg_dist = np.where(negative, dmat, -np.inf)      # (B, B); -inf never violates
     d_ap = dmat[a_idx, p_idx]
     rows = neg_dist[a_idx]                            # (T, B)
@@ -385,14 +408,20 @@ def mine_triplets(
 def _label_layout(labels: np.ndarray, k: int):
     """Masks and index arrays of a PK batch that depend on its labels alone:
     the (B, B) other-identity and same-identity masks (no diagonal), the
-    (anchor, positive) pairs anchor-major with positives ascending, and each
-    anchor's B - k negatives ascending."""
+    (anchor, positive) pairs anchor-major with positives ascending, each
+    anchor's B - k negatives ascending, and the flat offsets semi-hard mining
+    reads with: each row's start in a flat (B, B) matrix, each pair's entry
+    there, and the position of each pair's anchor's last negative in the flat
+    anchor-major (B, B - k) negatives."""
+    b = labels.size
     negative = labels[:, None] != labels[None, :]
     positive = ~negative
     np.fill_diagonal(positive, False)
     a_idx, p_idx = np.nonzero(positive)
-    negatives = np.nonzero(negative)[1].reshape(labels.size, labels.size - k)
-    return negative, positive, a_idx, p_idx, negatives
+    negatives = np.nonzero(negative)[1].reshape(b, b - k)
+    row_starts = np.arange(0, b * b, b)[:, None]
+    return (negative, positive, a_idx, p_idx, negatives,
+            row_starts, a_idx * b + p_idx, (a_idx + 1) * (b - k) - 1)
 
 
 @functools.cache

@@ -29,6 +29,10 @@ class StagnationError(MarginDistillError, RuntimeError):
     """Training produced no usable triplets for too many consecutive batches."""
 
 
+class DivergenceError(MarginDistillError, RuntimeError):
+    """Training reached a non-finite loss (a learning rate too large, for one)."""
+
+
 class InsufficientData(MarginDistillError, ValueError):
     """Too few elements to compute the requested statistic."""
 

@@ -111,9 +111,9 @@ def batch_loss(
     if tri.min() < 0 or tri.max() >= emb.shape[0]:
         raise ContractViolation("triplet index out of range")
 
-    anchors = emb[tri[:, 0]]
-    dp = anchors - emb[tri[:, 1]]
-    dn = anchors - emb[tri[:, 2]]
+    rows = emb.take(tri.T, axis=0)                    # (3, T, dim): anchors, positives, negatives
+    dp = rows[0] - rows[1]
+    dn = rows[0] - rows[2]
     d_ap = np.einsum("ij,ij->i", dp, dp)
     d_an = np.einsum("ij,ij->i", dn, dn)
 
@@ -143,14 +143,16 @@ def batch_loss(
     scale = 1.0 / n_triplets
     act = np.where(active)[0]
     if act.size:
-        # anchor, then positive, then negative terms: the sums' bits depend on this order
-        t = tri[act]
-        contrib = np.empty((3, act.size, emb.shape[1]))
-        np.subtract(emb[t[:, 2]], emb[t[:, 1]], out=contrib[0])
-        contrib[0] *= 2.0 * scale
-        np.multiply(-2.0 * scale, dp[act], out=contrib[1])
-        np.multiply(2.0 * scale, dn[act], out=contrib[2])
-        _scatter_rows(grad, t.T.ravel(), contrib.reshape(-1, emb.shape[1]))
+        if act.size < n_triplets:                     # take: far cheaper than [act] here
+            tri, rows = tri.take(act, axis=0), rows.take(act, axis=1)
+            dp, dn = dp.take(act, axis=0), dn.take(act, axis=0)
+        # anchor, then positive, then negative terms: the sums' bits depend on this
+        # order.  Each term overwrites a gathered row that is no longer read.
+        np.subtract(rows[2], rows[1], out=rows[0])
+        rows[0] *= 2.0 * scale
+        np.multiply(-2.0 * scale, dp, out=rows[1])
+        np.multiply(2.0 * scale, dn, out=rows[2])
+        _scatter_rows(grad, tri.T.ravel(), rows.reshape(-1, emb.shape[1]))
 
     return BatchLossResult(
         loss=loss, grad=grad, margins=margins, active=active, d_max=d_max

@@ -97,13 +97,13 @@ def triplet_gaps(vectors: np.ndarray, triplets: np.ndarray) -> np.ndarray:
     Few triplets (semi-hard) take row-wise differences; many (dense mining) read the
     full matrix, which is then cheaper.  Both give the same bits."""
     tri = np.asarray(triplets, dtype=np.int64)
-    a, p, n = tri.T
     if 3 * tri.shape[0] >= vectors.shape[0] ** 2:
+        a, p, n = tri.T
         dmat = pairwise_sq_euclidean(vectors)
         return np.maximum(dmat[a, n] - dmat[a, p], 0.0)
-    anchors = vectors[a]
-    dn = anchors - vectors[n]
-    dp = anchors - vectors[p]
+    rows = vectors.take(tri.T, axis=0)               # (3, T, dim): anchors, positives, negatives
+    dn = rows[0] - rows[2]
+    dp = rows[0] - rows[1]
     return np.maximum(np.einsum("ij,ij->i", dn, dn) - np.einsum("ij,ij->i", dp, dp), 0.0)
 
 

@@ -3,8 +3,9 @@
 Both phases share one engine: sample a PK batch, embed it with the student,
 mine triplets, compute the batch loss (with per-triplet teacher gaps and the
 batch-maximum gap in dynamic mode), backpropagate, and take an SGD step.
-Runs are single-threaded and fully determined by (dataset, config, seed);
-the teacher oracle is read-only throughout.
+The loop runs in one Python thread (BLAS may use more for matrix products,
+with the same bits), runs are fully determined by (dataset, config, seed),
+and the teacher oracle is read-only throughout.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .data import (
     sample_pk_batch,
     sample_pk_batches,
 )
-from .errors import ContractViolation, StagnationError
+from .errors import ContractViolation, DivergenceError, StagnationError
 from .loss import MarginConfig, batch_loss
 from .mlp import MlpModel, backward_batch, forward_batch, init_mlp, init_sgd, sgd_step
 # pairwise_sq_euclidean is unused here, but perfbench's tracer patches this name
@@ -144,21 +145,28 @@ def _run_triplet_loop(
     sgd = init_sgd(model, cfg.learning_rate, cfg.momentum)
     consecutive_empty = 0
     for it, batch in enumerate(_pk_batches(ds, cfg, rng)):
-        emb, cache = forward_batch(model, ds.X[batch.entries])
-        triplets = mine_triplets(batch, emb, cfg.mining, rng)
-        if triplets.shape[0] == 0:
-            log.skipped.append(it)
-            consecutive_empty += 1
-            if consecutive_empty > MAX_CONSECUTIVE_EMPTY:
-                raise StagnationError(
-                    f"no usable triplets for {consecutive_empty} consecutive batches"
-                )
-            continue
-        consecutive_empty = 0
-        gaps = None
-        if margin.mode == "dynamic":
-            gaps = triplet_gaps(teacher_vectors[batch.entries], triplets)
-        result = batch_loss(emb, triplets, gaps, margin)
+        # overflow or NaN in the embeddings reaches the loss, which is checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            emb, cache = forward_batch(model, ds.X[batch.entries])
+            triplets = mine_triplets(batch, emb, cfg.mining, rng)
+            if triplets.shape[0] == 0:
+                log.skipped.append(it)
+                consecutive_empty += 1
+                if consecutive_empty > MAX_CONSECUTIVE_EMPTY:
+                    raise StagnationError(
+                        f"no usable triplets for {consecutive_empty} consecutive batches"
+                    )
+                continue
+            consecutive_empty = 0
+            gaps = None
+            if margin.mode == "dynamic":
+                gaps = triplet_gaps(teacher_vectors[batch.entries], triplets)
+            result = batch_loss(emb, triplets, gaps, margin)
+        if not math.isfinite(result.loss):
+            raise DivergenceError(
+                f"training diverged: loss {result.loss} at iteration {it} "
+                f"with learning_rate {cfg.learning_rate}"
+            )
         grads = backward_batch(model, cache, result.grad)
         sgd_step(sgd, model, grads)
         log.append(

@@ -4,6 +4,7 @@ import io
 import json
 import struct
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -589,6 +590,25 @@ def test_bad_optimizer_settings_exit_with_one_error_line(tiny, tmp_path, command
     assert rc != 0
     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     assert not list(tmp_path.rglob("*.ckpt"))
+
+
+@pytest.mark.parametrize("command, settings", [
+    ("train-teacher", {"teacher.learning_rate": 1e200}),
+    ("distill", {"distill.learning_rate": 1e200, "distill.iterations": 20,
+                 "distill.batch_p": 2, "distill.batch_k": 2}),
+], ids=str)
+def test_diverging_run_names_its_iteration_and_learning_rate(tiny, tmp_path, command, settings):
+    config = _write_config(tmp_path, TINY_CONFIG, **settings, **{
+        "io.dataset": tiny["dataset"], "io.teacher": tiny["table"]})
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        rc = main([command, "--config", config, "--out", str(tmp_path / "runs"), "--quiet"])
+    lines = err.getvalue().splitlines()
+    assert rc == 1 and caught == [] and len(lines) == 1
+    assert lines[0].startswith("error: training diverged: loss nan at iteration ")
+    assert lines[0].endswith("with learning_rate 1e+200")
 
 
 def test_non_utf8_dataset_is_format_error(tiny, tmp_path):

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -286,18 +287,25 @@ def test_semi_hard_bitwise_where_products_underflow_or_sums_overflow(exponent):
             np.testing.assert_array_equal(got, per_anchor_mining(labels, emb, "semi_hard"))
 
 
-def _exact_rows_of_semi_hard(monkeypatch, batch, emb):
-    """Rows semi-hard mining recomputed with pairwise_sq_euclidean."""
-    rows = []
+def _semi_hard_paths(monkeypatch, batch, emb):
+    """Rows one semi-hard mining recomputed with pairwise_sq_euclidean, and its
+    calls of the (pairs x B) selection; the triplets must match the per-anchor loop."""
+    rows, selections = [], []
 
     def exact(x, y=None):
         rows.append(len(x))
         return pairwise_sq_euclidean(x, y)
 
+    def select(*args):
+        selections.append(args)
+        return select_semi_hard(*args)
+
+    select_semi_hard = data._select_semi_hard
     monkeypatch.setattr(data, "pairwise_sq_euclidean", exact)
+    monkeypatch.setattr(data, "_select_semi_hard", select)
     tri = mine_triplets(batch, emb, "semi_hard")
     np.testing.assert_array_equal(tri, per_anchor_mining(batch.labels, emb, "semi_hard"))
-    return sum(rows)
+    return sum(rows), len(selections)
 
 
 def _pk8x8():
@@ -307,7 +315,27 @@ def _pk8x8():
 def test_semi_hard_tie_grid_takes_exact_rows(monkeypatch):
     gen = np.random.default_rng(5)
     emb = gen.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(64, 4))
-    assert _exact_rows_of_semi_hard(monkeypatch, _pk8x8(), emb) > 0
+    exact_rows, selections = _semi_hard_paths(monkeypatch, _pk8x8(), emb)
+    assert exact_rows > 0 and selections == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.integers(2, 8), k=st.integers(2, 6), dim=st.integers(1, 33),
+       shuffled=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_semi_hard_sorted_rows_match_per_anchor_loop(p, k, dim, shuffled, seed):
+    # random real embeddings certify every row: the selection from sorted rows
+    gen = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(p) * 5 + 2, k)
+    if shuffled:
+        labels = gen.permutation(labels)
+    batch = PkBatch(p=p, k=k, entries=np.arange(p * k), labels=labels)
+    emb = gen.standard_normal((p * k, dim))
+    with mock.patch.object(data, "_select_semi_hard") as fallback:
+        got = mine_triplets(batch, emb, "semi_hard")
+    assert not fallback.called
+    want = per_anchor_mining(labels, emb, "semi_hard")
+    assert got.dtype == want.dtype and got.shape == want.shape == (p * k * (k - 1), 3)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_identity_major_batches_take_the_cached_layout(monkeypatch):
@@ -337,7 +365,7 @@ def test_semi_hard_unit_norm_batches_stay_on_gram_rows(monkeypatch, dim):
     for _ in range(20):
         emb = gen.standard_normal((64, dim))
         emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-        assert _exact_rows_of_semi_hard(monkeypatch, _pk8x8(), emb) == 0
+        assert _semi_hard_paths(monkeypatch, _pk8x8(), emb) == (0, 0)   # no (pairs x B) array
 
 
 @settings(max_examples=100, deadline=None)

@@ -379,3 +379,16 @@ def test_batch_loss_negative_zero_terms_sum_to_positive_zero():
     want = add_at_batch_grad(emb, np.array([[0, 1, 2]]), res.active)
     assert res.grad.tobytes() == want.tobytes()
     assert not np.signbit(res.grad[1, 0])
+
+
+@pytest.mark.parametrize("dim", [1, 16, 32])
+@pytest.mark.parametrize("margin, active", [(0.0, "none"), (0.5, "some"), (1e3, "all")])
+def test_batch_loss_grad_matches_add_at_with_none_some_or_all_active(margin, active, dim):
+    # all active takes the gathered rows as they are; some active gathers again
+    emb, triplets, _ = _grid_batch(dim, 64, dim, 448)
+    if active == "none":
+        triplets[:, 1] = triplets[:, 0]       # d_ap = 0 <= d_an, no hinge at margin 0
+    res = batch_loss(emb, triplets, None, MarginConfig.fixed(margin))
+    n_active = int(res.active.sum())
+    assert {"none": n_active == 0, "some": 0 < n_active < 448, "all": n_active == 448}[active]
+    assert res.grad.tobytes() == add_at_batch_grad(emb, triplets, res.active).tobytes()

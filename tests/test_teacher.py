@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from margindistill.data import HierarchySpec, IdentityDataset, generate_hierarchical
+from margindistill.data import (
+    HierarchySpec,
+    IdentityDataset,
+    PkBatch,
+    generate_hierarchical,
+    mine_triplets,
+)
 from margindistill.errors import (
     CapacityError,
     ContractViolation,
@@ -149,6 +155,20 @@ def test_triplet_gaps_match_pairwise_matrix_bitwise(dim, seed, scale, normalize,
     if normalize:
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     triplets = gen.integers(0, 12, size=(n_triplets, 3))
+    got = triplet_gaps(vectors, triplets)
+    assert got.tobytes() == pairwise_matrix_gaps(vectors, triplets).tobytes()
+
+
+@pytest.mark.parametrize("dim", [16, 32])
+@pytest.mark.parametrize("strategy, count", [("semi_hard", 448), ("all", 25088)])
+def test_triplet_gaps_match_pairwise_matrix_on_mined_pk_batches(strategy, count, dim):
+    # the training loop's sizes: a semi-hard 8x8 batch's rows, and a dense one's matrix
+    gen = np.random.default_rng(dim)
+    vectors = gen.standard_normal((64, dim))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    batch = PkBatch(p=8, k=8, entries=np.arange(64), labels=np.repeat(np.arange(8), 8))
+    triplets = mine_triplets(batch, gen.standard_normal((64, dim)), strategy)
+    assert triplets.shape == (count, 3)
     got = triplet_gaps(vectors, triplets)
     assert got.tobytes() == pairwise_matrix_gaps(vectors, triplets).tobytes()
 
