@@ -312,20 +312,24 @@ def mine_triplets(
       negative ascending (matches a brute-force triple loop).
     - ``random_per_anchor``: one random positive and negative per anchor.
     - ``semi_hard``: per (anchor, positive), the negative with the smallest
-      d_an among those with d_an > d_ap; if none violates, the negative with
-      the largest d_an.  Ties break toward the smallest batch index.
+      d_an among those that violate, d_an > d_ap; if none violates, the
+      farthest negative.  +inf violates a finite d_ap, NaN never violates,
+      ties go to the lowest batch index, and the farthest negative is the
+      first NaN, or else the first maximum.
 
     Semi-hard selection compares distances within one anchor's row only, so
     it ranks rows with the Gram-form distances of ``gram_sq_euclidean``.  A
     row is certified when its values and its error bound are finite and every
     gap between its consecutive sorted values exceeds twice the bound: the
     Gram row then orders its entries strictly, exactly as the
-    ``pairwise_sq_euclidean`` row would.  When every row is certified, the
-    sort that certified a row also picks its pairs' negatives.  Otherwise every
-    other row (ties, overflow, underflow) is recomputed with
-    ``pairwise_sq_euclidean`` and ``_select_semi_hard`` compares each pair
-    against the whole row.  Either way the selected triplets equal those from
-    the exact matrix bit for bit.
+    ``pairwise_sq_euclidean`` row would.  If any row of the batch fails
+    (ties, NaN, overflow or underflow), the batch takes the exact
+    ``pairwise_sq_euclidean`` matrix instead, each row ranked with equal
+    values negatives first, then by batch index, and NaN last.  Either way a
+    pair's negative is the first negative ranked after its positive, or the
+    anchor's last ranked negative if none is; on the exact matrix a pick that
+    does not exceed d_ap becomes the farthest negative.  The selected
+    triplets equal those of the rule on the exact matrix bit for bit.
 
     The label masks and index arrays depend on the labels alone; for an
     identity-major batch (k equal labels per block, as the samplers build)
@@ -335,8 +339,8 @@ def mine_triplets(
         raise ContractViolation(f"unknown mining strategy {strategy!r}")
     emb = np.asarray(embeddings, dtype=np.float64)
     b = batch.size
-    if emb.shape[0] != b:
-        raise ContractViolation("need one embedding per batch entry")
+    if emb.ndim != 2 or emb.shape[0] != b:
+        raise ContractViolation("embeddings must be a (B, dim) array, one row per batch entry")
     if batch.p < 2:
         raise NoTripletsError("mining needs at least two identities in the batch")
     blocks = batch.labels.reshape(batch.p, batch.k)
@@ -344,7 +348,7 @@ def mine_triplets(
         layout = _pk_layout(batch.p, batch.k)
     else:
         layout = _label_layout(batch.labels, batch.k)
-    negative, positive, a_idx, p_idx, negatives, row_starts, pair_at, pair_last = layout
+    negative, a_idx, p_idx, negatives, row_starts, pair_at, pair_last = layout
 
     if strategy == "all":
         per_pair = b - batch.k
@@ -355,13 +359,9 @@ def mine_triplets(
     if strategy == "random_per_anchor":
         if rng is None:
             raise ContractViolation("random_per_anchor mining requires an rng")
-        rows = []
-        for a in range(b):
-            pos = np.flatnonzero(positive[a])
-            if pos.size == 0:  # k = 1: anchor has no positive
-                continue
-            neg = np.flatnonzero(negative[a])
-            rows.append((a, pos[rng.randint(pos.size)], neg[rng.randint(neg.size)]))
+        positives = p_idx.reshape(b, batch.k - 1)    # k = 1: no anchor has a positive
+        rows = [(a, pos[rng.randint(pos.size)], neg[rng.randint(neg.size)])
+                for a, (pos, neg) in enumerate(zip(positives, negatives)) if pos.size]
         return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
     # semi_hard: one sort per Gram row certifies the row and ranks its negatives
@@ -371,56 +371,44 @@ def mine_triplets(
     ranked = dmat.take(sorted_at)
     with np.errstate(invalid="ignore"):               # inf - inf in rows that fail anyway
         certified = np.isfinite(ranked[:, -1]) & (np.diff(ranked).min(axis=1) > 2.0 * bound)
-    if not certified.all():
-        uncertain = np.flatnonzero(~certified)
-        dmat[uncertain] = pairwise_sq_euclidean(emb[uncertain], emb)
-        return _select_semi_hard(dmat, negative, a_idx, p_idx)
-    # Certified values are distinct, so a pair's negative is the first negative
-    # ranked after its positive, or the anchor's last negative if none is.
-    # Every sorted row holds k same-identity entries: the s-th of them, counted
-    # row-major, at flat position i has i - s negatives before it, so i - s
-    # indexes the first negative after it in order[is_negative], the row-major
-    # ranked negatives; pair_last caps that at the anchor's last negative.
+    exact = not certified.all()
+    if exact:
+        dmat = pairwise_sq_euclidean(emb)
+        order = np.lexsort((~negative, dmat))         # equal values: negatives first
+        sorted_at = order + row_starts
+    # A pair's negative is the first negative ranked after its positive, or the
+    # anchor's last negative if none is.  Every sorted row holds k same-identity
+    # entries: the s-th of them, counted row-major, at flat position i has
+    # i - s negatives before it, so i - s indexes the first negative after it
+    # in order[is_negative], the row-major ranked negatives; pair_last caps
+    # that at the anchor's last negative.
     is_negative = negative.take(sorted_at)
     same_at = np.flatnonzero(~is_negative)
     first_after = np.empty(b * b, dtype=np.intp)
     first_after[sorted_at.take(same_at)] = same_at - np.arange(same_at.size)
     n_idx = order[is_negative].take(np.minimum(first_after.take(pair_at), pair_last))
-    return np.column_stack([a_idx, p_idx, n_idx])
-
-
-def _select_semi_hard(dmat, negative, a_idx, p_idx):
-    """Semi-hard negatives read from a (pairs x B) candidate matrix of dmat's rows,
-    for rows that may hold ties or NaN."""
-    neg_dist = np.where(negative, dmat, -np.inf)      # (B, B); -inf never violates
-    d_ap = dmat[a_idx, p_idx]
-    rows = neg_dist[a_idx]                            # (T, B)
-    has_violating = np.fmax.reduce(neg_dist, axis=1)[a_idx] > d_ap   # NaN never violates
-    # where(rows > d_ap, rows, inf) without a branch per element: fmax with
-    # -inf keeps a violating value, fmax with +inf replaces the rest, NaN too
-    candidates = np.where(rows > d_ap[:, None], -np.inf, np.inf)
-    hardest_violating = np.fmax(rows, candidates, out=candidates).argmin(axis=1)
-    farthest = neg_dist.argmax(axis=1)[a_idx]         # one per anchor
-    n_idx = np.where(has_violating, hardest_violating, farthest)
+    if exact:
+        # only exact rows hold ties and NaN: a pick may equal d_ap or be NaN,
+        # and a capped pick may be the last of several equal maxima
+        violates = dmat[a_idx, n_idx] > dmat.take(pair_at)
+        farthest = np.where(negative, dmat, -np.inf).argmax(axis=1)
+        n_idx = np.where(violates, n_idx, farthest[a_idx])
     return np.column_stack([a_idx, p_idx, n_idx])
 
 
 def _label_layout(labels: np.ndarray, k: int):
     """Masks and index arrays of a PK batch that depend on its labels alone:
-    the (B, B) other-identity and same-identity masks (no diagonal), the
-    (anchor, positive) pairs anchor-major with positives ascending, each
-    anchor's B - k negatives ascending, and the flat offsets semi-hard mining
-    reads with: each row's start in a flat (B, B) matrix, each pair's entry
-    there, and the position of each pair's anchor's last negative in the flat
-    anchor-major (B, B - k) negatives."""
+    the (B, B) other-identity mask, the (anchor, positive) pairs anchor-major
+    with positives ascending, each anchor's B - k negatives ascending, and the
+    flat offsets semi-hard mining reads with: each row's start in a flat
+    (B, B) matrix, each pair's entry there, and the position of each pair's
+    anchor's last negative in the flat anchor-major (B, B - k) negatives."""
     b = labels.size
     negative = labels[:, None] != labels[None, :]
-    positive = ~negative
-    np.fill_diagonal(positive, False)
-    a_idx, p_idx = np.nonzero(positive)
+    a_idx, p_idx = np.nonzero(~negative & ~np.eye(b, dtype=bool))
     negatives = np.nonzero(negative)[1].reshape(b, b - k)
     row_starts = np.arange(0, b * b, b)[:, None]
-    return (negative, positive, a_idx, p_idx, negatives,
+    return (negative, a_idx, p_idx, negatives,
             row_starts, a_idx * b + p_idx, (a_idx + 1) * (b - k) - 1)
 
 

@@ -73,7 +73,8 @@ def brute_force_all_triplets(labels):
 
 
 def brute_force_semi_hard(labels, dmat):
-    """Per (a, p): negative by the semi-hard rule, scanning all negatives."""
+    """Per (a, p): negative by the semi-hard rule, scanning all negatives; the
+    farthest negative is the first NaN, or else the first maximum."""
     n = len(labels)
     out = []
     for a in range(n):
@@ -87,7 +88,8 @@ def brute_force_semi_hard(labels, dmat):
                 if labels[neg] == labels[a]:
                     continue
                 d_an = dmat[a, neg]
-                if farthest is None or d_an > dmat[a, farthest]:
+                if farthest is None or d_an > dmat[a, farthest] or (
+                        np.isnan(d_an) and not np.isnan(dmat[a, farthest])):
                     farthest = neg
                 if d_an > d_ap and (
                     best_violating is None or d_an < dmat[a, best_violating]
@@ -197,6 +199,9 @@ def per_anchor_mining(labels, emb, strategy, rng=None):
     violating = neg_mask & (rows > d_ap[:, None])
     has_violating = violating.any(axis=1)
     hardest_violating = np.where(violating, rows, np.inf).argmin(axis=1)
+    # every violator at +inf: argmin lands on the first inf, which may not violate
+    lands = violating[np.arange(a_idx.size), hardest_violating]
+    hardest_violating = np.where(lands, hardest_violating, violating.argmax(axis=1))
     farthest = np.where(neg_mask, rows, -np.inf).argmax(axis=1)
     n_idx = np.where(has_violating, hardest_violating, farthest)
     return np.column_stack([a_idx, p_idx, n_idx])

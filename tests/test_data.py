@@ -237,12 +237,31 @@ def test_mine_rejects_unknown_strategy():
         mine_triplets(batch, emb, "hardest")
 
 
+@pytest.mark.parametrize("strategy", data.MINING_STRATEGIES)
+def test_mine_rejects_embeddings_that_are_not_2d(strategy):
+    batch, emb = _batch_and_embeddings()
+    for bad in (emb[:, 0], emb[:, :, None]):       # one value per entry; a 3-D stack
+        with pytest.raises(ContractViolation):
+            mine_triplets(batch, bad, strategy, Rng(0))
+
+
+def test_semi_hard_picks_violators_at_inf():
+    # (0, 1) and (1, 0) have one violator, at +inf; (2, 3) sees d_ap = inf and
+    # no violator, so it takes the first of its two negatives at inf
+    batch = PkBatch(p=2, k=2, entries=np.arange(4), labels=np.array([0, 0, 1, 1]))
+    emb = np.array([[0.0], [3.0], [1e200], [1.0]])
+    with np.errstate(over="ignore"):
+        tri = mine_triplets(batch, emb, "semi_hard")
+    np.testing.assert_array_equal(tri, [[0, 1, 2], [1, 0, 2], [2, 3, 0], [3, 2, 1]])
+
+
 @st.composite
 def _pk_cases(draw):
     """A PK batch (identity-major or shuffled, k may be 1), embeddings of dim
     1-64 (random reals, or a small grid full of exact distance ties and signed
     zeros) at a scale from 1e-160 (products underflow) to 1e154 (sums
-    overflow), and a seed."""
+    overflow), perhaps with one row set to NaN or one coordinate to +-inf,
+    and a seed."""
     p, k, dim = draw(st.integers(2, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 64))
     seed = draw(st.integers(0, 2**32 - 1))
     exponent = draw(st.one_of(st.sampled_from([-160, -155, 0, 152, 153, 154]),
@@ -256,19 +275,28 @@ def _pk_cases(draw):
         emb = gen.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(p * k, dim))
     else:
         emb = gen.standard_normal((p * k, dim))
-    return batch, emb * 10.0 ** exponent, seed
+    emb = emb * 10.0 ** exponent
+    special = draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
+    row, col = draw(st.integers(0, p * k - 1)), draw(st.integers(0, dim - 1))
+    if special is not None:
+        emb[row, slice(None) if np.isnan(special) else col] = special
+    return batch, emb, seed
 
 
 @settings(max_examples=200, deadline=None)
 @given(_pk_cases())
 def test_mining_matches_per_anchor_loop_bitwise(case):
     batch, emb, seed = case
-    for strategy in ("semi_hard", "random_per_anchor"):
-        with np.errstate(over="ignore"):       # the exact distances overflow at 1e154
+    with np.errstate(over="ignore", invalid="ignore"):   # 1e154 overflows; inf - inf is NaN
+        for strategy in ("semi_hard", "random_per_anchor"):
             got = mine_triplets(batch, emb, strategy, Rng(seed))
             want = per_anchor_mining(batch.labels, emb, strategy, Rng(seed))
-        assert got.dtype == want.dtype and got.shape == want.shape
-        np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+        # the rule scanned pair by pair: NaN never violates, and a pair with no
+        # violator takes the first NaN or the first maximal negative
+        rule = brute_force_semi_hard(batch.labels.tolist(), pairwise_sq_euclidean(emb))
+        np.testing.assert_array_equal(mine_triplets(batch, emb), rule.reshape(-1, 3))
     got = mine_triplets(batch, emb, "all")
     want = brute_force_all_triplets(batch.labels.tolist()).reshape(-1, 3)
     assert got.dtype == want.dtype
@@ -287,36 +315,25 @@ def test_semi_hard_bitwise_where_products_underflow_or_sums_overflow(exponent):
             np.testing.assert_array_equal(got, per_anchor_mining(labels, emb, "semi_hard"))
 
 
-def _semi_hard_paths(monkeypatch, batch, emb):
-    """Rows one semi-hard mining recomputed with pairwise_sq_euclidean, and its
-    calls of the (pairs x B) selection; the triplets must match the per-anchor loop."""
-    rows, selections = [], []
-
-    def exact(x, y=None):
-        rows.append(len(x))
-        return pairwise_sq_euclidean(x, y)
-
-    def select(*args):
-        selections.append(args)
-        return select_semi_hard(*args)
-
-    select_semi_hard = data._select_semi_hard
-    monkeypatch.setattr(data, "pairwise_sq_euclidean", exact)
-    monkeypatch.setattr(data, "_select_semi_hard", select)
-    tri = mine_triplets(batch, emb, "semi_hard")
-    np.testing.assert_array_equal(tri, per_anchor_mining(batch.labels, emb, "semi_hard"))
-    return sum(rows), len(selections)
+def _exact_rows(batch, emb):
+    """One semi-hard mining's triplets, checked against the per-anchor loop,
+    and the number of rows it passed to pairwise_sq_euclidean."""
+    with mock.patch.object(data, "pairwise_sq_euclidean", wraps=pairwise_sq_euclidean) as exact:
+        tri = mine_triplets(batch, emb, "semi_hard")
+    want = per_anchor_mining(batch.labels, emb, "semi_hard")
+    assert tri.dtype == want.dtype
+    np.testing.assert_array_equal(tri, want)
+    return tri, sum(len(call.args[0]) for call in exact.call_args_list)
 
 
 def _pk8x8():
     return PkBatch(p=8, k=8, entries=np.arange(64), labels=np.repeat(np.arange(8), 8))
 
 
-def test_semi_hard_tie_grid_takes_exact_rows(monkeypatch):
+def test_semi_hard_tie_grid_takes_exact_rows():
     gen = np.random.default_rng(5)
     emb = gen.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(64, 4))
-    exact_rows, selections = _semi_hard_paths(monkeypatch, _pk8x8(), emb)
-    assert exact_rows > 0 and selections == 1
+    assert _exact_rows(_pk8x8(), emb)[1] == 64          # one whole-batch call
 
 
 @settings(max_examples=150, deadline=None)
@@ -330,12 +347,8 @@ def test_semi_hard_sorted_rows_match_per_anchor_loop(p, k, dim, shuffled, seed):
         labels = gen.permutation(labels)
     batch = PkBatch(p=p, k=k, entries=np.arange(p * k), labels=labels)
     emb = gen.standard_normal((p * k, dim))
-    with mock.patch.object(data, "_select_semi_hard") as fallback:
-        got = mine_triplets(batch, emb, "semi_hard")
-    assert not fallback.called
-    want = per_anchor_mining(labels, emb, "semi_hard")
-    assert got.dtype == want.dtype and got.shape == want.shape == (p * k * (k - 1), 3)
-    np.testing.assert_array_equal(got, want)
+    got, exact_rows = _exact_rows(batch, emb)
+    assert exact_rows == 0 and got.shape == (p * k * (k - 1), 3)
 
 
 def test_identity_major_batches_take_the_cached_layout(monkeypatch):
@@ -359,13 +372,13 @@ def test_identity_major_batches_take_the_cached_layout(monkeypatch):
 
 
 @pytest.mark.parametrize("dim", [16, 32])
-def test_semi_hard_unit_norm_batches_stay_on_gram_rows(monkeypatch, dim):
+def test_semi_hard_unit_norm_batches_stay_on_gram_rows(dim):
     # the training loop's case: certification must hold, or the fast path is gone
     gen = np.random.default_rng(dim)
     for _ in range(20):
         emb = gen.standard_normal((64, dim))
         emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-        assert _semi_hard_paths(monkeypatch, _pk8x8(), emb) == (0, 0)   # no (pairs x B) array
+        assert _exact_rows(_pk8x8(), emb)[1] == 0
 
 
 @settings(max_examples=100, deadline=None)
