@@ -19,7 +19,6 @@ from .errors import (
     InsufficientData,
     MarginDistillError,
     NoTripletsError,
-    StagnationError,
     UnknownSampleError,
 )
 from .evaluation import (

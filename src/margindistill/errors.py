@@ -25,10 +25,6 @@ class NoTripletsError(MarginDistillError, ValueError):
     """Mining produced no valid triplets (fewer than two identities in the batch)."""
 
 
-class StagnationError(MarginDistillError, RuntimeError):
-    """Training produced no usable triplets for too many consecutive batches."""
-
-
 class DivergenceError(MarginDistillError, RuntimeError):
     """Training reached a non-finite loss (a learning rate too large, for one)."""
 

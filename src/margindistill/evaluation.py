@@ -245,12 +245,6 @@ def structure_correlation(teacher_matrix: np.ndarray, student_matrix: np.ndarray
 # pair file format: JSON lines {a, b, same}
 # ---------------------------------------------------------------------------
 
-def save_pairs_jsonl(pairs: PairSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for a, b, s in zip(pairs.a_ids, pairs.b_ids, pairs.same):
-            fh.write(json.dumps({"a": int(a), "b": int(b), "same": bool(s)}) + "\n")
-
-
 def load_pairs_jsonl(path) -> PairSet:
     a_ids = []
     b_ids = []

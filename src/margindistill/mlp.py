@@ -91,7 +91,6 @@ def init_mlp(layer_dims, normalize_output: bool, rng: Rng) -> MlpModel:
 @dataclass
 class ForwardCache:
     acts: list[np.ndarray]        # inputs to each layer: acts[0] = X
-    hidden_zs: list[np.ndarray]   # pre-activations of hidden layers
     norms: np.ndarray | None      # row norms of the pre-normalization output
     emb: np.ndarray               # final embeddings
     model_version: int
@@ -111,11 +110,8 @@ def forward_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardCa
             f"expected input of shape (B, {model.input_dim}), got {a.shape}"
         )
     acts = [a]
-    hidden_zs = []
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        z = a @ w + b
-        hidden_zs.append(z)
-        a = np.maximum(z, 0.0)
+        a = np.maximum(a @ w + b, 0.0)
         acts.append(a)
     z_out = a @ model.weights[-1] + model.biases[-1]
     if model.normalize_output:
@@ -134,8 +130,7 @@ def forward_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardCa
         norms = None
         emb = z_out
     cache = ForwardCache(
-        acts=acts, hidden_zs=hidden_zs, norms=norms,
-        emb=emb, model_version=model.version,
+        acts=acts, norms=norms, emb=emb, model_version=model.version,
     )
     return emb, cache
 
@@ -166,7 +161,7 @@ def backward_batch(
         grads_w[layer] = a_prev.T @ g
         grads_b[layer] = g.sum(axis=0)
         if layer > 0:
-            g = (g @ model.weights[layer].T) * (cache.hidden_zs[layer - 1] > 0.0)
+            g = (g @ model.weights[layer].T) * (a_prev > 0.0)   # max(z, 0) > 0 iff z > 0
     return ModelGrads(weights=grads_w, biases=grads_b)
 
 
@@ -180,7 +175,6 @@ class SgdState:
     momentum: float
     vel_w: list[np.ndarray] = field(default_factory=list)
     vel_b: list[np.ndarray] = field(default_factory=list)
-    iteration: int = 0
 
 
 def init_sgd(model: MlpModel, learning_rate: float, momentum: float) -> SgdState:
@@ -193,7 +187,6 @@ def init_sgd(model: MlpModel, learning_rate: float, momentum: float) -> SgdState
         momentum=momentum,
         vel_w=[np.zeros_like(w) for w in model.weights],
         vel_b=[np.zeros_like(b) for b in model.biases],
-        iteration=0,
     )
 
 
@@ -211,7 +204,6 @@ def sgd_step(state: SgdState, model: MlpModel, grads: ModelGrads) -> None:
         vb *= state.momentum
         vb -= state.learning_rate * gb
         b += vb
-    state.iteration += 1
     model.version += 1
 
 

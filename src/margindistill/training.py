@@ -25,14 +25,13 @@ from .data import (
     sample_pk_batch,
     sample_pk_batches,
 )
-from .errors import ContractViolation, DivergenceError, StagnationError
+from .errors import ContractViolation, DivergenceError
 from .loss import MarginConfig, batch_loss
 from .mlp import MlpModel, backward_batch, forward_batch, init_mlp, init_sgd, sgd_step
 # pairwise_sq_euclidean is unused here, but perfbench's tracer patches this name
 from .numerics import Rng, derive_subseed, pairwise_sq_euclidean  # noqa: F401
 from .teacher import TeacherOracle, tabulate, triplet_gaps
 
-MAX_CONSECUTIVE_EMPTY = 50
 SCHEDULE_CHUNK = 1024        # iterations whose PK batches are drawn at once
 
 
@@ -94,6 +93,7 @@ class TrainLog:
     loss: list[float] = field(default_factory=list)
     mean_margin: list[float] = field(default_factory=list)
     active_frac: list[float] = field(default_factory=list)
+    # never filled by the loop (every PK batch mines triplets); perfbench reads its length
     skipped: list[int] = field(default_factory=list)
 
     def append(self, it: int, loss: float, mean_margin: float, active_frac: float) -> None:
@@ -103,12 +103,11 @@ class TrainLog:
         self.active_frac.append(active_frac)
 
     def write_jsonl(self, path) -> None:
-        records = {it: {"iter": it, "skipped": True} for it in self.skipped}
-        for it, loss, margin, frac in zip(self.iterations, self.loss, self.mean_margin,
-                                          self.active_frac):
-            records[it] = {"iter": it, "loss": loss, "mean_margin": margin, "active_frac": frac}
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(json.dumps(records[it]) + "\n" for it in sorted(records))
+            for it, loss, margin, frac in zip(self.iterations, self.loss, self.mean_margin,
+                                              self.active_frac):
+                record = {"iter": it, "loss": loss, "mean_margin": margin, "active_frac": frac}
+                fh.write(json.dumps(record) + "\n")
 
 
 def _pk_batches(ds: IdentityDataset, cfg, rng: Rng):
@@ -140,24 +139,12 @@ def _run_triplet_loop(
     """Shared training engine; mutates model in place.  cfg supplies p, k,
     iterations, learning_rate, momentum and mining."""
     log = TrainLog()
-    if cfg.iterations == 0:
-        return log
     sgd = init_sgd(model, cfg.learning_rate, cfg.momentum)
-    consecutive_empty = 0
     for it, batch in enumerate(_pk_batches(ds, cfg, rng)):
         # overflow or NaN in the embeddings reaches the loss, which is checked below
         with np.errstate(over="ignore", invalid="ignore"):
             emb, cache = forward_batch(model, ds.X[batch.entries])
             triplets = mine_triplets(batch, emb, cfg.mining, rng)
-            if triplets.shape[0] == 0:
-                log.skipped.append(it)
-                consecutive_empty += 1
-                if consecutive_empty > MAX_CONSECUTIVE_EMPTY:
-                    raise StagnationError(
-                        f"no usable triplets for {consecutive_empty} consecutive batches"
-                    )
-                continue
-            consecutive_empty = 0
             gaps = None
             if margin.mode == "dynamic":
                 gaps = triplet_gaps(teacher_vectors[batch.entries], triplets)

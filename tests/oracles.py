@@ -6,18 +6,18 @@ from brute-force enumeration.  The last section is the exception: it keeps
 earlier library implementations that faster code must match bit for bit.
 """
 
+import json
 import math
 import struct
 
 import numpy as np
 
 from margindistill.data import IdentityDataset, mine_triplets, sample_pk_batch
-from margindistill.errors import StagnationError
 from margindistill.loss import batch_loss
 from margindistill.mlp import backward_batch, forward_batch, init_sgd, sgd_step
 from margindistill.numerics import Rng, pairwise_sq_euclidean
 from margindistill.teacher import triplet_gaps
-from margindistill.training import MAX_CONSECUTIVE_EMPTY, TrainLog
+from margindistill.training import TrainLog
 
 
 def central_diff_grad(f, x, h=1e-5):
@@ -140,6 +140,13 @@ def struct_embedding_table_bytes(sample_ids, identities, vectors):
     return b"".join(out)
 
 
+def save_pairs_jsonl(pairs, path):
+    """A pair file as the CLI reads it: one JSON line {a, b, same} per pair."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for a, b, s in zip(pairs.a_ids, pairs.b_ids, pairs.same):
+            fh.write(json.dumps({"a": int(a), "b": int(b), "same": bool(s)}) + "\n")
+
+
 def brute_force_sweep(distances, same):
     """Candidate thresholds and, per threshold, (accuracy, false-accept rate,
     true-accept rate) by counting every pair under "same iff distance < t".
@@ -255,23 +262,11 @@ def per_triplet_calibration(vectors, ds, n_triplets, rng):
 def per_iteration_triplet_loop(model, ds, cfg, margin, rng, teacher_vectors=None):
     """training._run_triplet_loop drawing one sample_pk_batch per iteration."""
     log = TrainLog()
-    if cfg.iterations == 0:
-        return log
     sgd = init_sgd(model, cfg.learning_rate, cfg.momentum)
-    consecutive_empty = 0
     for it in range(cfg.iterations):
         batch = sample_pk_batch(ds, cfg.p, cfg.k, rng)
         emb, cache = forward_batch(model, ds.X[batch.entries])
         triplets = mine_triplets(batch, emb, cfg.mining, rng)
-        if triplets.shape[0] == 0:
-            log.skipped.append(it)
-            consecutive_empty += 1
-            if consecutive_empty > MAX_CONSECUTIVE_EMPTY:
-                raise StagnationError(
-                    f"no usable triplets for {consecutive_empty} consecutive batches"
-                )
-            continue
-        consecutive_empty = 0
         gaps = None
         if margin.mode == "dynamic":
             gaps = triplet_gaps(teacher_vectors[batch.entries], triplets)

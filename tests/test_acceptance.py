@@ -52,6 +52,40 @@ def _rel_err(got, want, floor=1e-8):
     return (np.abs(got - want) / denom).max()
 
 
+def _stacked_losses(model, layer, z, triplets, margins):
+    """batch_loss's loss for each of a stack (m, B, fan_out) of one layer's
+    pre-activations, carried through the later layers and the normalization."""
+    m, rows, _ = z.shape
+    for w, b in zip(model.weights[layer + 1:], model.biases[layer + 1:]):
+        z = (np.maximum(z, 0.0).reshape(m * rows, -1) @ w + b).reshape(m, rows, -1)
+    emb = z / np.sqrt(np.einsum("mbi,mbi->mb", z, z))[..., None]
+    anchors, positives, negatives = (emb[:, triplets[:, c]] for c in range(3))
+    dp, dn = anchors - positives, anchors - negatives
+    hinge = np.einsum("mti,mti->mt", dp, dp) - np.einsum("mti,mti->mt", dn, dn) + margins
+    return np.maximum(hinge, 0.0).sum(axis=1) / len(triplets)
+
+
+def _stacked_central_diffs(model, layer, a, triplets, margins, h, chunk=1024):
+    """Central differences of the loss in every weight of one layer and then
+    in its biases, as a (fan_in + 1, fan_out) array.
+
+    Moving W[i, j] by h moves column j of the layer's pre-activation by
+    h * a[:, i] (a bias, by h), so the layers before it run once and a chunk
+    of perturbations runs as one stacked pass through the rest."""
+    z = a @ model.weights[layer] + model.biases[layer]
+    inputs = np.hstack([a, np.ones((a.shape[0], 1))]).T     # a bias sees an input of 1
+    fd = np.empty(inputs.shape[0] * z.shape[1])
+    for start in range(0, fd.size, chunk):
+        i, j = np.divmod(np.arange(start, min(start + chunk, fd.size)), z.shape[1])
+        losses = []
+        for step in (h, -h):
+            moved = np.repeat(z[None], i.size, axis=0)
+            moved[np.arange(i.size), :, j] += step * inputs[i]
+            losses.append(_stacked_losses(model, layer, moved, triplets, margins))
+        fd[start:start + i.size] = (losses[0] - losses[1]) / (2.0 * h)
+    return fd.reshape(inputs.shape[0], z.shape[1])
+
+
 def test_criterion_1_gradient_suite():
     with criterion("gradient suite (100 triplets + full models, rel err <= 1e-4, < 30 s)"):
         start = time.time()
@@ -92,12 +126,16 @@ def test_criterion_1_gradient_suite():
 
         # full default-architecture student and teacher models, gradients of
         # the true batch objective versus finite differences over every weight
+        # and bias.  The stacked differences are tied to the shipped code: each
+        # layer's unperturbed stacked loss is batch_loss(forward_batch(...)).loss,
+        # and a seeded sample of its entries goes through central_diff_grad.
         ds = md.generate_hierarchical(md.HierarchySpec(seed=derive_subseed(0, "data")))
         batch = md.sample_pk_batch(ds, 3, 3, Rng(1))
         x = ds.X[batch.entries]
         frozen = tabulate(
             TeacherOracle.from_model(init_mlp((ds.input_dim, 16, 8), True, Rng(2))), ds
         )
+        picker = np.random.default_rng(4)
         for dims in [(16, 32, 32, 16), (16, 128, 128, 128, 32)]:
             model = init_mlp(dims, True, Rng(3))
             emb, cache = forward_batch(model, x)
@@ -106,18 +144,26 @@ def test_criterion_1_gradient_suite():
             result = batch_loss(emb, triplets, gaps, cfg)
             grads = backward_batch(model, cache, result.grad)
             for layer in range(model.n_layers):
-                shape = model.weights[layer].shape
+                a = cache.acts[layer]
+                z = a @ model.weights[layer] + model.biases[layer]
+                unperturbed = _stacked_losses(model, layer, z[None], triplets, result.margins)
+                assert abs(unperturbed[0] - result.loss) <= 1e-12
+                fd = _stacked_central_diffs(model, layer, a, triplets, result.margins, h)
+                params = np.vstack([model.weights[layer], model.biases[layer]])
+                picks = picker.choice(params.size, 24, replace=False)
 
-                def objective(flat):
+                def objective(values):
                     probe = model.copy()
-                    probe.weights[layer] = flat.reshape(shape)
+                    moved = params.copy()
+                    moved.flat[picks] = values
+                    probe.weights[layer], probe.biases[layer] = moved[:-1], moved[-1]
                     e, _ = forward_batch(probe, x)
                     return batch_loss(e, triplets, gaps, cfg).loss
 
-                fd = central_diff_grad(
-                    objective, model.weights[layer].ravel(), h=h
-                ).reshape(shape)
-                assert _rel_err(grads.weights[layer], fd, floor=1e-6) <= 1e-4
+                one_by_one = central_diff_grad(objective, params.flat[picks], h=h)
+                assert np.abs(fd.flat[picks] - one_by_one).max() <= 1e-10
+                backward = np.vstack([grads.weights[layer], grads.biases[layer]])
+                assert _rel_err(backward, fd, floor=1e-6) <= 1e-4
 
         elapsed = time.time() - start
         assert elapsed < 30.0, f"gradient suite took {elapsed:.1f}s"

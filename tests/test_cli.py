@@ -15,12 +15,14 @@ from hypothesis import given, settings, strategies as st
 from margindistill import cli, data
 from margindistill.cli import load_config, main
 from margindistill.data import HierarchySpec, load_dataset_jsonl
-from margindistill.evaluation import build_pairs, save_pairs_jsonl
+from margindistill.evaluation import build_pairs
 from margindistill.loss import MarginConfig
 from margindistill.mlp import load_checkpoint
 from margindistill.numerics import Rng, derive_subseed
 from margindistill.teacher import TeacherOracle, calibrate_margins, tabulate
 from margindistill.training import DistillConfig, TeacherTrainConfig
+
+from oracles import save_pairs_jsonl
 
 SMALL_CONFIG = """
 # small pipeline config for tests
@@ -582,7 +584,8 @@ def test_mutated_input_never_escapes_cli(tiny, plain_outputs, kind, pos, how, va
 ], ids=str)
 def test_bad_optimizer_settings_exit_with_one_error_line(tiny, tmp_path, command, settings):
     config = tmp_path / "run.cfg"
-    config.write_text(TINY_CONFIG + f"io.dataset = {tiny['dataset']}\nio.teacher = {tiny['table']}\n"
+    config.write_text(TINY_CONFIG
+                      + f"io.dataset = {tiny['dataset']}\nio.teacher = {tiny['table']}\n"
                       + "".join(f"{k} = {v}\n" for k, v in settings.items()))
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):

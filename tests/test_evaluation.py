@@ -18,7 +18,6 @@ from margindistill.evaluation import (
     build_pairs,
     centroid_distance_matrix,
     load_pairs_jsonl,
-    save_pairs_jsonl,
     spearman,
     structure_correlation,
     threshold_sweep,
@@ -33,6 +32,7 @@ from oracles import (
     exhaustive_sweep_best_accuracy,
     loop_build_pairs,
     per_pair_centroid_matrix,
+    save_pairs_jsonl,
     sq_euclidean,
     unit_vector,
 )

@@ -1,4 +1,4 @@
-"""Style rules of the package sources: lines of at most 99 columns, no ``;`` statements."""
+"""Style rules of src/, tools/ and tests/: lines of at most 99 columns, no ``;`` statements."""
 
 import io
 import tokenize
@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "margindistill").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = [path for folder in ("src/margindistill", "tools", "tests")
+           for path in sorted((ROOT / folder).glob("*.py"))]
 
 
 def test_sources_are_found():

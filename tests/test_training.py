@@ -12,12 +12,13 @@ from margindistill import data, numerics
 from margindistill.data import (
     HierarchySpec,
     IdentityDataset,
+    PkBatch,
     generate_hierarchical,
     mine_triplets,
     sample_pk_batch,
     sample_pk_batches,
 )
-from margindistill.errors import CapacityError, ContractViolation, StagnationError
+from margindistill.errors import CapacityError, ContractViolation
 from margindistill.evaluation import build_pairs, verify
 from margindistill.loss import MarginConfig, batch_loss
 from margindistill.mlp import backward_batch, forward_batch, init_mlp
@@ -164,7 +165,8 @@ def test_distill_descends_on_hierarchical_data():
         ds = tiny_dataset(seed=seed)
         teacher = _teacher_for(ds)
         student = init_mlp((6, 12, 6), True, Rng(seed + 10))
-        cfg = DistillConfig(margin=MarginConfig.dynamic(0.2, 0.5), p=4, k=4, iterations=250, seed=seed)
+        cfg = DistillConfig(margin=MarginConfig.dynamic(0.2, 0.5), p=4, k=4, iterations=250,
+                            seed=seed)
         _, log = distill(ds, teacher, student, cfg)
         first = np.mean(log.loss[:10])
         last = np.mean(log.loss[-10:])
@@ -194,7 +196,8 @@ def test_teacher_frozen_through_distill():
 
     before = digest()
     student = init_mlp((6, 8, 4), True, Rng(6))
-    distill(ds, teacher, student, DistillConfig(margin=MarginConfig.dynamic(0.2, 0.5), p=3, k=3, iterations=30, seed=1))
+    distill(ds, teacher, student,
+            DistillConfig(margin=MarginConfig.dynamic(0.2, 0.5), p=3, k=3, iterations=30, seed=1))
     assert digest() == before
 
 
@@ -245,43 +248,32 @@ def test_teacher_config_validation(field, value):
     {"momentum": float("nan")},
 ])
 def test_optimizer_settings_are_checked_when_the_config_is_built(iterations, settings):
-    # not only when the loop reaches init_sgd, which it never does at 0 iterations
+    # when the config is built, not later in the loop's init_sgd
     with pytest.raises(ContractViolation):
         DistillConfig(margin=MarginConfig.fixed(0.3), iterations=iterations, **settings)
     with pytest.raises(ContractViolation):
         TeacherTrainConfig(iterations=iterations, **settings)
 
 
-def test_stagnation_error_after_50_empty_batches(monkeypatch):
-    ds = tiny_dataset()
-    teacher = _teacher_for(ds)
-    student = init_mlp((6, 8, 4), True, Rng(9))
-    empty = np.zeros((0, 3), dtype=np.int64)
-    monkeypatch.setattr(training, "mine_triplets", lambda *a, **k: empty)
-    cfg = DistillConfig(margin=MarginConfig.fixed(0.3), p=3, k=3, iterations=200, seed=0)
-    with pytest.raises(StagnationError):
-        distill(ds, teacher, student, cfg)
-
-
-def test_empty_batches_are_logged_and_skipped(monkeypatch):
-    ds = tiny_dataset()
-    teacher = _teacher_for(ds)
-    student = init_mlp((6, 8, 4), True, Rng(9))
-    real = training.mine_triplets
-    empty = np.zeros((0, 3), dtype=np.int64)
-    calls = {"n": 0}
-
-    def flaky(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] % 3 == 0:
-            return empty
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(training, "mine_triplets", flaky)
-    cfg = DistillConfig(margin=MarginConfig.fixed(0.3), p=3, k=3, iterations=30, seed=0)
-    trained, log = distill(ds, teacher, student, cfg)
-    assert len(log.skipped) == 10
-    assert len(log.iterations) == 20
+@settings(max_examples=200, deadline=None)
+@given(p=st.integers(2, 6), k=st.integers(2, 6), dim=st.integers(1, 8), shuffled=st.booleans(),
+       special=st.sampled_from([0.0, 0.1, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_every_pk_batch_mines_a_fixed_triplet_count(p, k, dim, shuffled, special, seed):
+    # the loop trains on every batch it draws: with p, k >= 2 no strategy mines
+    # zero triplets, whatever the embeddings hold
+    gen = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(p) * 3 + 1, k)
+    if shuffled:
+        labels = gen.permutation(labels)
+    batch = PkBatch(p=p, k=k, entries=np.arange(p * k), labels=labels)
+    emb = gen.standard_normal((p * k, dim))
+    where = gen.random(emb.shape) < special          # this share of NaN and +-inf
+    emb[where] = gen.choice([np.nan, np.inf, -np.inf], size=int(where.sum()))
+    counts = {"semi_hard": p * k * (k - 1), "all": p * k * (k - 1) * (p - 1) * k,
+              "random_per_anchor": p * k}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for strategy, count in counts.items():
+            assert mine_triplets(batch, emb, strategy, Rng(seed)).shape == (count, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +434,7 @@ def test_loop_trains_bitwise_like_per_iteration_sampling(monkeypatch, mining):
     reference, reference_vectors = run()
     assert fast_vectors.tobytes() == reference_vectors.tobytes()
     for (model, log), (ref_model, ref_log) in zip(fast, reference):
-        assert len(log.iterations) + len(log.skipped) == 70
+        assert log.iterations == list(range(70)) and not log.skipped
         for got, want in zip(model.weights + model.biases, ref_model.weights + ref_model.biases):
             assert got.tobytes() == want.tobytes()
         assert log == ref_log
@@ -460,7 +452,7 @@ def test_semi_hard_training_at_default_spec_draws_the_schedule(monkeypatch):
     student = init_mlp((16, 32, 32, 16), True, Rng(2))
     for margin in (MarginConfig.dynamic(0.6, 1.8), MarginConfig.fixed(0.3)):
         _, log = distill(ds, teacher, student, DistillConfig(margin=margin, iterations=50))
-        assert len(log.iterations) + len(log.skipped) == 50
+        assert log.iterations == list(range(50)) and not log.skipped
 
 
 # ---------------------------------------------------------------------------
@@ -531,13 +523,11 @@ def test_train_teacher_warning_claims_only_what_holds(iterations, floor):
 def test_train_log_jsonl_roundtrip(tmp_path):
     log = TrainLog()
     log.append(0, 0.5, 0.3, 0.9)
-    log.skipped.append(1)
-    log.append(2, 0.4, 0.31, 0.8)
+    log.append(1, 0.4, 0.31, 0.8)
     path = tmp_path / "log.jsonl"
     log.write_jsonl(path)
     records = [json.loads(ln) for ln in path.read_text().splitlines()]
     assert records == [
         {"iter": 0, "loss": 0.5, "mean_margin": 0.3, "active_frac": 0.9},
-        {"iter": 1, "skipped": True},
-        {"iter": 2, "loss": 0.4, "mean_margin": 0.31, "active_frac": 0.8},
+        {"iter": 1, "loss": 0.4, "mean_margin": 0.31, "active_frac": 0.8},
     ]
