@@ -36,6 +36,7 @@ from .mlp import (
     MlpModel,
     SgdState,
     backward_batch,
+    embed,
     forward_batch,
     init_mlp,
     init_sgd,

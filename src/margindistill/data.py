@@ -474,9 +474,16 @@ def companion_path(path) -> Path:
     return Path(f"{path}.tfds")
 
 
-def _sha256(parts) -> bytes:
+def _blocks(fh):
+    """The rest of binary file ``fh``, read block by block into one reused 1 MiB buffer."""
+    buffer = bytearray(1 << 20)
+    while size := fh.readinto(buffer):
+        yield memoryview(buffer)[:size]
+
+
+def _sha256(*parts) -> bytes:
     digest = hashlib.sha256()
-    for part in parts:
+    for part in itertools.chain(*parts):
         digest.update(part)
     return digest.digest()
 
@@ -492,16 +499,16 @@ def save_dataset_companion(ds: IdentityDataset, path) -> None:
             *(np.ascontiguousarray(a, dtype=t) for a, t in
               ((ds.sample_ids, "<i8"), (ds.labels, "<i8"), (ds.X, "<f8")))]
     with open(path, "rb") as fh:
-        digest = _sha256(itertools.chain(iter(lambda: fh.read(1 << 20), b""), body))
+        digest = _sha256(_blocks(fh), body)
     with open(companion_path(path), "wb") as fh:
         fh.write(COMPANION_MAGIC + digest)
         for part in body:
             fh.write(part)
 
 
-def _companion_arrays(path, blob: bytes):
-    """(sample ids, identities, features) from the companion of ``path`` if its
-    magic, length and digest all match ``blob``, the dataset file's bytes; None
+def _companion_arrays(path):
+    """(header line, (sample ids, identities, features)) from the companion of
+    ``path`` if its magic, length and digest all match the dataset file; None
     otherwise, so a missing, stale or torn companion is only a cache miss."""
     try:
         with open(companion_path(path), "rb") as fh:
@@ -515,13 +522,16 @@ def _companion_arrays(path, blob: bytes):
             body = bytearray(size)
             if fh.readinto(body) != size:
                 return None
+        # hash the dataset file in blocks, keeping only its header line; head[-16:] is n, d
+        with open(path, "rb") as fh:
+            header = fh.readline()
+            if _sha256((header,), _blocks(fh), (head[-16:], body)) != digest:
+                return None
     except OSError:
-        return None
-    if _sha256((blob, head[-16:], body)) != digest:      # head[-16:] holds n and d
         return None
     ids = np.frombuffer(body, dtype="<i8", count=2 * n).reshape(2, n)
     features = np.frombuffer(body, dtype="<f8", count=n * d, offset=16 * n).reshape(n, d)
-    return ids[0], ids[1], features
+    return header, (ids[0], ids[1], features)
 
 
 def _spec_from_header(path, spec) -> HierarchySpec | None:
@@ -563,10 +573,8 @@ def _parse_records(path, lines: list[str], n_declared):
 def load_dataset_jsonl(path) -> IdentityDataset:
     """The dataset in JSON-lines file ``path``.  A companion whose digest matches
     the file's bytes supplies the arrays; otherwise the records are parsed."""
-    blob = Path(path).read_bytes()
-    arrays = _companion_arrays(path, blob)
-    if arrays is not None:            # bytes that save_dataset_jsonl wrote: header first
-        blob = blob.partition(b"\n")[0]
+    # with a companion the bytes are save_dataset_jsonl's, so the header line is enough
+    blob, arrays = _companion_arrays(path) or (Path(path).read_bytes(), None)
     try:
         lines = [ln for ln in blob.decode("utf-8").splitlines() if ln.strip()]
     except UnicodeDecodeError as exc:

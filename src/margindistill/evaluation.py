@@ -27,7 +27,7 @@ from .errors import (
     FormatError,
     InsufficientData,
 )
-from .mlp import MlpModel, forward_batch
+from .mlp import MlpModel, embed
 from .numerics import Rng, pairwise_sq_euclidean
 from .teacher import TeacherOracle
 
@@ -60,8 +60,7 @@ def _embeddings_for(embedder, ds: IdentityDataset, rows: np.ndarray) -> np.ndarr
     if isinstance(embedder, TeacherOracle):
         return embedder.embed_rows(ds, rows)
     if isinstance(embedder, MlpModel):
-        emb, _ = forward_batch(embedder, ds.X[rows])
-        return emb
+        return embed(embedder, ds.X[rows])
     raise ContractViolation(f"cannot embed with a {type(embedder).__name__}")
 
 

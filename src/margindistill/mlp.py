@@ -23,6 +23,7 @@ from .numerics import Rng
 CHECKPOINT_MAGIC = b"TFMLP1"
 _SMALL_NORM = 2.0 ** -450     # below this a row norm may have lost bits to underflow
 _RESCALE = 2.0 ** 600         # exact, and rows below _SMALL_NORM cannot overflow by it
+EMBED_ROWS = 1024             # rows per product; bounds what a whole-dataset embed holds
 
 
 @dataclass
@@ -102,37 +103,65 @@ class ModelGrads:
     biases: list[np.ndarray]
 
 
-def forward_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Embed a (B, input_dim) batch; the cache feeds backward_batch."""
+def _checked_input(model: MlpModel, x) -> np.ndarray:
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != model.input_dim:
-        raise ContractViolation(
-            f"expected input of shape (B, {model.input_dim}), got {a.shape}"
-        )
-    acts = [a]
+        raise ContractViolation(f"expected input of shape (B, {model.input_dim}), got {a.shape}")
+    return a
+
+
+def _affine(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ w + b, one product per EMBED_ROWS rows: BLAS picks its kernel by the row
+    count too, so forward_batch and embed agree bit for bit by sharing these blocks."""
+    z = np.empty((a.shape[0], w.shape[1]))
+    for start in range(0, a.shape[0], EMBED_ROWS):
+        np.matmul(a[start:start + EMBED_ROWS], w, out=z[start:start + EMBED_ROWS])
+    z += b
+    return z
+
+
+def _normalize_rows(z: np.ndarray) -> np.ndarray:
+    """Divide each row of z by its L2 norm in place; return the norms."""
+    norms = np.sqrt(np.einsum("ij,ij->i", z, z))
+    small = norms < _SMALL_NORM
+    if small.any():
+        # squares of entries below ~1e-154 underflow: take these rows'
+        # directions at an exact power-of-two scale
+        z[small] *= _RESCALE
+        norms[small] = np.sqrt(np.einsum("ij,ij->i", z[small], z[small]))
+        if np.any(norms == 0.0):
+            raise DegenerateInput("pre-normalization output collapsed to zero norm")
+    z /= norms[:, None]
+    norms[small] /= _RESCALE      # true norms, for the backward Jacobian
+    return norms
+
+
+def forward_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Embed a (B, input_dim) batch; the cache feeds backward_batch."""
+    acts = [_checked_input(model, x)]
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = np.maximum(a @ w + b, 0.0)
-        acts.append(a)
-    z_out = a @ model.weights[-1] + model.biases[-1]
-    if model.normalize_output:
-        norms = np.sqrt(np.einsum("ij,ij->i", z_out, z_out))
-        small = norms < _SMALL_NORM
-        if small.any():
-            # squares of entries below ~1e-154 underflow: take these rows'
-            # directions at an exact power-of-two scale
-            z_out[small] *= _RESCALE
-            norms[small] = np.sqrt(np.einsum("ij,ij->i", z_out[small], z_out[small]))
-            if np.any(norms == 0.0):
-                raise DegenerateInput("pre-normalization output collapsed to zero norm")
-        emb = z_out / norms[:, None]
-        norms[small] /= _RESCALE      # true norms, for the backward Jacobian
-    else:
-        norms = None
-        emb = z_out
-    cache = ForwardCache(
-        acts=acts, norms=norms, emb=emb, model_version=model.version,
-    )
-    return emb, cache
+        acts.append(_affine(acts[-1], w, b))
+        np.maximum(acts[-1], 0.0, out=acts[-1])
+    emb = _affine(acts[-1], model.weights[-1], model.biases[-1])
+    norms = _normalize_rows(emb) if model.normalize_output else None
+    return emb, ForwardCache(acts=acts, norms=norms, emb=emb, model_version=model.version)
+
+
+def embed(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """``forward_batch(model, x)[0]`` bit for bit, run EMBED_ROWS rows at a time,
+    so a whole dataset holds one block's activations instead of every layer's."""
+    x = _checked_input(model, x)
+    out = np.empty((x.shape[0], model.embed_dim))
+    for start in range(0, x.shape[0], EMBED_ROWS):
+        a = x[start:start + EMBED_ROWS]
+        for w, b in zip(model.weights[:-1], model.biases[:-1]):
+            a = _affine(a, w, b)
+            np.maximum(a, 0.0, out=a)
+        a = _affine(a, model.weights[-1], model.biases[-1])
+        if model.normalize_output:
+            _normalize_rows(a)
+        out[start:start + EMBED_ROWS] = a
+    return out
 
 
 def backward_batch(

@@ -2,7 +2,7 @@
 
 The teacher is frozen and is only asked for distances between training
 samples, so a TeacherOracle is an embedding table keyed by sample id.  A
-model recorded with ``from_model`` is forwarded once, in one batch, by
+model recorded with ``from_model`` is forwarded once over the dataset by
 ``tabulate``; every query then reads the table.  The distance is fixed to
 squared Euclidean on unit-norm outputs, the same convention the student
 trains under, so teacher gaps and the student's hinge live on one scale.
@@ -22,7 +22,7 @@ from .errors import (
     ContractViolation,
     FormatError,
 )
-from .mlp import MlpModel, forward_batch
+from .mlp import MlpModel, embed
 from .numerics import Rng, pairwise_sq_euclidean
 
 TABLE_MAGIC = b"TFEMB1"
@@ -108,12 +108,11 @@ def triplet_gaps(vectors: np.ndarray, triplets: np.ndarray) -> np.ndarray:
 
 
 def tabulate(oracle: TeacherOracle, ds: IdentityDataset) -> TeacherOracle:
-    """Forward the teacher model over every dataset sample in one batch; the
-    only place a teacher model runs.  A table passes through."""
+    """Embed every dataset sample with the teacher model; the only place a
+    teacher model runs.  A table passes through."""
     if oracle.vectors is not None:
         return oracle
-    vectors, _ = forward_batch(oracle.model, ds.X)
-    return TeacherOracle.from_table(ds.sample_ids, ds.labels, vectors,
+    return TeacherOracle.from_table(ds.sample_ids, ds.labels, embed(oracle.model, ds.X),
                                     model=oracle.model, warning=oracle.warning)
 
 

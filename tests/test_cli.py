@@ -17,7 +17,7 @@ from margindistill.cli import load_config, main
 from margindistill.data import HierarchySpec, load_dataset_jsonl
 from margindistill.evaluation import build_pairs
 from margindistill.loss import MarginConfig
-from margindistill.mlp import load_checkpoint
+from margindistill.mlp import init_mlp, load_checkpoint, save_checkpoint
 from margindistill.numerics import Rng, derive_subseed
 from margindistill.teacher import TeacherOracle, calibrate_margins, tabulate
 from margindistill.training import DistillConfig, TeacherTrainConfig
@@ -330,6 +330,16 @@ def test_non_finite_checkpoint_weight_is_format_error(tiny, tmp_path, command, v
     kind = "ckpt" if command == "evaluate" else "table"
     rc, err = _cli_reading(tiny, kind, path, command=command)
     assert rc == 1 and f"{path}: checkpoint weights must be finite" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "calibrate", "distill"])
+def test_checkpoint_of_another_input_dim_is_one_error_line(tiny, tmp_path, command):
+    path = _input(tiny, tmp_path, "ckpt", b"")
+    save_checkpoint(init_mlp((5, 8, 4), True, Rng(0)), path)        # the dataset has 3 inputs
+    # evaluate reads it as io.model, calibrate and distill as io.teacher
+    rc, err = _cli_reading(tiny, "ckpt" if command == "evaluate" else "table", path, command)
+    assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
+    assert "expected input of shape (B, 5), got (" in err
 
 
 def test_checkpoint_teacher_is_tabulated_against_the_dataset(tiny, tmp_path):

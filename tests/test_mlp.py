@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from margindistill.errors import ContractViolation, DegenerateInput, FormatError
 from margindistill.mlp import (
+    EMBED_ROWS,
     MlpModel,
     backward_batch,
+    embed,
     forward_batch,
     init_mlp,
     init_sgd,
@@ -105,6 +107,56 @@ def test_forward_dimension_mismatch():
     model = init_mlp((4, 3), True, Rng(0))
     with pytest.raises(ContractViolation):
         forward(model, [1.0, 2.0])
+    for x in (np.zeros((5, 3)), np.zeros(4), np.zeros((0, 5))):
+        with pytest.raises(ContractViolation):
+            embed(model, x)
+
+
+def _embedding_or_error(f, model, x):
+    try:
+        return f(model, x).tobytes()
+    except DegenerateInput:
+        return DegenerateInput
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.lists(st.integers(1, 48), min_size=2, max_size=4), normalize=st.booleans(),
+       n=st.sampled_from([0, 1, EMBED_ROWS - 1, EMBED_ROWS, EMBED_ROWS + 1,
+                          2 * EMBED_ROWS + 37]),
+       bias=st.sampled_from([0.0, 0.5]), tiny=st.booleans(), zero_row=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_embed_equals_forward_batch_bit_for_bit(dims, normalize, n, bias, tiny, zero_row,
+                                                seed):
+    model = init_mlp(dims, normalize, Rng(seed))
+    rng = np.random.default_rng(seed)
+    for b in model.biases:
+        b[:] = bias * rng.standard_normal(b.shape)
+    x = rng.standard_normal((n, dims[0]))
+    # with zero biases, output rows scale with input rows: the second half of the
+    # rows, which reaches the last block, takes the tiny-norm rescale, and a zero row
+    # has norm 0
+    if tiny:
+        x[n // 2:] *= 1e-160
+    if zero_row and n:
+        x[-1] = 0.0
+    want = _embedding_or_error(lambda m, v: forward_batch(m, v)[0], model, x)
+    assert _embedding_or_error(embed, model, x) == want
+    if zero_row and n and normalize and bias == 0.0:
+        assert want is DegenerateInput
+
+
+def test_embed_rescales_tiny_rows_in_a_later_block():
+    model = init_mlp((3, 64, 4), True, Rng(1))       # zero biases: outputs scale with inputs
+    x = Rng(2).normals(3 * (EMBED_ROWS + 5)).reshape(-1, 3)
+    tiny = x.copy()
+    tiny[EMBED_ROWS + 2] *= 1e-160
+    got = embed(model, tiny)
+    assert got.tobytes() == forward_batch(model, tiny)[0].tobytes()
+    np.testing.assert_allclose(got[EMBED_ROWS + 2], embed(model, x)[EMBED_ROWS + 2],
+                               rtol=0, atol=1e-15)
+    tiny[EMBED_ROWS + 3] = 0.0
+    with pytest.raises(DegenerateInput, match="zero norm"):
+        embed(model, tiny)
 
 
 def test_zero_prenorm_output_raises():

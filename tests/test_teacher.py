@@ -20,7 +20,7 @@ from margindistill.errors import (
     FormatError,
     UnknownSampleError,
 )
-from margindistill.mlp import forward_batch, init_mlp
+from margindistill.mlp import EMBED_ROWS, forward_batch, init_mlp
 from margindistill.numerics import Rng, pairwise_sq_euclidean
 from margindistill.teacher import (
     CalibrationReport,
@@ -226,6 +226,22 @@ def test_tabulate_matches_model_forward():
     want, _ = forward_batch(model, ds.X)
     for i in range(ds.n_samples):
         assert table.embed(int(ds.sample_ids[i])).tobytes() == want[i].tobytes()
+
+
+def test_tabulate_holds_one_block_of_activations():
+    n, width = 4 * EMBED_ROWS, 128
+    ds = IdentityDataset(np.arange(n), np.arange(n) % 16, Rng(5).normals(32 * n).reshape(n, 32))
+    oracle = TeacherOracle.from_model(init_mlp((32, width, width, width, 32), True, Rng(6)))
+    tracemalloc.start()
+    try:
+        table = tabulate(oracle, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.vectors.shape == (n, 32)
+    # one full-batch forward holds 4 layers x n x width float64 (16.8 MB here); blocks
+    # hold the output, a block's input and output, and a few n-vectors for the table
+    assert peak < 8 * (n * 32 + 2 * EMBED_ROWS * width + 8 * n)
 
 
 # ---------------------------------------------------------------------------
