@@ -333,10 +333,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
                "structure_correlation": structure}
     (d / "evaluation.json").write_text(json.dumps(payload, sort_keys=True) + "\n",
                                        encoding="utf-8")
-    with open(d / "roc.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["false_accept_rate", "true_accept_rate"])
-        writer.writerows(report.roc_points)
+    (d / "roc.csv").write_text(_roc_csv(report.roc_points), encoding="utf-8", newline="")
     _write_run_files(d, "evaluate", cfg)
     _read_evaluation(d / "evaluation.json")
     line = f"accuracy {report.best_accuracy:.4f} at threshold {report.best_threshold:.4f}"
@@ -344,6 +341,15 @@ def cmd_evaluate(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
         line += f", structure correlation {structure:.4f}"
     _say(quiet, f"wrote {d / 'evaluation.json'} ({line})")
     return 0
+
+
+def _roc_csv(points: list[tuple[float, float]]) -> str:
+    """roc.csv with ``csv.writer``'s bytes: a header, then one ``far,tar`` row per
+    point, each rate as its repr, every row ending in CRLF.  The rates are counts
+    over class sizes, finite and >= 0, so equal rates share one repr, taken once."""
+    text = {rate: repr(rate) for rate in set().union(*zip(*points))}
+    rows = [f"{text[far]},{text[tar]}" for far, tar in points]
+    return "\r\n".join(["false_accept_rate,true_accept_rate", *rows, ""])
 
 
 def _read_evaluation(path: Path) -> tuple[str, int, float, float | None]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import io
 import itertools
 import json
 import numbers
@@ -116,9 +117,10 @@ class IdentityDataset:
         self._index = IdIndex(self.sample_ids, "dataset")
         self._identities, self._identity_sizes = np.unique(self.labels, return_counts=True)
         self.identity_list = self._identities.tolist()
-        self._rows_by_identity = {
-            ident: np.where(self.labels == ident)[0] for ident in self.identity_list
-        }
+        # each identity's rows, ascending: a stable sort by label, cut at the identity sizes
+        by_identity = np.argsort(self.labels, kind="stable")
+        self._rows_by_identity = dict(zip(self.identity_list, np.split(
+            by_identity, np.cumsum(self._identity_sizes)[:-1])))
 
     @property
     def n_samples(self) -> int:
@@ -368,10 +370,7 @@ def mine_triplets(
     dmat, bound = gram_sq_euclidean(emb)
     order = np.argsort(dmat, axis=1)
     sorted_at = order + row_starts                    # flat positions, each row ascending
-    ranked = dmat.take(sorted_at)
-    with np.errstate(invalid="ignore"):               # inf - inf in rows that fail anyway
-        certified = np.isfinite(ranked[:, -1]) & (np.diff(ranked).min(axis=1) > 2.0 * bound)
-    exact = not certified.all()
+    exact = not _rows_certified(dmat.take(sorted_at), bound)
     if exact:
         dmat = pairwise_sq_euclidean(emb)
         order = np.lexsort((~negative, dmat))         # equal values: negatives first
@@ -394,6 +393,15 @@ def mine_triplets(
         farthest = np.where(negative, dmat, -np.inf).argmax(axis=1)
         n_idx = np.where(violates, n_idx, farthest[a_idx])
     return np.column_stack([a_idx, p_idx, n_idx])
+
+
+def _rows_certified(ranked: np.ndarray, bound: np.ndarray) -> bool:
+    """Whether every ascending row of ``ranked`` has a finite last value and gaps
+    above twice its row's bound.  One flat comparison: a NaN gap or bound fails
+    it, as it fails a row-wise minimum."""
+    with np.errstate(invalid="ignore"):               # inf - inf in rows that fail anyway
+        return bool(np.isfinite(ranked[:, -1]).all()
+                    and (np.diff(ranked) > 2.0 * bound[:, None]).all())
 
 
 def _label_layout(labels: np.ndarray, k: int):
@@ -544,8 +552,23 @@ def _spec_from_header(path, spec) -> HierarchySpec | None:
         raise FormatError(f"{path}: bad header spec: {exc}") from exc
 
 
-def _parse_records(path, lines: list[str], n_declared):
-    """(sample ids, identities, features) of the record lines of a dataset file."""
+TEXT_BLOCK = 1 << 18          # bytes of dataset text decoded and parsed at a time
+
+
+def _text_blocks(path, fh, size: int | None):
+    """The non-blank lines of the rest of binary file ``fh`` as UTF-8 text, one list
+    per block of about ``size`` bytes (None: one block).  A block ends after a
+    newline, so a ``splitlines`` break never spans two and the lines are the
+    whole text's."""
+    while chunk := fh.read() if size is None else fh.read(size) + fh.readline():
+        try:
+            text = chunk.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+        yield [ln for ln in text.splitlines() if ln.strip()]
+
+
+def _record_lists(path, lines: list[str]):
     sample_ids = []
     labels = []
     feats = []
@@ -557,10 +580,10 @@ def _parse_records(path, lines: list[str], n_declared):
             feats.append(rec["x"])
         except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: bad record: {exc}") from exc
-    if len(sample_ids) != n_declared:
-        raise FormatError(
-            f"{path}: header declares {n_declared} samples, found {len(sample_ids)}"
-        )
+    return sample_ids, labels, feats
+
+
+def _record_arrays(path, sample_ids, labels, feats):
     try:
         ids = np.array([sample_ids, labels], dtype=np.int64)
         features = np.array(feats, dtype=np.float64)
@@ -570,33 +593,66 @@ def _parse_records(path, lines: list[str], n_declared):
     return ids[0], ids[1], features
 
 
+def _parse_records(path, blocks, n_declared):
+    """(sample ids, identities, features) of the record lines of a dataset file,
+    given as lists of lines.  A block becomes arrays once the next one is parsed,
+    and the count is checked before the last block becomes arrays: in one block,
+    the checks run in the order of a parse of the whole file at once."""
+    parts = []
+    parsed = ([], [], [])
+    found = 0
+    for lines in filter(None, blocks):
+        if found:
+            parts.append(_record_arrays(path, *parsed))
+        parsed = _record_lists(path, lines)
+        found += len(lines)
+    if found != n_declared:
+        raise FormatError(f"{path}: header declares {n_declared} samples, found {found}")
+    parts.append(_record_arrays(path, *parsed))
+    if len(parts) == 1:
+        return parts[0]
+    try:
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    except ValueError as exc:
+        raise FormatError(f"{path}: records of unequal shape: {exc}") from exc
+
+
 def load_dataset_jsonl(path) -> IdentityDataset:
     """The dataset in JSON-lines file ``path``.  A companion whose digest matches
-    the file's bytes supplies the arrays; otherwise the records are parsed."""
+    the file's bytes supplies the arrays; otherwise the records are parsed, one
+    ``TEXT_BLOCK`` of text at a time."""
+    try:
+        return _load_dataset(path, TEXT_BLOCK)
+    except FormatError:
+        # blocks meet faults in another order than one parse of the whole file, which
+        # decodes all of it first and parses every record before it converts any;
+        # parsing a faulty file once more in one block raises that parse's error
+        return _load_dataset(path, None)
+
+
+def _load_dataset(path, block: int | None) -> IdentityDataset:
     # with a companion the bytes are save_dataset_jsonl's, so the header line is enough
-    blob, arrays = _companion_arrays(path) or (Path(path).read_bytes(), None)
-    try:
-        lines = [ln for ln in blob.decode("utf-8").splitlines() if ln.strip()]
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
-    del blob                          # the lines hold the text: parse with one copy of it
-    if not lines:
-        raise FormatError(f"{path}: empty dataset file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: bad header line: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: header line must be a JSON object")
-    try:
-        counts = tuple(json_field(header[k], int) for k in ("input_dim", "n_samples",
-                                                            "n_identities"))
-        seed = None if header.get("seed") is None else json_field(header["seed"], int)
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: the header needs integer input_dim, n_samples and "
-                          f"n_identities, and an integer or null seed: {exc}") from exc
-    if arrays is None:
-        arrays = _parse_records(path, lines[1:], counts[1])
+    header_line, arrays = _companion_arrays(path) or (None, None)
+    with io.BytesIO(header_line) if arrays is not None else open(path, "rb") as fh:
+        blocks = _text_blocks(path, fh, block)
+        lines = next(filter(None, blocks), None)
+        if lines is None:
+            raise FormatError(f"{path}: empty dataset file")
+        try:
+            header = json.loads(lines[0])
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: bad header line: {exc}") from exc
+        if not isinstance(header, dict):
+            raise FormatError(f"{path}: header line must be a JSON object")
+        try:
+            counts = tuple(json_field(header[k], int) for k in ("input_dim", "n_samples",
+                                                                "n_identities"))
+            seed = None if header.get("seed") is None else json_field(header["seed"], int)
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"{path}: the header needs integer input_dim, n_samples and "
+                              f"n_identities, and an integer or null seed: {exc}") from exc
+        if arrays is None:
+            arrays = _parse_records(path, itertools.chain([lines[1:]], blocks), counts[1])
     ds = IdentityDataset(
         sample_ids=arrays[0],
         labels=arrays[1],

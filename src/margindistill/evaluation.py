@@ -15,6 +15,7 @@ matrices; ranks use the average convention for ties.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,9 +194,31 @@ def centroid_distance_matrix(
     with a zero diagonal.
     """
     emb = _embeddings_for(embedder, ds, np.arange(ds.n_samples))
-    idents = ds.identity_list
-    centroids = np.stack([emb[ds.rows_of(i)].mean(axis=0) for i in idents])
-    return idents, pairwise_sq_euclidean(centroids)
+    return ds.identity_list, pairwise_sq_euclidean(_identity_means(emb, ds.labels))
+
+
+def _identity_means(emb: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Row i: the mean of ``emb`` over the rows of the i-th smallest label, equal to
+    ``emb[rows].mean(axis=0)`` bit for bit.
+
+    The identities of one size are gathered into one (identities, size, dim)
+    block and reduced over its middle axis, which adds each identity's rows in
+    ascending order as the per-identity mean does.  Padding unequal sizes into
+    one block would not be exact: numpy sums a length-1 ``dim`` pairwise, and
+    padding changes the pairing.  A generated dataset has one size and sorted
+    labels, so its block is ``emb`` itself, reshaped.
+    """
+    _, sizes = np.unique(labels, return_counts=True)
+    if sizes.min() == sizes.max() and np.all(labels[:-1] <= labels[1:]):
+        return emb.reshape(sizes.size, sizes[0], emb.shape[1]).mean(axis=1)
+    order = np.argsort(labels, kind="stable")         # each identity's rows, ascending
+    starts = np.cumsum(sizes) - sizes
+    means = np.empty((sizes.size, emb.shape[1]), dtype=np.float64)
+    for size in np.unique(sizes).tolist():
+        of_size = np.flatnonzero(sizes == size)
+        rows = order[starts[of_size, None] + np.arange(size)]
+        means[of_size] = emb[rows].mean(axis=1)
+    return means
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -244,11 +267,25 @@ def structure_correlation(teacher_matrix: np.ndarray, student_matrix: np.ndarray
 # pair file format: JSON lines {a, b, same}
 # ---------------------------------------------------------------------------
 
+# json.dumps's bytes for {"a": int, "b": int, "same": bool}; [0-9], because \d also
+# takes the other Unicode digits, which JSON does not
+_PAIR_ID = r"(-?(?:0|[1-9][0-9]*))"
+_CANONICAL_PAIR = re.compile(rf'\{{"a": {_PAIR_ID}, "b": {_PAIR_ID}, "same": (true|false)\}}')
+
+
 def load_pairs_jsonl(path) -> PairSet:
+    """The pairs of JSON-lines file ``path``.  A line with ``json.dumps``'s exact
+    bytes is read by one regular expression; any other line is decoded as JSON,
+    so both kinds give the same pairs and the same errors."""
     a_ids = []
     b_ids = []
     same = []
     for ln in read_text(path).splitlines():
+        if match := _CANONICAL_PAIR.fullmatch(ln):
+            a_ids.append(int(match[1]))
+            b_ids.append(int(match[2]))
+            same.append(match[3] == "true")
+            continue
         if not ln.strip():
             continue
         try:

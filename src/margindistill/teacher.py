@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -137,7 +137,8 @@ class CalibrationReport:
     triplets: list[tuple[int, int, int]] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        # the fields as they are: asdict would deep-copy every d value and triplet
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)})
 
     @classmethod
     def from_json(cls, text: str) -> "CalibrationReport":

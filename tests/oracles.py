@@ -6,13 +6,20 @@ from brute-force enumeration.  The last section is the exception: it keeps
 earlier library implementations that faster code must match bit for bit.
 """
 
+import csv
+import io
 import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 
-from margindistill.data import IdentityDataset, mine_triplets, sample_pk_batch
+from margindistill import data
+from margindistill.data import (IdentityDataset, json_field, mine_triplets, read_text,
+                                sample_pk_batch)
+from margindistill.errors import FormatError
+from margindistill.evaluation import PairSet
 from margindistill.loss import batch_loss
 from margindistill.mlp import backward_batch, forward_batch, init_sgd, sgd_step
 from margindistill.numerics import Rng, pairwise_sq_euclidean
@@ -413,3 +420,96 @@ def loop_build_pairs(ds, n_pos, n_neg, rng):
     collect(n_pos, True)
     collect(n_neg, False)
     return np.array(a_ids), np.array(b_ids), np.array(same)
+
+
+def per_record_load_pairs(path):
+    """load_pairs_jsonl with json.loads and json_field on every line."""
+    a_ids = []
+    b_ids = []
+    same = []
+    for ln in read_text(path).splitlines():
+        if not ln.strip():
+            continue
+        try:
+            rec = json.loads(ln)
+            a_ids.append(json_field(rec["a"], int))
+            b_ids.append(json_field(rec["b"], int))
+            same.append(json_field(rec["same"], bool))
+        except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: bad pair record: {exc}") from exc
+    if not a_ids:
+        raise FormatError(f"{path}: empty pair file")
+    try:
+        ids = np.array([a_ids, b_ids], dtype=np.int64)
+    except OverflowError as exc:
+        raise FormatError(f"{path}: pair ids must fit in int64: {exc}") from exc
+    return PairSet(a_ids=ids[0], b_ids=ids[1], same=np.array(same))
+
+
+def whole_text_load_dataset(path):
+    """load_dataset_jsonl's text path as one parse of the whole file: decode it
+    all, split it into lines, parse every record, then count and convert."""
+    try:
+        lines = [ln for ln in Path(path).read_bytes().decode("utf-8").splitlines()
+                 if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    if not lines:
+        raise FormatError(f"{path}: empty dataset file")
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: bad header line: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header line must be a JSON object")
+    try:
+        counts = tuple(json_field(header[k], int) for k in ("input_dim", "n_samples",
+                                                            "n_identities"))
+        seed = None if header.get("seed") is None else json_field(header["seed"], int)
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"{path}: the header needs integer input_dim, n_samples and "
+                          f"n_identities, and an integer or null seed: {exc}") from exc
+    sample_ids, labels, feats = [], [], []
+    for ln in lines[1:]:
+        try:
+            rec = json.loads(ln)
+            sample_ids.append(json_field(rec["sample"], int))
+            labels.append(json_field(rec["identity"], int))
+            feats.append(rec["x"])
+        except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: bad record: {exc}") from exc
+    if len(sample_ids) != counts[1]:
+        raise FormatError(f"{path}: header declares {counts[1]} samples, found "
+                          f"{len(sample_ids)}")
+    try:
+        ids = np.array([sample_ids, labels], dtype=np.int64)
+        features = np.array(feats, dtype=np.float64)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: ids must fit in int64 and x must be equal-length "
+                          f"number lists: {exc}") from exc
+    ds = IdentityDataset(sample_ids=ids[0], labels=ids[1], features=features,
+                         spec=data._spec_from_header(path, header.get("spec")), seed=seed)
+    if (ds.input_dim, ds.n_samples, ds.n_identities) != counts:
+        raise FormatError(f"{path}: header counts disagree with records")
+    return ds
+
+
+def certified_row_by_row(ranked, bound):
+    """mine_triplets' certification as a row-wise minimum of the gaps."""
+    with np.errstate(invalid="ignore"):
+        certified = np.isfinite(ranked[:, -1]) & (np.diff(ranked).min(axis=1) > 2.0 * bound)
+    return bool(certified.all())
+
+
+def per_identity_means(emb, labels):
+    """Each identity's mean embedding, one ``mean`` per identity."""
+    return np.stack([emb[labels == ident].mean(axis=0) for ident in np.unique(labels)])
+
+
+def csv_writer_roc(points):
+    """roc.csv's text as csv.writer writes it."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["false_accept_rate", "true_accept_rate"])
+    writer.writerows(points)
+    return fh.getvalue()

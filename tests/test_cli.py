@@ -15,14 +15,14 @@ from hypothesis import given, settings, strategies as st
 from margindistill import cli, data
 from margindistill.cli import load_config, main
 from margindistill.data import HierarchySpec, load_dataset_jsonl
-from margindistill.evaluation import build_pairs
+from margindistill.evaluation import build_pairs, threshold_sweep
 from margindistill.loss import MarginConfig
 from margindistill.mlp import init_mlp, load_checkpoint, save_checkpoint
 from margindistill.numerics import Rng, derive_subseed
 from margindistill.teacher import TeacherOracle, calibrate_margins, tabulate
 from margindistill.training import DistillConfig, TeacherTrainConfig
 
-from oracles import save_pairs_jsonl
+from oracles import csv_writer_roc, save_pairs_jsonl
 
 SMALL_CONFIG = """
 # small pipeline config for tests
@@ -745,3 +745,17 @@ def test_gen_data_reload_parses_the_text_over_an_earlier_companion(tmp_path, mon
     monkeypatch.setattr(data, "_parse_records", lambda *a: parsed.append(1) or parse(*a))
     assert main(["gen-data", "--config", config, "--out", str(out), "--quiet"]) == 0
     assert parsed == [1] and companion.read_bytes() == first
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_pos=st.integers(0, 40), n_neg=st.integers(0, 40), levels=st.integers(1, 50),
+       seed=st.integers(0, 2**32 - 1))
+def test_roc_csv_is_what_csv_writer_writes(n_pos, n_neg, levels, seed):
+    """The same text as csv.writer for the rates of any sweep, ties and an empty
+    class (rates 0.0) included."""
+    gen = np.random.default_rng(seed)
+    size = max(n_pos + n_neg, 1)
+    distances = gen.integers(0, levels, size) / levels              # ties when levels < size
+    same = np.arange(size) < n_pos
+    points = threshold_sweep(distances, same).roc_points
+    assert cli._roc_csv(points) == csv_writer_roc(points)

@@ -1,5 +1,7 @@
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -22,6 +24,7 @@ from margindistill.errors import (
     CapacityError,
     ContractViolation,
     FormatError,
+    MarginDistillError,
     NoTripletsError,
 )
 from margindistill.numerics import Rng, pairwise_sq_euclidean
@@ -29,8 +32,10 @@ from margindistill.numerics import Rng, pairwise_sq_euclidean
 from oracles import (
     brute_force_all_triplets,
     brute_force_semi_hard,
+    certified_row_by_row,
     nested_loop_generate,
     per_anchor_mining,
+    whole_text_load_dataset,
 )
 
 
@@ -256,6 +261,25 @@ def test_semi_hard_picks_violators_at_inf():
     np.testing.assert_array_equal(tri, [[0, 1, 2], [1, 0, 2], [2, 3, 0], [3, 2, 1]])
 
 
+_EDGE_VALUES = [0.0, -0.0, 1.0, 1.0 + 2**-52, 2.0, 1e-300, 1e300, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 6), width=st.integers(2, 8), sort=st.booleans(), data_=st.data())
+def test_flat_certification_equals_the_row_wise_minimum(rows, width, sort, data_):
+    """One flat comparison certifies exactly the batches the row-wise minimum
+    does, on rows with NaN, +-inf and ties (values drawn from a short list)."""
+    value = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(allow_nan=True))
+    ranked = np.array(data_.draw(st.lists(value, min_size=rows * width,
+                                          max_size=rows * width))).reshape(rows, width)
+    bound = np.array(data_.draw(st.lists(st.one_of(st.sampled_from(_EDGE_VALUES[:6]), value),
+                                         min_size=rows, max_size=rows)))
+    if sort:
+        ranked = np.sort(ranked, axis=1)
+    with np.errstate(over="ignore"):                  # twice a bound past 9e307
+        assert data._rows_certified(ranked, bound) == certified_row_by_row(ranked, bound)
+
+
 @st.composite
 def _pk_cases(draw):
     """A PK batch (identity-major or shuffled, k may be 1), embeddings of dim
@@ -452,6 +476,68 @@ def test_companion_load_equals_text_load(tmp_path, monkeypatch, shape):
     # file (4.2 MB for the 6400x32 set); 0.5 MiB for the dataset's indexes
     assert peak < 8 * ds.n_samples * (2 + ds.input_dim) + (3 << 19)
     assert fast.X.flags.writeable and fast.identity_list == text.identity_list
+
+
+def test_text_load_holds_one_block_of_records(tmp_path):
+    ds = generate_hierarchical(HierarchySpec(n_superclusters=8, identities_per_supercluster=16,
+                                             samples_per_identity=50, input_dim=32, seed=11))
+    path = tmp_path / "ds.jsonl"
+    save_dataset_jsonl(ds, path)
+    tracemalloc.start()
+    try:
+        text = load_dataset_jsonl(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _bits(text) == _bits(ds)
+    # each block's arrays and their concatenation, plus about two blocks of text,
+    # lines and records (the whole 4.2 MB file at once traced 14.0 MB)
+    arrays = 8 * ds.n_samples * (2 + ds.input_dim)
+    assert peak < 2 * arrays + (3 << 19)
+
+
+_FAULTS = {
+    "bad utf-8": b"\xff\xfe",
+    "not json": b"{not json",
+    "wide x": b'{"sample": 90, "identity": 0, "x": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}',
+    "scalar x": b'{"sample": 91, "identity": 0, "x": 1.5}',
+    "huge id": b'{"sample": 99999999999999999999, "identity": 0, "x": [1, 2, 3, 4, 5]}',
+    "bool id": b'{"sample": true, "identity": 0, "x": [1, 2, 3, 4, 5]}',
+    "repeated id": b'{"sample": 0, "identity": 0, "x": [1, 2, 3, 4, 5]}',
+    "inf x": b'{"sample": 92, "identity": 0, "x": [1e999, 2, 3, 4, 5]}',
+    "split record": b'{"sample": 93, "identity": 0,\n "x": [1, 2, 3, 4, 5]}',
+    "u2028 in record": '{"sample": 94, "identity": 0,\u2028"x": [1, 2, 3, 4, 5]}'.encode(),
+    "blank": b"  \t",
+    "bad header": b"[1, 2]",
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(sorted(_FAULTS)), st.integers(0, 30),
+                                st.booleans()), max_size=3),
+       ending=st.sampled_from([b"\n", b"\r\n", b"\r"]), block=st.integers(1, 400),
+       drop=st.integers(0, 2))
+def test_text_load_in_blocks_equals_one_parse_of_the_whole_file(edits, ending, block, drop):
+    """Blocks give the arrays, or the error, of one parse of the whole text."""
+    ds = generate_hierarchical(small_spec(samples_per_identity=5))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ds.jsonl"
+        save_dataset_jsonl(ds, path)
+        lines = path.read_bytes().splitlines()[:len(ds.sample_ids) + 1 - drop]
+        for fault, at, replace in edits:              # replace line ``at``, or insert there
+            at = min(at, len(lines) - replace)
+            lines[at:at + replace] = [_FAULTS[fault]]
+        path.write_bytes(b"".join(line + ending for line in lines))
+        results = []
+        with mock.patch.object(data, "TEXT_BLOCK", block), \
+                mock.patch.object(data, "_load_dataset", wraps=data._load_dataset) as loads:
+            for load in (load_dataset_jsonl, whole_text_load_dataset):
+                try:
+                    results.append(_bits(load(path)))
+                except MarginDistillError as exc:
+                    results.append((type(exc), str(exc)))
+    assert results[0] == results[1]
+    assert loads.call_count == (2 if results[0][0] is FormatError else 1)   # a retry only then
 
 
 def test_stale_companion_falls_back_to_the_text(tmp_path):

@@ -1,3 +1,7 @@
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +19,7 @@ from margindistill.errors import (
 )
 from margindistill.evaluation import (
     PairSet,
+    _identity_means,
     build_pairs,
     centroid_distance_matrix,
     load_pairs_jsonl,
@@ -31,7 +36,9 @@ from oracles import (
     brute_force_sweep,
     exhaustive_sweep_best_accuracy,
     loop_build_pairs,
+    per_identity_means,
     per_pair_centroid_matrix,
+    per_record_load_pairs,
     save_pairs_jsonl,
     sq_euclidean,
     unit_vector,
@@ -322,6 +329,22 @@ def test_structure_correlation_equals_per_pair_dot_centroids():
         assert structure_correlation(*got) == structure_correlation(*want)
 
 
+@settings(max_examples=200, deadline=None)
+@given(n_ident=st.integers(1, 12), dim=st.sampled_from([1, 2, 3, 16, 32]),
+       sizes=st.one_of(st.integers(1, 40), st.lists(st.integers(1, 20), min_size=12,
+                                                    max_size=12)),
+       shuffle=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_identity_means_equal_per_identity_means(n_ident, dim, sizes, shuffle, seed):
+    """Bit for bit, for one size or several, labels sorted or not, dim 1 included."""
+    gen = np.random.default_rng(seed)
+    counts = [sizes] * n_ident if isinstance(sizes, int) else sizes[:n_ident]
+    labels = np.repeat(3 * np.arange(n_ident) - 5, counts)
+    if shuffle:
+        labels = gen.permutation(labels)
+    emb = gen.normal(size=(labels.size, dim)) * 10.0 ** gen.integers(-3, 4)
+    assert _identity_means(emb, labels).tobytes() == per_identity_means(emb, labels).tobytes()
+
+
 def test_structure_correlation_identical_and_reversed():
     rng = Rng(51)
     n = 6
@@ -393,3 +416,55 @@ def test_pairs_jsonl_roundtrip(tmp_path):
     (tmp_path / "bad.jsonl").write_text("{}\n")
     with pytest.raises(FormatError):
         load_pairs_jsonl(tmp_path / "bad.jsonl")
+
+
+_IDS = st.one_of(st.integers(-5, 50), st.sampled_from([
+    10**17, 10**18 - 1, 10**18, 2**63 - 1, 2**63, -2**63, -2**63 - 1, 10**30]))
+
+
+def _canonical(a, b, same):
+    return json.dumps({"a": a, "b": b, "same": same})
+
+
+_PAIR_LINES = st.one_of(
+    st.builds(_canonical, _IDS, _IDS, st.booleans()),
+    st.builds(lambda a, b, s: f'{{"a":{a},"b":{b},"same":{s}}}', _IDS, _IDS,
+              st.sampled_from(["true", "false"])),                      # no spaces
+    st.builds(lambda line, pad: pad + line + pad,
+              st.builds(_canonical, _IDS, _IDS, st.booleans()),
+              st.sampled_from([" ", "  ", "\t"])),                        # extra spaces
+    st.sampled_from([
+        "", "   ",                                                      # blank lines
+        '{"a": -0, "b": 1, "same": true}', '{"a": 1.0, "b": 2, "same": true}',
+        '{"a": "1", "b": 2, "same": true}', '{"a": 1, "b": 2, "same": 1}',
+        '{"a": true, "b": 2, "same": false}', '{"a": 01, "b": 2, "same": false}',
+        '{"a": 1, "b": 2, "same": True}', '{"a": 1\u0661, "b": 2, "same": true}',
+        '{"a": 1, "a": 7, "b": 2, "same": true}',                       # duplicate key
+        '{"a": 1, "b": 2, "same": true, "z": 0}',                       # extra key
+        '{"b": 2, "a": 1, "same": true}', '{"a": 1, "b": 2}',
+        '[1, 2, true]', '5', 'null', '"x"', '{"a": 1, "b": 2, "same": true',
+        '{"a": 1, "b": 2,', ' "same": true}',                           # a split record
+        '{"a": 1, "b": 2, "same": true, "z": [1', '2]}',
+        '{"a": 1, "b": 2, "same": true}{"a": 3, "b": 4, "same": false}',
+    ]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_PAIR_LINES, max_size=8),
+       ending=st.sampled_from(["\n", "\r\n", "\r", "\u2028"]), last=st.booleans())
+def test_pair_loader_equals_per_record_json(lines, ending, last):
+    """The same PairSet, or a FormatError with the same text, as json.loads and
+    json_field on every line."""
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.jsonl"
+        path.write_bytes((ending.join(lines) + (ending if last else "")).encode("utf-8"))
+        for load in (load_pairs_jsonl, per_record_load_pairs):
+            try:
+                got = load(path)
+                results.append((got.a_ids.dtype, got.a_ids.tobytes(), got.b_ids.tobytes(),
+                                got.same.dtype, got.same.tobytes()))
+            except FormatError as exc:
+                results.append(str(exc))
+    assert results[0] == results[1]

@@ -1,7 +1,9 @@
 import hashlib
+import json
 import math
 import struct
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -334,6 +336,7 @@ def test_calibration_report_json_roundtrip():
     )
     back = CalibrationReport.from_json(report.to_json())
     assert back == report
+    assert report.to_json() == json.dumps(asdict(report))
     with pytest.raises(FormatError):
         CalibrationReport.from_json("{}")
 
