@@ -69,7 +69,8 @@ class HierarchySpec:
 
 
 class IdIndex:
-    """Positions of unique sample ids, looked up a whole id array at a time."""
+    """Positions of unique sample ids, looked up a whole id array at a time.
+    Ids that fill a range, as generated datasets' do, are found by subtraction."""
 
     def __init__(self, ids: np.ndarray, where: str):
         if ids.size == 0:
@@ -79,11 +80,16 @@ class IdIndex:
         self._where = where
         if np.any(self._sorted[1:] == self._sorted[:-1]):
             raise ContractViolation(f"duplicate sample id in {where}")
+        self._range = int(self._sorted[-1]) - int(self._sorted[0]) == ids.size - 1
 
     def positions(self, ids) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64)
-        at = np.minimum(np.searchsorted(self._sorted, ids), self._sorted.size - 1)
-        missing = self._sorted[at] != ids
+        if self._range:
+            missing = (ids < self._sorted[0]) | (ids > self._sorted[-1])
+            at = ids - self._sorted[0]                    # in range wherever not missing
+        else:
+            at = np.minimum(np.searchsorted(self._sorted, ids), self._sorted.size - 1)
+            missing = self._sorted[at] != ids
         if np.any(missing):
             raise UnknownSampleError(f"sample id {ids[missing][0]} not in {self._where}")
         return self._order[at]

@@ -26,6 +26,7 @@ from margindistill.errors import (
     FormatError,
     MarginDistillError,
     NoTripletsError,
+    UnknownSampleError,
 )
 from margindistill.numerics import Rng, pairwise_sq_euclidean
 
@@ -116,6 +117,34 @@ def test_hierarchy_intra_supercluster_identities_are_closer():
     iu = np.triu_indices(centers.shape[0], 1)
     same = sc[iu[0]] == sc[iu[1]]
     assert dmat[iu][same].mean() < dmat[iu][~same].mean()
+
+
+_EXTREME_IDS = [-2**63, -2**63 + 1, -1, 0, 1, 2**62, 2**63 - 2, 2**63 - 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.one_of(st.integers(-50, 50), st.sampled_from(_EXTREME_IDS)),
+       size=st.integers(1, 40), gap=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       extra=st.lists(st.one_of(st.integers(-60, 100), st.sampled_from(_EXTREME_IDS)),
+                      max_size=5))
+def test_id_index_finds_the_position_of_every_id(start, size, gap, seed, extra):
+    """Ids filling a range (found by subtraction) or not (binary search), in any
+    order: every known id maps to its position, and the first unknown one raises."""
+    gen = np.random.default_rng(seed)
+    start = min(start, 2**63 - size - 1)
+    ids = np.arange(start, start + size + gap, dtype=np.int64)
+    if gap:
+        ids = np.delete(ids, int(gen.integers(1, size)) if size > 1 else 0)
+    ids = gen.permutation(ids)
+    index = data.IdIndex(ids, "the test")
+    position = {int(i): p for p, i in enumerate(ids)}
+    queries = np.array(list(gen.choice(ids, 8)) + extra, dtype=np.int64)
+    unknown = [int(q) for q in queries if int(q) not in position]
+    if unknown:
+        with pytest.raises(UnknownSampleError, match=f"sample id {unknown[0]} not in"):
+            index.positions(queries)
+    else:
+        assert index.positions(queries).tolist() == [position[int(q)] for q in queries]
 
 
 def test_dataset_invariants_enforced():
