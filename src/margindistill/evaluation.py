@@ -205,12 +205,9 @@ def _identity_means(emb: np.ndarray, labels: np.ndarray) -> np.ndarray:
     block and reduced over its middle axis, which adds each identity's rows in
     ascending order as the per-identity mean does.  Padding unequal sizes into
     one block would not be exact: numpy sums a length-1 ``dim`` pairwise, and
-    padding changes the pairing.  A generated dataset has one size and sorted
-    labels, so its block is ``emb`` itself, reshaped.
+    padding changes the pairing.  A generated dataset has one size, so one block.
     """
     _, sizes = np.unique(labels, return_counts=True)
-    if sizes.min() == sizes.max() and np.all(labels[:-1] <= labels[1:]):
-        return emb.reshape(sizes.size, sizes[0], emb.shape[1]).mean(axis=1)
     order = np.argsort(labels, kind="stable")         # each identity's rows, ascending
     starts = np.cumsum(sizes) - sizes
     means = np.empty((sizes.size, emb.shape[1]), dtype=np.float64)
