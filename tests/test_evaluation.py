@@ -426,6 +426,15 @@ def _canonical(a, b, same):
     return json.dumps({"a": a, "b": b, "same": same})
 
 
+# a line shaped like json.dumps's, with an id that JSON reads (or refuses) in another way
+# (19 digits or more, inside int64 or not), and ids of at most 18 digits for the others
+_ODD_ID = st.sampled_from(["-0", "01", "00", "-01", "+1", "1.0", "1e3", "\u0661", "1\u0661",
+                           "1_0", " 1", str(10**18), str(2**63 - 1), str(2**63), str(10**30)])
+_SHORT_IDS = st.one_of(st.integers(-50, 50), st.sampled_from([10**18 - 1, 1 - 10**18]))
+_SHAPED_LINE = st.builds(lambda a, b, same: f'{{"a": {a}, "b": {b}, "same": {same}}}',
+                         _ODD_ID, _SHORT_IDS, st.sampled_from(["true", "false"]))
+
+
 _PAIR_LINES = st.one_of(
     st.builds(_canonical, _IDS, _IDS, st.booleans()),
     st.builds(lambda a, b, s: f'{{"a":{a},"b":{b},"same":{s}}}', _IDS, _IDS,
@@ -450,16 +459,31 @@ _PAIR_LINES = st.one_of(
 )
 
 
+@st.composite
+def _pair_files(draw):
+    """A pair file's text: json.dumps's lines, each ending in a newline, perhaps with
+    one odd line among them, or any of the lines above with one of the line ends
+    str.splitlines knows."""
+    if draw(st.booleans()):
+        lines = draw(st.lists(st.builds(_canonical, _SHORT_IDS, _SHORT_IDS, st.booleans()),
+                              max_size=8))
+        odd = draw(st.lists(_SHAPED_LINE, max_size=1))
+        at = draw(st.integers(0, len(lines)))
+        return "".join(f"{line}\n" for line in lines[:at] + odd + lines[at:])
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r", "\u2028"]))
+    text = ending.join(draw(st.lists(_PAIR_LINES, max_size=8)))
+    return text + ending if draw(st.booleans()) else text
+
+
 @settings(max_examples=300, deadline=None)
-@given(lines=st.lists(_PAIR_LINES, max_size=8),
-       ending=st.sampled_from(["\n", "\r\n", "\r", "\u2028"]), last=st.booleans())
-def test_pair_loader_equals_per_record_json(lines, ending, last):
+@given(text=_pair_files())
+def test_pair_loader_equals_per_record_json(text):
     """The same PairSet, or a FormatError with the same text, as json.loads and
-    json_field on every line."""
+    json_field on every line (a file of json.dumps's lines is read as numbers)."""
     results = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "pairs.jsonl"
-        path.write_bytes((ending.join(lines) + (ending if last else "")).encode("utf-8"))
+        path.write_bytes(text.encode("utf-8"))
         for load in (load_pairs_jsonl, per_record_load_pairs):
             try:
                 got = load(path)
