@@ -281,7 +281,7 @@ def load_pairs_jsonl(path) -> PairSet:
         numbers = (text.replace('{"a": ', "").replace(', "b": ', " ")
                    .replace(', "same": true}', " 1").replace(', "same": false}', " 0"))
         a_ids, b_ids, same = np.fromstring(numbers, dtype=np.int64, sep=" ").reshape(-1, 3).T
-        return PairSet(a_ids=a_ids.copy(), b_ids=b_ids.copy(), same=same == 1)
+        return PairSet(a_ids=a_ids, b_ids=b_ids, same=same == 1)
     a_ids = []
     b_ids = []
     same = []
