@@ -16,6 +16,7 @@ import csv
 import hashlib
 import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -24,9 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, evaluation
-from .data import (HierarchySpec, IdentityDataset, companion_path, generate_hierarchical,
-                   json_field, load_dataset_jsonl, read_text, save_dataset_companion,
-                   save_dataset_jsonl)
+from .data import (HierarchySpec, IdentityDataset, generate_hierarchical, json_field,
+                   load_dataset_jsonl, read_text, save_dataset_companion, save_dataset_jsonl)
 from .errors import FormatError, MarginDistillError
 from .loss import MarginConfig
 from .mlp import CHECKPOINT_MAGIC, init_mlp, load_checkpoint, save_checkpoint
@@ -60,53 +60,35 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-# key -> (parser, default, help); keys of config-class fields take the field's default
+_PARSERS = {"int": int, "float": float, "str": str, "tuple[int, ...]": _parse_ints}
+_KEY_NAMES = {"p": "batch_p", "k": "batch_k"}     # config field -> key name, where they differ
+# fields with no key: the seeds and the margin a command sets itself, and floor_pairs
+_NOT_KEYS = {"data.seed", "distill.margin", "distill.seed", "teacher.floor_pairs"}
+
+# key -> (parser, default); a config-class field's key takes its type and default
 CONFIG_KEYS: dict[str, tuple] = {
-    "run.label": (str, "run", "label attached to evaluation reports"),
-    "run.seed": (int, 0, "master seed; stages derive labeled sub-seeds"),
-    "data.n_superclusters": (int, HierarchySpec.n_superclusters,
-                             "superclusters in the synthetic hierarchy"),
-    "data.identities_per_supercluster": (int, HierarchySpec.identities_per_supercluster,
-                                         "identities per supercluster"),
-    "data.samples_per_identity": (int, HierarchySpec.samples_per_identity, "samples per identity"),
-    "data.input_dim": (int, HierarchySpec.input_dim, "feature dimension"),
-    "data.supercluster_spread": (float, HierarchySpec.supercluster_spread,
-                                 "supercluster center scale"),
-    "data.identity_spread": (float, HierarchySpec.identity_spread, "identity center noise scale"),
-    "data.sample_noise": (float, HierarchySpec.sample_noise, "per-sample noise scale"),
-    "teacher.hidden_dims": (_parse_ints, TeacherTrainConfig.hidden_dims, "teacher hidden layers"),
-    "teacher.embed_dim": (int, TeacherTrainConfig.embed_dim, "teacher embedding dimension"),
-    "teacher.margin": (float, TeacherTrainConfig.margin, "fixed margin for teacher pre-training"),
-    "teacher.learning_rate": (float, TeacherTrainConfig.learning_rate,
-                              "teacher SGD learning rate"),
-    "teacher.momentum": (float, TeacherTrainConfig.momentum, "teacher SGD momentum"),
-    "teacher.iterations": (int, TeacherTrainConfig.iterations, "teacher training iterations"),
-    "teacher.batch_p": (int, TeacherTrainConfig.p, "identities per teacher batch"),
-    "teacher.batch_k": (int, TeacherTrainConfig.k, "samples per identity per teacher batch"),
-    "teacher.mining": (str, TeacherTrainConfig.mining, "teacher mining strategy"),
-    "teacher.accuracy_floor": (float, TeacherTrainConfig.accuracy_floor,
-                               "warn if teacher accuracy is below this"),
-    "student.hidden_dims": (_parse_ints, (32, 32), "student hidden layers"),
-    "student.embed_dim": (int, 16, "student embedding dimension"),
-    "distill.margin_mode": (str, "dynamic", "fixed | dynamic"),
-    "distill.m": (float, 0.3, "fixed-mode margin"),
-    "distill.m_min": (float, 0.6, "dynamic-mode lower margin bound"),
-    "distill.m_max": (float, 1.8, "dynamic-mode upper margin bound"),
-    "distill.use_calibration": (_parse_bool, False, "take margin bounds from io.calibration"),
-    "distill.learning_rate": (float, DistillConfig.learning_rate, "student SGD learning rate"),
-    "distill.momentum": (float, DistillConfig.momentum, "student SGD momentum"),
-    "distill.iterations": (int, DistillConfig.iterations, "distillation iterations"),
-    "distill.batch_p": (int, DistillConfig.p, "identities per distillation batch"),
-    "distill.batch_k": (int, DistillConfig.k, "samples per identity per distillation batch"),
-    "distill.mining": (str, DistillConfig.mining, "distillation mining strategy"),
-    "calibrate.n_triplets": (int, 1000, "triplets sampled for calibration"),
-    "eval.n_pos": (int, 300, "positive verification pairs"),
-    "eval.n_neg": (int, 300, "negative verification pairs"),
-    "io.dataset": (str, "", "path to a dataset .jsonl"),
-    "io.teacher": (str, "", "path to a teacher checkpoint or embedding table"),
-    "io.calibration": (str, "", "path to a calibration report .json"),
-    "io.model": (str, "", "path to the model to evaluate (checkpoint or table)"),
-    "io.pairs": (str, "", "optional path to a pair .jsonl (else pairs are sampled)"),
+    "run.label": (str, "run"),
+    "run.seed": (int, 0),
+    **{key: (_PARSERS[f.type], f.default)
+       for section, cls in (("data", HierarchySpec), ("teacher", TeacherTrainConfig),
+                            ("distill", DistillConfig))
+       for f in fields(cls)
+       if (key := f"{section}.{_KEY_NAMES.get(f.name, f.name)}") not in _NOT_KEYS},
+    "student.hidden_dims": (_parse_ints, (32, 32)),
+    "student.embed_dim": (int, 16),
+    "distill.margin_mode": (str, "dynamic"),     # fixed | dynamic
+    "distill.m": (float, 0.3),                   # fixed-mode margin
+    "distill.m_min": (float, 0.6),               # dynamic-mode margin bounds
+    "distill.m_max": (float, 1.8),
+    "distill.use_calibration": (_parse_bool, False),   # take the bounds from io.calibration
+    "calibrate.n_triplets": (int, 1000),
+    "eval.n_pos": (int, 300),
+    "eval.n_neg": (int, 300),
+    "io.dataset": (str, ""),
+    "io.teacher": (str, ""),        # a teacher checkpoint or embedding table
+    "io.calibration": (str, ""),
+    "io.model": (str, ""),          # the model to evaluate: a checkpoint or table
+    "io.pairs": (str, ""),          # a pair .jsonl; if empty, pairs are sampled
 }
 
 
@@ -133,7 +115,7 @@ class ExperimentConfig:
 
 
 def load_config(path: str | None, seed_override: int | None = None) -> ExperimentConfig:
-    values = {key: default for key, (_, default, _) in CONFIG_KEYS.items()}
+    values = {key: default for key, (_, default) in CONFIG_KEYS.items()}
     if path is not None:
         text = read_text(path, ConfigError)
         set_on: dict[str, int] = {}
@@ -157,10 +139,9 @@ def load_config(path: str | None, seed_override: int | None = None) -> Experimen
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     if seed_override is not None:
         values["run.seed"] = seed_override
+    if not 0 <= values["run.seed"] < 2**64:
+        raise ConfigError(f"run.seed must lie in [0, 2^64), got {values['run.seed']}")
     return ExperimentConfig(values)
-
-
-_KEY_NAMES = {"p": "batch_p", "k": "batch_k"}     # config field -> key name, where they differ
 
 
 def _from_config(cls, cfg: ExperimentConfig, section: str, **given):
@@ -175,20 +156,36 @@ def _from_config(cls, cfg: ExperimentConfig, section: str, **given):
 # artifact helpers
 # ---------------------------------------------------------------------------
 
-def _artifact_dir(out: str, command: str, cfg: ExperimentConfig) -> Path:
+def _write_checked(path: Path, write, check=None) -> None:
+    """``path`` holds a whole file or nothing: ``write(temp)`` fills ``.<name>.partial``
+    beside it, ``check(temp)`` reads that back, and only then is it renamed into place."""
+    temp = path.parent / f".{path.name}.partial"
+    try:
+        write(temp)
+        if check is not None:
+            check(temp)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def _text(text: str, newline: str | None = None):
+    return lambda path: path.write_text(text, encoding="utf-8", newline=newline)
+
+
+def _publish(out: str, command: str, cfg: ExperimentConfig, artifacts: dict) -> Path:
+    """``<out>/<command>-<hash>/`` with each ``name: (write, check)`` of ``artifacts``,
+    then config.resolved and the meta.json sidecar, written by ``_write_checked``."""
     d = Path(out) / f"{command}-{cfg.content_hash()}"
     d.mkdir(parents=True, exist_ok=True)
+    meta = {"command": command, "created_utc": datetime.now(timezone.utc).isoformat(),
+            "version": __version__}
+    artifacts = {**artifacts, "config.resolved": (_text(cfg.resolved_text()), None),
+                 "meta.json": (_text(json.dumps(meta, indent=2) + "\n"), None)}
+    for name, (write, check) in artifacts.items():
+        _write_checked(d / name, write, check)
     return d
-
-
-def _write_run_files(dirpath: Path, command: str, cfg: ExperimentConfig) -> None:
-    (dirpath / "config.resolved").write_text(cfg.resolved_text(), encoding="utf-8")
-    meta = {
-        "command": command,
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-        "version": __version__,
-    }
-    (dirpath / "meta.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
 
 def _require_input(cfg: ExperimentConfig, key: str) -> Path:
@@ -227,16 +224,17 @@ def _say(quiet: bool, *parts) -> None:
 def cmd_gen_data(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
     spec = _from_config(HierarchySpec, cfg, "data", seed=derive_subseed(cfg["run.seed"], "data"))
     ds = generate_hierarchical(spec)
-    d = _artifact_dir(out, "gen-data", cfg)
-    target = d / "dataset.jsonl"
-    companion_path(target).unlink(missing_ok=True)    # the reload below must parse the text
-    save_dataset_jsonl(ds, target)
-    _write_run_files(d, "gen-data", cfg)
-    reloaded = load_dataset_jsonl(target)
-    for got, want in ((reloaded.sample_ids, ds.sample_ids), (reloaded.labels, ds.labels),
-                      (reloaded.X, ds.X)):
-        if got.shape != want.shape or got.tobytes() != want.tobytes():
-            raise FormatError(f"{target}: validation reload differs from the generated data")
+
+    def check(temp: Path) -> None:      # the temp file has no companion: this parses the text
+        reloaded = load_dataset_jsonl(temp)
+        for got, want in ((reloaded.sample_ids, ds.sample_ids), (reloaded.labels, ds.labels),
+                          (reloaded.X, ds.X)):
+            if got.shape != want.shape or got.tobytes() != want.tobytes():
+                raise FormatError(f"{temp.with_name('dataset.jsonl')}: validation reload "
+                                  "differs from the generated data")
+
+    target = _publish(out, "gen-data", cfg, {
+        "dataset.jsonl": (lambda path: save_dataset_jsonl(ds, path), check)}) / "dataset.jsonl"
     save_dataset_companion(ds, target)
     _say(quiet, f"wrote {target} ({ds.n_samples} samples, {ds.n_identities} identities, "
                 f"dim {ds.input_dim})")
@@ -247,19 +245,16 @@ def cmd_train_teacher(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
     ds = load_dataset_jsonl(_require_input(cfg, "io.dataset"))
     tcfg = _from_config(TeacherTrainConfig, cfg, "teacher")
     oracle, log = train_teacher(ds, tcfg, seed=derive_subseed(cfg["run.seed"], "teacher"))
-    d = _artifact_dir(out, "train-teacher", cfg)
-    ckpt = d / "teacher.ckpt"
-    table = d / "teacher_table.emb"
-    save_checkpoint(oracle.model, ckpt)
-    save_embedding_table(oracle, table)
-    log.write_jsonl(d / "train_log.jsonl")
-    _write_run_files(d, "train-teacher", cfg)
-    load_checkpoint(ckpt)
-    load_embedding_table(table)
+    d = _publish(out, "train-teacher", cfg, {
+        "teacher.ckpt": (lambda path: save_checkpoint(oracle.model, path), load_checkpoint),
+        "teacher_table.emb": (lambda path: save_embedding_table(oracle, path),
+                              load_embedding_table),
+        "train_log.jsonl": (log.write_jsonl, None)})
     if oracle.warning:
         _say(quiet, f"warning: {oracle.warning}")
     final_loss = log.loss[-1] if log.loss else float("nan")
-    _say(quiet, f"wrote {ckpt} and {table} (final loss {final_loss:.4f})")
+    _say(quiet, f"wrote {d / 'teacher.ckpt'} and {d / 'teacher_table.emb'} "
+                f"(final loss {final_loss:.4f})")
     return 0
 
 
@@ -268,12 +263,10 @@ def cmd_calibrate(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
     oracle = _load_model_file(_require_input(cfg, "io.teacher"), teacher_of=ds)
     report = calibrate_margins(oracle, ds, cfg["calibrate.n_triplets"],
                                Rng(derive_subseed(cfg["run.seed"], "calibrate")))
-    d = _artifact_dir(out, "calibrate", cfg)
-    target = d / "calibration.json"
-    target.write_text(report.to_json() + "\n", encoding="utf-8")
-    _write_run_files(d, "calibrate", cfg)
-    CalibrationReport.from_json(read_text(target))
-    _say(quiet, f"wrote {target} (d in [{report.d_min_observed:.4f}, "
+    d = _publish(out, "calibrate", cfg, {"calibration.json": (
+        _text(report.to_json() + "\n"),
+        lambda path: CalibrationReport.from_json(read_text(path)))})
+    _say(quiet, f"wrote {d / 'calibration.json'} (d in [{report.d_min_observed:.4f}, "
                 f"{report.d_max_observed:.4f}] over {report.sample_count} triplets)")
     return 0
 
@@ -301,14 +294,12 @@ def cmd_distill(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
     dcfg = _from_config(DistillConfig, cfg, "distill", margin=margin,
                         seed=derive_subseed(cfg["run.seed"], "distill"))
     trained, log = distill(ds, oracle, student, dcfg)
-    d = _artifact_dir(out, "distill", cfg)
-    ckpt = d / "student.ckpt"
-    save_checkpoint(trained, ckpt)
-    log.write_jsonl(d / "train_log.jsonl")
-    _write_run_files(d, "distill", cfg)
-    load_checkpoint(ckpt)
+    d = _publish(out, "distill", cfg, {
+        "student.ckpt": (lambda path: save_checkpoint(trained, path), load_checkpoint),
+        "train_log.jsonl": (log.write_jsonl, None)})
     final_loss = log.loss[-1] if log.loss else float("nan")
-    _say(quiet, f"wrote {ckpt} (margin mode {margin.mode}, final loss {final_loss:.4f})")
+    _say(quiet, f"wrote {d / 'student.ckpt'} (margin mode {margin.mode}, "
+                f"final loss {final_loss:.4f})")
     return 0
 
 
@@ -327,15 +318,12 @@ def cmd_evaluate(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
         _, tmat = evaluation.centroid_distance_matrix(oracle, ds)
         _, smat = evaluation.centroid_distance_matrix(embedder, ds)
         structure = evaluation.structure_correlation(tmat, smat)
-    d = _artifact_dir(out, "evaluate", cfg)
     payload = {"label": cfg["run.label"], "seed": cfg["run.seed"], "n_pairs": len(pairs),
                "best_accuracy": report.best_accuracy, "best_threshold": report.best_threshold,
                "structure_correlation": structure}
-    (d / "evaluation.json").write_text(json.dumps(payload, sort_keys=True) + "\n",
-                                       encoding="utf-8")
-    (d / "roc.csv").write_text(_roc_csv(report.roc_points), encoding="utf-8", newline="")
-    _write_run_files(d, "evaluate", cfg)
-    _read_evaluation(d / "evaluation.json")
+    d = _publish(out, "evaluate", cfg, {
+        "evaluation.json": (_text(json.dumps(payload, sort_keys=True) + "\n"), _read_evaluation),
+        "roc.csv": (_text(_roc_csv(report.roc_points), newline=""), None)})
     line = f"accuracy {report.best_accuracy:.4f} at threshold {report.best_threshold:.4f}"
     if structure is not None:
         line += f", structure correlation {structure:.4f}"
@@ -388,9 +376,12 @@ def cmd_compare(run_dirs: list[str], csv_out: str, quiet: bool) -> int:
     widths = [max(len(row[i]) for row in table) for i in range(4)]
     for row in table:
         _say(quiet, "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    with open(csv_out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerows(table)
+
+    def write(path: Path) -> None:
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(table)
+
+    _write_checked(Path(csv_out), write)
     _say(quiet, f"wrote {csv_out}")
     return 0
 

@@ -306,6 +306,8 @@ def derive_subseed(seed: int, label: str) -> int:
     FNV-1a folds the label into 64 bits, SplitMix64 then mixes it with the
     run seed; changing either the label or the seed changes the result.
     """
+    if not isinstance(seed, int) or not 0 <= seed <= _MASK64:
+        raise ContractViolation("seed must be an integer in [0, 2^64)")
     h = 0xCBF29CE484222325
     for byte in label.encode("utf-8"):
         h = ((h ^ byte) * 0x100000001B3) & _MASK64

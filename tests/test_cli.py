@@ -185,15 +185,82 @@ def test_load_config_defaults_and_overrides(tmp_path):
      "distill.batch_k = 3\ndistill.mining = all", {"k": 3, "mining": "all"}),
 ])
 def test_section_keys_map_onto_config_fields(tmp_path, section, cls, given, text, want):
-    # a field's key is named after it, except p and k, and takes the field's default
+    # a field's key is named after it, except p and k, and takes the field's default;
+    # the section's other keys are the margin keys, which belong to no config class
     renamed = {"p": "batch_p", "k": "batch_k"}
     names = {f.name for f in fields(cls)} - set(given) - {"floor_pairs"}
-    assert {f"{section}.{renamed.get(n, n)}" for n in names} <= set(cli.CONFIG_KEYS)
+    margin_keys = {"distill.margin_mode", "distill.m", "distill.m_min", "distill.m_max",
+                   "distill.use_calibration"}
+    assert {f"{section}.{renamed.get(n, n)}" for n in names} \
+        == {key for key in cli.CONFIG_KEYS if key.startswith(section + ".")} - margin_keys
     assert cli._from_config(cls, load_config(None), section, **given) == cls(**given)
     path = tmp_path / "c.txt"
     path.write_text(text + "\n")
     assert cli._from_config(cls, load_config(str(path)), section, **given) \
         == cls(**given, **want)
+
+
+# every key with its default: a new key or a changed default changes every config hash
+DEFAULT_RESOLVED = "".join(f"{line}\n" for line in [
+    "calibrate.n_triplets = 1000",
+    "data.identities_per_supercluster = 8",
+    "data.identity_spread = 0.35",
+    "data.input_dim = 16",
+    "data.n_superclusters = 4",
+    "data.sample_noise = 0.06",
+    "data.samples_per_identity = 30",
+    "data.supercluster_spread = 2.0",
+    "distill.batch_k = 8",
+    "distill.batch_p = 8",
+    "distill.iterations = 2500",
+    "distill.learning_rate = 0.001",
+    "distill.m = 0.3",
+    "distill.m_max = 1.8",
+    "distill.m_min = 0.6",
+    "distill.margin_mode = dynamic",
+    "distill.mining = semi_hard",
+    "distill.momentum = 0.9",
+    "distill.use_calibration = false",
+    "eval.n_neg = 300",
+    "eval.n_pos = 300",
+    "io.calibration = ",
+    "io.dataset = ",
+    "io.model = ",
+    "io.pairs = ",
+    "io.teacher = ",
+    "run.label = run",
+    "run.seed = 0",
+    "student.embed_dim = 16",
+    "student.hidden_dims = 32,32",
+    "teacher.accuracy_floor = 0.95",
+    "teacher.batch_k = 8",
+    "teacher.batch_p = 8",
+    "teacher.embed_dim = 32",
+    "teacher.hidden_dims = 128,128,128",
+    "teacher.iterations = 1500",
+    "teacher.learning_rate = 0.01",
+    "teacher.margin = 0.3",
+    "teacher.mining = semi_hard",
+    "teacher.momentum = 0.9",
+])
+
+
+def test_default_config_resolves_to_the_pinned_text():
+    assert load_config(None).resolved_text() == DEFAULT_RESOLVED
+
+
+@pytest.mark.parametrize("seed, ok", [(-1, False), (2**64, False), (2**64 - 1, True)])
+def test_seed_outside_64_bits_is_config_error(tmp_path, capsys, seed, ok):
+    # a masked seed would alias another seed's data under a different config hash
+    for where in ("flag", "config"):
+        out = tmp_path / where
+        keys = {"run_dot_seed": seed} if where == "config" else {}
+        argv = ["gen-data", "--config", _write_config(tmp_path, TINY_CONFIG, **keys),
+                "--out", str(out), "--quiet"]
+        rc = main(argv + ["--seed", str(seed)] if where == "flag" else argv)
+        err = capsys.readouterr().err
+        want = (0, "") if ok else (2, f"error: run.seed must lie in [0, 2^64), got {seed}\n")
+        assert (rc, err) == want and out.exists() == ok
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -730,8 +797,10 @@ def test_gen_data_refuses_a_file_that_does_not_parse_back_bit_for_bit(tmp_path, 
     monkeypatch.setattr(cli, "save_dataset_jsonl", save_off_by_one_ulp)
     out = tmp_path / "runs"
     assert main(["gen-data", "--config", _write_config(tmp_path), "--out", str(out)]) == 1
-    assert "validation reload differs" in capsys.readouterr().err
-    assert not list(out.rglob("*.tfds"))
+    err = capsys.readouterr().err
+    assert "dataset.jsonl: validation reload differs" in err and ".partial" not in err
+    assert not [p for p in out.rglob("*")
+                if p.name == "dataset.jsonl" or p.suffix in (".tfds", ".partial")]
 
 
 def test_gen_data_reload_parses_the_text_over_an_earlier_companion(tmp_path, monkeypatch):
@@ -745,6 +814,65 @@ def test_gen_data_reload_parses_the_text_over_an_earlier_companion(tmp_path, mon
     monkeypatch.setattr(data, "_parse_records", lambda *a: parsed.append(1) or parse(*a))
     assert main(["gen-data", "--config", config, "--out", str(out), "--quiet"]) == 0
     assert parsed == [1] and companion.read_bytes() == first
+
+
+# ---------------------------------------------------------------------------
+# publishing: each artifact name holds a whole, checked file or nothing
+# ---------------------------------------------------------------------------
+
+ARTIFACTS = {           # what each command writes besides config.resolved and meta.json
+    "gen-data": ["dataset.jsonl"],
+    "train-teacher": ["teacher.ckpt", "teacher_table.emb", "train_log.jsonl"],
+    "calibrate": ["calibration.json"],
+    "distill": ["student.ckpt", "train_log.jsonl"],
+    "evaluate": ["evaluation.json", "roc.csv"],
+}
+RUN_FILES = ["config.resolved", "meta.json"]
+
+
+def _run_on_tiny(tiny, tmp_path, command):
+    """main's exit code for ``command`` on tiny's inputs, writing under tmp_path/runs."""
+    if command == "compare":
+        reports = [str(tiny["evaluation"].parent)] * 2
+        return main(["compare", *reports, "--out", str(tmp_path / "c.csv"), "--quiet"])
+    config = tmp_path / "run.cfg"
+    config.write_text(TINY_CONFIG + f"io.dataset = {tiny['dataset']}\n"
+                      f"io.teacher = {tiny['table']}\nio.model = {tiny['ckpt']}\n")
+    return main([command, "--config", str(config), "--out", str(tmp_path / "runs"), "--quiet"])
+
+
+@pytest.mark.parametrize("command", ARTIFACTS)
+def test_every_file_a_command_writes_is_published_checked(tiny, tmp_path, monkeypatch, command):
+    written = []
+    write_checked = cli._write_checked
+    monkeypatch.setattr(cli, "_write_checked",
+                        lambda path, *rest: written.append(path) or write_checked(path, *rest))
+    assert _run_on_tiny(tiny, tmp_path, command) == 0
+    files = [p for p in _only_dir(tmp_path / "runs", command).iterdir() if p.suffix != ".tfds"]
+    assert sorted(written) == sorted(files)
+    assert sorted(p.name for p in files) == sorted(ARTIFACTS[command] + RUN_FILES)
+
+
+@pytest.mark.parametrize("command, name", [
+    *((command, name) for command, names in ARTIFACTS.items() for name in names + RUN_FILES),
+    ("compare", "c.csv"),
+])
+def test_an_interrupted_write_leaves_no_file(tiny, tmp_path, monkeypatch, command, name):
+    write_checked = cli._write_checked
+
+    def torn(path, write, check=None):
+        def write_a_few_bytes(temp):
+            write(temp)                   # the command's own saver must write the temp file
+            with open(temp, "r+b") as fh:
+                fh.truncate(4)
+            raise KeyboardInterrupt
+        return write_checked(path, write_a_few_bytes if path.name == name else write, check)
+
+    monkeypatch.setattr(cli, "_write_checked", torn)
+    with pytest.raises(KeyboardInterrupt):
+        _run_on_tiny(tiny, tmp_path, command)
+    assert not [p for p in tmp_path.rglob("*")
+                if p.name == name or p.suffix in (".partial", ".tfds")]
 
 
 @settings(max_examples=200, deadline=None)

@@ -385,6 +385,14 @@ def test_derive_subseed_label_and_seed_sensitivity():
     assert 0 <= derive_subseed(7, "x") <= _MASK64
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_derive_subseed_rejects_seeds_outside_64_bits(seed):
+    # masking would alias them: -1 onto 2^64 - 1 and 2^64 onto 0
+    with pytest.raises(ContractViolation):
+        derive_subseed(seed, "data")
+    assert 0 <= derive_subseed(2**64 - 1, "data") <= _MASK64
+
+
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8))
 def test_normalize_gives_unit_norm(values):
     v = np.array([values])

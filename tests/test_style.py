@@ -1,5 +1,7 @@
-"""Style rules of src/, tools/ and tests/: lines of at most 99 columns, no ``;`` statements."""
+"""Style rules of src/, tools/ and tests/: lines of at most 99 columns, no ``;`` statements,
+no unused imports."""
 
+import ast
 import io
 import tokenize
 from pathlib import Path
@@ -27,3 +29,20 @@ def test_no_semicolon_statements(path):
     tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
     rows = [tok.start[0] for tok in tokens if tok.type == tokenize.OP and tok.string == ";"]
     assert not rows, f"{path.name}: ';' on lines {rows}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    # a package's __init__ imports only to re-export; elsewhere a deliberate
+    # re-export says so with ``# noqa: F401`` on the imported name's line
+    text = path.read_text()
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    imports = [(alias.lineno, alias.asname or alias.name.split(".")[0])
+              for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+              and getattr(node, "module", None) != "__future__" for alias in node.names]
+    unused = [(n, name) for n, name in imports
+              if name not in read and "# noqa: F401" not in lines[n - 1]]
+    assert not unused, f"{path.name}: unused imports (line, name): {unused}"
