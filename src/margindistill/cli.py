@@ -12,6 +12,7 @@ sidecar.  All randomness fans out from run.seed through fixed stage labels.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import itertools
@@ -25,8 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, evaluation
-from .data import (HierarchySpec, IdentityDataset, generate_hierarchical, json_field,
-                   load_dataset_jsonl, read_text, save_dataset_companion, save_dataset_jsonl)
+from .data import (HierarchySpec, IdentityDataset, companion_path, generate_hierarchical,
+                   json_field, load_dataset_jsonl, read_text, save_dataset_companion,
+                   save_dataset_jsonl)
 from .errors import FormatError, MarginDistillError
 from .loss import MarginConfig
 from .mlp import CHECKPOINT_MAGIC, init_mlp, load_checkpoint, save_checkpoint
@@ -157,16 +159,19 @@ def _from_config(cls, cfg: ExperimentConfig, section: str, **given):
 # ---------------------------------------------------------------------------
 
 def _write_checked(path: Path, write, check=None) -> None:
-    """``path`` holds a whole file or nothing: ``write(temp)`` fills ``.<name>.partial``
-    beside it, ``check(temp)`` reads that back, and only then is it renamed into place."""
-    temp = path.parent / f".{path.name}.partial"
+    """``path`` holds a whole file or nothing: ``write(temp)`` fills a temp file of this call's
+    own, ``check(temp)`` reads it back, then it replaces ``path``; OSErrors on it name ``path``."""
+    temp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.partial")
     try:
         write(temp)
         if check is not None:
             check(temp)
         os.replace(temp, path)
-    except BaseException:
-        temp.unlink(missing_ok=True)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):      # the error to report is exc
+            temp.unlink()
+        if isinstance(exc, OSError) and str(temp) in (str(exc.filename), str(exc.filename2)):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 
@@ -235,7 +240,7 @@ def cmd_gen_data(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
 
     target = _publish(out, "gen-data", cfg, {
         "dataset.jsonl": (lambda path: save_dataset_jsonl(ds, path), check)}) / "dataset.jsonl"
-    save_dataset_companion(ds, target)
+    _write_checked(companion_path(target), lambda path: save_dataset_companion(ds, target, path))
     _say(quiet, f"wrote {target} ({ds.n_samples} samples, {ds.n_identities} identities, "
                 f"dim {ds.input_dim})")
     return 0

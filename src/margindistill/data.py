@@ -502,8 +502,8 @@ def _sha256(*parts) -> bytes:
     return digest.digest()
 
 
-def save_dataset_companion(ds: IdentityDataset, path) -> None:
-    """Write the companion of dataset file ``path``, whose records must parse to ``ds``.
+def save_dataset_companion(ds: IdentityDataset, dataset, path) -> None:
+    """Write to ``path`` the companion of dataset file ``dataset``, whose records parse to ``ds``.
 
     Layout: magic, the sha256 of the dataset file's bytes followed by the rest
     of the companion, u64 n, u64 d, then n little-endian int64 sample ids, n
@@ -512,9 +512,9 @@ def save_dataset_companion(ds: IdentityDataset, path) -> None:
     body = [struct.pack("<QQ", ds.n_samples, ds.input_dim),
             *(np.ascontiguousarray(a, dtype=t) for a, t in
               ((ds.sample_ids, "<i8"), (ds.labels, "<i8"), (ds.X, "<f8")))]
-    with open(path, "rb") as fh:
+    with open(dataset, "rb") as fh:
         digest = _sha256(_blocks(fh), body)
-    with open(companion_path(path), "wb") as fh:
+    with open(path, "wb") as fh:
         fh.write(COMPANION_MAGIC + digest)
         for part in body:
             fh.write(part)

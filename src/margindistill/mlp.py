@@ -120,8 +120,9 @@ def _affine(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return z
 
 
-def _normalize_rows(z: np.ndarray) -> np.ndarray:
-    """Divide each row of z by its L2 norm in place; return the norms."""
+def _normalize_rows(z: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Divide each row of z, the last layer's output on ``inputs``, by its L2 norm in
+    place; return the norms."""
     norms = np.sqrt(np.einsum("ij,ij->i", z, z))
     small = norms < _SMALL_NORM
     if small.any():
@@ -129,8 +130,12 @@ def _normalize_rows(z: np.ndarray) -> np.ndarray:
         # directions at an exact power-of-two scale
         z[small] *= _RESCALE
         norms[small] = np.sqrt(np.einsum("ij,ij->i", z[small], z[small]))
-        if np.any(norms == 0.0):
-            raise DegenerateInput("pre-normalization output collapsed to zero norm")
+        zero = norms == 0.0
+        if zero.any():      # with zero biases, a dead last hidden layer gives a zero output
+            dead = np.count_nonzero(~inputs[zero].any(axis=1))
+            raise DegenerateInput(f"pre-normalization output collapsed to zero norm in "
+                                  f"{zero.sum()} of {len(z)} rows; {dead} of them have every "
+                                  "unit of the last hidden layer (the last layer's input) at 0")
     z /= norms[:, None]
     norms[small] /= _RESCALE      # true norms, for the backward Jacobian
     return norms
@@ -143,7 +148,7 @@ def forward_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardCa
         acts.append(_affine(acts[-1], w, b))
         np.maximum(acts[-1], 0.0, out=acts[-1])
     emb = _affine(acts[-1], model.weights[-1], model.biases[-1])
-    norms = _normalize_rows(emb) if model.normalize_output else None
+    norms = _normalize_rows(emb, acts[-1]) if model.normalize_output else None
     return emb, ForwardCache(acts=acts, norms=norms, emb=emb, model_version=model.version)
 
 
@@ -157,10 +162,10 @@ def embed(model: MlpModel, x: np.ndarray) -> np.ndarray:
         for w, b in zip(model.weights[:-1], model.biases[:-1]):
             a = _affine(a, w, b)
             np.maximum(a, 0.0, out=a)
-        a = _affine(a, model.weights[-1], model.biases[-1])
+        rows = out[start:start + EMBED_ROWS]
+        rows[:] = _affine(a, model.weights[-1], model.biases[-1])
         if model.normalize_output:
-            _normalize_rows(a)
-        out[start:start + EMBED_ROWS] = a
+            _normalize_rows(rows, a)
     return out
 
 

@@ -2,7 +2,11 @@ import contextlib
 import csv
 import io
 import json
+import os
+import signal
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import fields
@@ -743,7 +747,8 @@ def test_json_fields_of_the_wrong_type_are_format_errors(tiny, tmp_path, kind, k
     path = _input(tiny, tmp_path, file, "\n".join(lines))
     for companion in (False, True) if kind == "header" else (False,):
         if companion:           # the records' arrays from a companion that matches the file
-            data.save_dataset_companion(load_dataset_jsonl(tiny["dataset"]), path)
+            data.save_dataset_companion(load_dataset_jsonl(tiny["dataset"]), path,
+                                        data.companion_path(path))
         rc, err = _cli_reading(tiny, file, path)
         assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
         assert ("header spec" if key == "spec" else "expected a JSON") in err
@@ -821,7 +826,7 @@ def test_gen_data_reload_parses_the_text_over_an_earlier_companion(tmp_path, mon
 # ---------------------------------------------------------------------------
 
 ARTIFACTS = {           # what each command writes besides config.resolved and meta.json
-    "gen-data": ["dataset.jsonl"],
+    "gen-data": ["dataset.jsonl", "dataset.jsonl.tfds"],
     "train-teacher": ["teacher.ckpt", "teacher_table.emb", "train_log.jsonl"],
     "calibrate": ["calibration.json"],
     "distill": ["student.ckpt", "train_log.jsonl"],
@@ -835,10 +840,16 @@ def _run_on_tiny(tiny, tmp_path, command):
     if command == "compare":
         reports = [str(tiny["evaluation"].parent)] * 2
         return main(["compare", *reports, "--out", str(tmp_path / "c.csv"), "--quiet"])
+    return main([command, "--config", str(_tiny_config(tiny, tmp_path)), "--out",
+                 str(tmp_path / "runs"), "--quiet"])
+
+
+def _tiny_config(tiny, tmp_path) -> Path:
+    """tmp_path/run.cfg, a config that runs every command on tiny's inputs."""
     config = tmp_path / "run.cfg"
     config.write_text(TINY_CONFIG + f"io.dataset = {tiny['dataset']}\n"
                       f"io.teacher = {tiny['table']}\nio.model = {tiny['ckpt']}\n")
-    return main([command, "--config", str(config), "--out", str(tmp_path / "runs"), "--quiet"])
+    return config
 
 
 @pytest.mark.parametrize("command", ARTIFACTS)
@@ -848,7 +859,7 @@ def test_every_file_a_command_writes_is_published_checked(tiny, tmp_path, monkey
     monkeypatch.setattr(cli, "_write_checked",
                         lambda path, *rest: written.append(path) or write_checked(path, *rest))
     assert _run_on_tiny(tiny, tmp_path, command) == 0
-    files = [p for p in _only_dir(tmp_path / "runs", command).iterdir() if p.suffix != ".tfds"]
+    files = list(_only_dir(tmp_path / "runs", command).iterdir())
     assert sorted(written) == sorted(files)
     assert sorted(p.name for p in files) == sorted(ARTIFACTS[command] + RUN_FILES)
 
@@ -873,6 +884,155 @@ def test_an_interrupted_write_leaves_no_file(tiny, tmp_path, monkeypatch, comman
         _run_on_tiny(tiny, tmp_path, command)
     assert not [p for p in tmp_path.rglob("*")
                 if p.name == name or p.suffix in (".partial", ".tfds")]
+
+
+@pytest.mark.parametrize("command", [*ARTIFACTS, "compare"])
+def test_published_files_have_the_permission_bits_of_a_plain_open(tiny, tmp_path, command):
+    umask = os.umask(0o022)       # a temp file from mkstemp would read 0600 here
+    try:
+        assert _run_on_tiny(tiny, tmp_path, command) == 0
+        if command == "compare":
+            files = [tmp_path / "c.csv"]
+        else:
+            files = list(_only_dir(tmp_path / "runs", command).iterdir())
+        plain = files[0].parent / "plain"
+        with open(plain, "w"):
+            pass
+    finally:
+        os.umask(umask)
+    mode = oct(plain.stat().st_mode)
+    assert {p.name: oct(p.stat().st_mode) for p in files} == {p.name: mode for p in files}
+
+
+@pytest.mark.parametrize("target", ["outdir", "c" * 240 + ".csv"],
+                         ids=["a directory", "a name too long for a temp name"])
+def test_a_failed_write_names_only_the_target(tiny, tmp_path, capsys, target):
+    target = tmp_path / target
+    if target.name == "outdir":
+        target.mkdir()
+    reports = [str(tiny["evaluation"].parent)] * 2
+    assert main(["compare", *reports, "--out", str(target), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(target) in err and ".partial" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["outdir"] * (target.name == "outdir")
+
+
+def _child(script: str, *args) -> subprocess.Popen:
+    """A Python child that runs ``script`` with ``args``, importing this margindistill."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.Popen([sys.executable, "-c", script, *map(str, args)], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+
+
+def _finish(child: subprocess.Popen) -> tuple[int, str]:
+    """(exit code, stderr) of ``child``, which is killed if it runs for over 120 s."""
+    try:
+        err = child.communicate(timeout=120)[1]
+    except subprocess.TimeoutExpired:
+        child.kill()
+        err = child.communicate()[1] + "\nkilled after 120 s"
+    return child.returncode, err
+
+
+def _run_files(out: Path, command: str) -> dict[str, bytes]:
+    """name -> bytes of every file in ``command``'s run directory under ``out``."""
+    return {p.name: p.read_bytes() for p in _only_dir(out, command).iterdir()}
+
+
+def _serial_files(config: Path, out: Path, command: str) -> dict[str, bytes]:
+    """``_run_files`` of one in-process run into ``out``, meta.json left out."""
+    assert main([command, "--config", str(config), "--out", str(out), "--quiet"]) == 0
+    files = _run_files(out, command)
+    del files["meta.json"]
+    return files
+
+
+MEET_INSIDE_THE_WRITE = """
+import os, sys, time
+from pathlib import Path
+from margindistill import cli
+
+saver_name, meeting, argv = sys.argv[1], Path(sys.argv[2]), sys.argv[3:]
+saver = getattr(cli, saver_name)
+
+def save_then_meet(*args):
+    # the temp file is whole; wait here until the other run has written its own
+    saver(*args)
+    (meeting / str(os.getpid())).touch()
+    deadline = time.monotonic() + 60
+    while len(list(meeting.iterdir())) < 2:
+        if time.monotonic() > deadline:
+            sys.exit("the other run never reached the rendezvous")
+        time.sleep(0.01)
+
+setattr(cli, saver_name, save_then_meet)
+sys.exit(cli.main(argv))
+"""
+
+
+@pytest.mark.parametrize("command, saver", [("gen-data", "save_dataset_jsonl"),
+                                            ("train-teacher", "save_checkpoint")])
+def test_two_runs_publish_into_one_directory_at_once(tiny, tmp_path, command, saver):
+    config = _tiny_config(tiny, tmp_path)
+    meeting = tmp_path / "meeting"
+    meeting.mkdir()
+    out = tmp_path / "shared"
+    argv = [command, "--config", config, "--out", out, "--quiet"]
+    children = [_child(MEET_INSIDE_THE_WRITE, saver, meeting, *argv) for _ in range(2)]
+    results = [_finish(child) for child in children]
+    assert results == [(0, "")] * 2
+    assert len(list(meeting.iterdir())) == 2       # both were inside _write_checked at once
+    files = _run_files(out, command)
+    del files["meta.json"]
+    assert files == _serial_files(config, tmp_path / "serial", command)
+    assert not [p for p in out.rglob("*") if p.suffix == ".partial"]
+
+
+KILL_AT = """
+import os, signal, sys
+from margindistill import cli
+
+point, argv = sys.argv[1], sys.argv[2:]
+
+def die(*args):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+if point == "temp-written":       # teacher.ckpt's temp file is whole, not yet checked
+    save = cli.save_checkpoint
+    cli.save_checkpoint = lambda *args: die(save(*args))
+elif point == "in-check":         # teacher_table.emb's check has begun
+    cli.load_embedding_table = die
+elif point == "first-renamed":    # teacher.ckpt is in place, the table not yet begun
+    cli.save_embedding_table = die
+else:                             # every file but meta.json is in place
+    write_checked = cli._write_checked
+    cli._write_checked = lambda path, *rest: (
+        die() if path.name == "meta.json" else write_checked(path, *rest))
+sys.exit(cli.main(argv))
+"""
+
+
+@pytest.mark.parametrize("point", ["temp-written", "in-check", "first-renamed", "before-meta"])
+def test_a_killed_run_reruns_cleanly(tiny, tmp_path, point):
+    config = _tiny_config(tiny, tmp_path)
+    clean = _serial_files(config, tmp_path / "clean", "train-teacher")
+    out = tmp_path / "runs"
+    argv = ["train-teacher", "--config", config, "--out", out, "--quiet"]
+
+    def files_left() -> set[str]:
+        """The names in the run directory, once each artifact is checked to hold the
+        clean run's bytes or to be absent, and every other file to be a temp file."""
+        files = _run_files(out, "train-teacher")
+        for name, got in files.items():
+            assert got == clean[name] if name in clean else (
+                name == "meta.json" or name.startswith(".") and name.endswith(".partial"))
+        return set(files)
+
+    assert _finish(_child(KILL_AT, point, *argv))[0] == -signal.SIGKILL
+    files_left()
+    assert main(list(map(str, argv))) == 0
+    assert files_left() >= {*clean, "meta.json"}
 
 
 @settings(max_examples=200, deadline=None)

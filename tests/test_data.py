@@ -492,7 +492,7 @@ def test_companion_load_equals_text_load(tmp_path, monkeypatch, shape):
     path = tmp_path / "ds.jsonl"
     save_dataset_jsonl(ds, path)
     text = load_dataset_jsonl(path)
-    save_dataset_companion(ds, path)
+    save_dataset_companion(ds, path, data.companion_path(path))
     monkeypatch.setattr(data, "_parse_records", _refuse_records)
     tracemalloc.start()
     try:
@@ -573,7 +573,7 @@ def test_stale_companion_falls_back_to_the_text(tmp_path):
     ds = generate_hierarchical(small_spec())
     path = tmp_path / "ds.jsonl"
     save_dataset_jsonl(ds, path)
-    save_dataset_companion(ds, path)
+    save_dataset_companion(ds, path, data.companion_path(path))
     lines = path.read_text().splitlines(keepends=True)
     at = lines[3].index(".", lines[3].index('"x"')) + 1          # first decimal of one value
     lines[3] = lines[3][:at] + str((int(lines[3][at]) + 1) % 10) + lines[3][at + 1:]

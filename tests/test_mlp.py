@@ -159,6 +159,24 @@ def test_embed_rescales_tiny_rows_in_a_later_block():
         embed(model, tiny)
 
 
+@pytest.mark.parametrize("f", [lambda m, x: forward_batch(m, x)[0], embed],
+                         ids=["forward_batch", "embed"])
+def test_a_collapsed_output_says_whether_the_last_hidden_layer_died(f):
+    # zero biases and negative first-layer weights: a positive input switches off every
+    # hidden unit, so the output is exactly zero
+    model = init_mlp((3, 8, 8, 4), True, Rng(5))
+    model.weights[0][:] = -np.abs(model.weights[0])
+    x = np.abs(Rng(6).normals(15).reshape(5, 3)) + 0.1
+    x[3:] *= -1.0                                       # two rows that keep units alive
+    with pytest.raises(DegenerateInput, match="zero norm in 3 of 5 rows; 3 of them have "
+                                              "every unit of the last hidden layer"):
+        f(model, x)
+    model.weights[0][:] *= -1.0
+    model.weights[-1][:] = 0.0                          # alive units, a zero last layer
+    with pytest.raises(DegenerateInput, match="zero norm in 3 of 3 rows; 0 of them"):
+        f(model, x[:3])
+
+
 def test_zero_prenorm_output_raises():
     model = _zero_model((2, 2), normalize=True)
     with pytest.raises(DegenerateInput):
