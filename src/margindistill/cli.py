@@ -160,8 +160,10 @@ def _from_config(cls, cfg: ExperimentConfig, section: str, **given):
 
 def _write_checked(path: Path, write, check=None) -> None:
     """``path`` holds a whole file or nothing: ``write(temp)`` fills a temp file of this call's
-    own, ``check(temp)`` reads it back, then it replaces ``path``; OSErrors on it name ``path``."""
-    temp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.partial")
+    own, ``check(temp)`` reads it back, then it replaces ``path``; OSErrors on it name ``path``.
+    The temp name keeps at most 200 bytes of the target's, so it fits where the target fits."""
+    stem = os.fsdecode(os.fsencode(path.name)[:200])
+    temp = path.with_name(f".{stem}.{os.getpid()}.{os.urandom(4).hex()}.partial")
     try:
         write(temp)
         if check is not None:
@@ -328,7 +330,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
                "structure_correlation": structure}
     d = _publish(out, "evaluate", cfg, {
         "evaluation.json": (_text(json.dumps(payload, sort_keys=True) + "\n"), _read_evaluation),
-        "roc.csv": (_text(_roc_csv(report.roc_points), newline=""), None)})
+        "roc.csv": (_text(_roc_csv(report), newline=""), None)})
     line = f"accuracy {report.best_accuracy:.4f} at threshold {report.best_threshold:.4f}"
     if structure is not None:
         line += f", structure correlation {structure:.4f}"
@@ -336,12 +338,14 @@ def cmd_evaluate(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
     return 0
 
 
-def _roc_csv(points: list[tuple[float, float]]) -> str:
+def _roc_csv(report: evaluation.VerificationReport) -> str:
     """roc.csv with ``csv.writer``'s bytes: a header, then one ``far,tar`` row per
     point, each rate as its repr, every row ending in CRLF.  The rates are counts
     over class sizes, finite and >= 0, so equal rates share one repr, taken once."""
-    text = {rate: repr(rate) for rate in set().union(*zip(*points))}
-    rows = [f"{text[far]},{text[tar]}" for far, tar in points]
+    levels, at = np.unique(np.stack((report.false_accept_rates, report.true_accept_rates),
+                                    axis=1), return_inverse=True)
+    text = [repr(rate) for rate in levels.tolist()]
+    rows = [f"{text[i]},{text[j]}" for i, j in at.reshape(-1, 2).tolist()]
     return "\r\n".join(["false_accept_rate,true_accept_rate", *rows, ""])
 
 

@@ -121,12 +121,14 @@ class IdentityDataset:
         self.spec = spec
         self.seed = seed
         self._index = IdIndex(self.sample_ids, "dataset")
-        self._identities, self._identity_sizes = np.unique(self.labels, return_counts=True)
+        self._identities, self.identity_sizes = np.unique(self.labels, return_counts=True)
         self.identity_list = self._identities.tolist()
-        # each identity's rows, ascending: a stable sort by label, cut at the identity sizes
-        by_identity = np.argsort(self.labels, kind="stable")
+        # the one grouping by identity: rows stable-sorted by label, so the i-th smallest
+        # identity's rows, ascending, are identity_order[identity_starts[i]:][:identity_sizes[i]]
+        self.identity_order = np.argsort(self.labels, kind="stable")
+        self.identity_starts = np.cumsum(self.identity_sizes) - self.identity_sizes
         self._rows_by_identity = dict(zip(self.identity_list, np.split(
-            by_identity, np.cumsum(self._identity_sizes)[:-1])))
+            self.identity_order, self.identity_starts[1:])))
 
     @property
     def n_samples(self) -> int:
@@ -152,13 +154,9 @@ class IdentityDataset:
             raise CapacityError(f"unknown identity {identity}")
         return self._rows_by_identity[identity]
 
-    def identities_with(self, k: int) -> np.ndarray:
-        """Identities with at least k samples, ascending."""
-        return self._identities[self._identity_sizes >= k]
-
     def pair_capacity(self) -> tuple[int, int]:
         """Distinct unordered (same-identity, different-identity) sample pairs."""
-        same = sum(r.size * (r.size - 1) // 2 for r in self._rows_by_identity.values())
+        same = int(np.sum(self.identity_sizes * (self.identity_sizes - 1) // 2))
         return same, self.n_samples * (self.n_samples - 1) // 2 - same
 
 
@@ -220,7 +218,7 @@ def sample_pk_batch(ds: IdentityDataset, p: int, k: int, rng: Rng) -> PkBatch:
     """Uniform P identities (without replacement) and K samples per identity."""
     if p < 1 or k < 1:
         raise ContractViolation("p and k must be >= 1")
-    eligible = ds.identities_with(k)
+    eligible = ds._identities[ds.identity_sizes >= k]
     if eligible.size < p:
         raise CapacityError(
             f"need {p} identities with >= {k} samples, dataset has {eligible.size}"
@@ -253,9 +251,8 @@ def sample_pk_batches(
     """
     if p < 1 or k < 1:
         raise ContractViolation("p and k must be >= 1")
-    eligible = ds.identities_with(k)
-    rows = [ds.rows_of(ident) for ident in eligible.tolist()]
-    sizes = np.array([r.size for r in rows], dtype=np.uint64)
+    eligible = np.flatnonzero(ds.identity_sizes >= k)       # positions among the identities
+    sizes = ds.identity_sizes[eligible].astype(np.uint64)
     if eligible.size <= p or sizes.min() <= k:
         return None
     saved = list(rng._s)
@@ -269,9 +266,8 @@ def sample_pk_batches(
         rng._s = saved
         return None
     picked = _partial_shuffles(row_words.reshape(-1, k), row_bounds[chosen.ravel()])
-    starts = (np.cumsum(sizes) - sizes).astype(np.int64)
-    entries = np.concatenate(rows)[starts[chosen].reshape(-1, 1) + picked]
-    labels = np.repeat(eligible[chosen], k, axis=1)
+    entries = ds.identity_order[ds.identity_starts[eligible[chosen]].reshape(-1, 1) + picked]
+    labels = np.repeat(ds._identities[eligible[chosen]], k, axis=1)
     # as in sample_pk_batch: distinct identities, k distinct rows of each
     return [PkBatch._built(p, k, e, c) for e, c in zip(entries.reshape(count, p * k), labels)]
 

@@ -29,7 +29,7 @@ from .errors import (
     InsufficientData,
 )
 from .mlp import MlpModel, embed
-from .numerics import Rng, pairwise_sq_euclidean
+from .numerics import Rng, pairwise_sq_euclidean, randint_limit
 from .teacher import TeacherOracle
 
 
@@ -54,7 +54,8 @@ class PairSet:
 class VerificationReport:
     best_accuracy: float
     best_threshold: float
-    roc_points: list[tuple[float, float]]  # (false-accept rate, true-accept rate)
+    false_accept_rates: np.ndarray    # the ROC: per swept threshold, ascending, the
+    true_accept_rates: np.ndarray     # share of each class's pairs called "same"
 
 
 def _embeddings_for(embedder, ds: IdentityDataset, rows: np.ndarray) -> np.ndarray:
@@ -70,9 +71,11 @@ def build_pairs(
 ) -> PairSet:
     """n_pos same-identity and n_neg different-identity sample-id pairs.
 
-    No unordered pair repeats.  Rejection sampling with a deterministic
-    enumeration fallback keeps tight requests (all available pairs) feasible.
-    """
+    No unordered pair repeats.  An attempt draws a random identity and two of its
+    rows (``sample_indices``), or two random rows, refused on one row or one
+    identity; a pair is kept at its first attempt.  After 200 * want + 10,000
+    attempts a deterministic enumeration fallback picks the rest, so tight
+    requests stay feasible.  The draws are those of one draw at a time."""
     if n_pos < 0 or n_neg < 0:
         raise ContractViolation("pair counts must be >= 0")
     pos_available, neg_available = ds.pair_capacity()
@@ -80,50 +83,84 @@ def build_pairs(
         raise CapacityError(f"requested {n_pos} positive pairs, only {pos_available} exist")
     if n_neg > neg_available:
         raise CapacityError(f"requested {n_neg} negative pairs, only {neg_available} exist")
+    # an attempt takes at least `width` words (randint(1) takes none), and at least
+    # `want` attempts run, so the words of both kinds' first rounds come in one draw
+    width = int(ds.n_identities > 1) + int(np.minimum(ds.identity_sizes - 1, 2).min())
+    words = _Words(rng, n_pos * width + n_neg * 2)
+    lo, hi = np.concatenate([_collect(ds, n_pos, True, width, words),
+                             _collect(ds, n_neg, False, 2, words)], axis=1)
+    return PairSet(a_ids=ds.sample_ids[lo], b_ids=ds.sample_ids[hi],
+                   same=np.repeat([True, False], [n_pos, n_neg]))
 
-    a_ids: list[int] = []
-    b_ids: list[int] = []
-    same: list[bool] = []
 
-    def collect(want: int, want_same: bool) -> None:
-        seen: set[tuple[int, int]] = set()
-        attempts = 0
-        budget = 200 * want + 10_000
-        while len(seen) < want and attempts < budget:
-            attempts += 1
-            if want_same:
-                ident = ds.identity_list[rng.randint(ds.n_identities)]
-                rows = ds.rows_of(ident)
-                if rows.size < 2:
-                    continue
-                i, j = rng.sample_indices(rows.size, 2)
-                r1, r2 = int(rows[i]), int(rows[j])
-            else:
-                r1 = rng.randint(ds.n_samples)
-                r2 = rng.randint(ds.n_samples)
-                if r1 == r2 or ds.labels[r1] == ds.labels[r2]:
-                    continue
-            key = (min(r1, r2), max(r1, r2))
-            if key in seen:
-                continue
-            seen.add(key)
-            a_ids.append(int(ds.sample_ids[key[0]]))
-            b_ids.append(int(ds.sample_ids[key[1]]))
-            same.append(want_same)
-        if len(seen) < want:
-            # deterministic fallback: the remaining valid pairs, row-major
-            valid = np.triu((ds.labels[:, None] == ds.labels) == want_same, k=1)
-            taken = np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
-            valid[taken[:, 0], taken[:, 1]] = False
-            r1, r2 = np.nonzero(valid)
-            picks = rng.sample_indices(r1.size, want - len(seen))
-            a_ids.extend(ds.sample_ids[r1[picks]].tolist())
-            b_ids.extend(ds.sample_ids[r2[picks]].tolist())
-            same.extend([want_same] * len(picks))
+class _Words:
+    """The words ahead of ``rng``: a block drawn by ``uint64s``, then ``rng``'s own.
+    ``randint`` and ``sample_indices`` are ``Rng``'s, on these words."""
 
-    collect(n_pos, True)
-    collect(n_neg, False)
-    return PairSet(a_ids=np.array(a_ids), b_ids=np.array(b_ids), same=np.array(same))
+    randint, sample_indices = Rng.randint, Rng.sample_indices
+
+    def __init__(self, rng: Rng, ahead: int):
+        self.rng, self.block, self.at = rng, rng.uint64s(ahead), 0
+
+    def peek(self, n: int) -> np.ndarray:
+        """The next n words, not taken; what the block lacks is drawn now."""
+        ahead = self.block[self.at:]
+        self.block, self.at = np.concatenate((ahead, self.rng.uint64s(max(n - ahead.size, 0)))), 0
+        return self.block[:n]
+
+    def next_uint64(self) -> int:
+        self.at += 1
+        if self.at > self.block.size:
+            return self.rng.next_uint64()
+        return int(self.block[self.at - 1])
+
+
+def _collect(ds: IdentityDataset, want: int, same: bool, width: int, words: _Words):
+    """(lower rows, higher rows) of ``build_pairs``' ``want`` pairs of one kind.  A round
+    draws ``width`` words, the fewest, for each attempt that must still run, and decodes
+    them as arrays if each takes exactly ``width``: no word is rejected and, for same-
+    identity pairs, every one of 2+ identities has 3+ rows.  Otherwise its attempts are
+    drawn one at a time, the last reading past the round."""
+    n, sizes = ds.n_samples, ds.identity_sizes
+    bounds = {ds.n_identities, *sizes.tolist(), *(sizes - 1).tolist()} if same else {n}
+    limit = min(map(randint_limit, bounds)) if width == 2 + same else 0
+    found = np.empty(0, dtype=np.int64)         # pair codes: lower row * n + higher row
+    attempts, budget = 0, 200 * want + 10_000
+    while found.size < want and attempts < budget:
+        count = min(want - found.size, budget - attempts)
+        block = words.peek(count * width)
+        if int(block.max()) >= limit:
+            drawn = []                              # a one-row identity: one row twice
+            while words.at < block.size:
+                if same:
+                    rows = ds.rows_of(ds.identity_list[words.randint(ds.n_identities)])
+                    at = words.sample_indices(rows.size, 2) if rows.size > 1 else [0, 0]
+                    drawn.append(rows[at])
+                else:
+                    drawn.append((words.randint(n), words.randint(n)))
+            r1, r2 = np.array(drawn, dtype=np.intp).T
+        elif same:
+            w = block.reshape(count, 3).T
+            ident = (w[0] % np.uint64(ds.n_identities)).astype(np.intp)
+            i = (w[1] % sizes[ident].astype(np.uint64)).astype(np.intp)
+            j = (w[2] % (sizes[ident] - 1).astype(np.uint64)).astype(np.intp) + 1
+            j[j == i] = 0                           # sample_indices' swap
+            r1, r2 = ds.identity_order[ds.identity_starts[ident] + np.stack((i, j))]
+        else:
+            r1, r2 = (block % np.uint64(n)).astype(np.intp).reshape(count, 2).T
+        words.at = max(words.at, block.size)        # the attempts' words are taken
+        attempts += r1.size
+        keep = (r1 != r2) & ((ds.labels[r1] == ds.labels[r2]) == same)
+        codes = np.concatenate((found, np.minimum(r1, r2)[keep] * n + np.maximum(r1, r2)[keep]))
+        found = codes[np.sort(np.unique(codes, return_index=True)[1])]    # first occurrences
+    if found.size < want:
+        # the remaining valid pairs, row-major; a code is the flat index of its pair
+        valid = np.triu((ds.labels[:, None] == ds.labels) == same, k=1)
+        valid.flat[found] = False
+        r1, r2 = np.nonzero(valid)
+        picks = words.sample_indices(r1.size, want - found.size)
+        found = np.concatenate((found, r1[picks] * n + r2[picks]))
+    return np.divmod(found, n)
 
 
 def _pair_cosine_distances(embedder, ds: IdentityDataset, rows_a, rows_b) -> np.ndarray:
@@ -152,7 +189,8 @@ def threshold_sweep(distances: np.ndarray, same: np.ndarray) -> VerificationRepo
         raise ContractViolation("cannot sweep an empty pair set")
     if not np.all(np.isfinite(d)):
         raise DegenerateInput("pair distances must be finite")
-    levels = np.unique(d)
+    ordered = np.sort(d)         # np.unique(d)'s levels, without its import of numpy.ma
+    levels = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     thresholds = np.concatenate(
         [levels[:1], 0.5 * (levels[:-1] + levels[1:]), levels[-1:] + 1.0])
     pos = np.sort(d[same])
@@ -161,12 +199,11 @@ def threshold_sweep(distances: np.ndarray, same: np.ndarray) -> VerificationRepo
     false_accepts = np.searchsorted(neg, thresholds, side="left")
     accuracy = (true_accepts + (neg.size - false_accepts)) / d.size
     best = int(np.argmax(accuracy))                   # first max = smallest threshold
-    tar = true_accepts / max(pos.size, 1)             # a class with no pairs reads 0
-    far = false_accepts / max(neg.size, 1)
     return VerificationReport(
         best_accuracy=float(accuracy[best]),
         best_threshold=float(thresholds[best]),
-        roc_points=list(zip(far.tolist(), tar.tolist())),
+        false_accept_rates=false_accepts / max(neg.size, 1),   # a class with no pairs reads 0
+        true_accept_rates=true_accepts / max(pos.size, 1),
     )
 
 
@@ -194,12 +231,12 @@ def centroid_distance_matrix(
     with a zero diagonal.
     """
     emb = _embeddings_for(embedder, ds, np.arange(ds.n_samples))
-    return ds.identity_list, pairwise_sq_euclidean(_identity_means(emb, ds.labels))
+    return ds.identity_list, pairwise_sq_euclidean(_identity_means(emb, ds))
 
 
-def _identity_means(emb: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Row i: the mean of ``emb`` over the rows of the i-th smallest label, equal to
-    ``emb[rows].mean(axis=0)`` bit for bit.
+def _identity_means(emb: np.ndarray, ds: IdentityDataset) -> np.ndarray:
+    """Row i: the mean of ``emb`` over the rows of ds's i-th smallest identity, equal
+    to ``emb[rows].mean(axis=0)`` bit for bit.
 
     The identities of one size are gathered into one (identities, size, dim)
     block and reduced over its middle axis, which adds each identity's rows in
@@ -207,11 +244,9 @@ def _identity_means(emb: np.ndarray, labels: np.ndarray) -> np.ndarray:
     one block would not be exact: numpy sums a length-1 ``dim`` pairwise, and
     padding changes the pairing.  A generated dataset has one size, so one block.
     """
-    _, sizes = np.unique(labels, return_counts=True)
-    order = np.argsort(labels, kind="stable")         # each identity's rows, ascending
-    starts = np.cumsum(sizes) - sizes
+    sizes, starts, order = ds.identity_sizes, ds.identity_starts, ds.identity_order
     means = np.empty((sizes.size, emb.shape[1]), dtype=np.float64)
-    for size in np.unique(sizes).tolist():
+    for size in sorted(set(sizes.tolist())):
         of_size = np.flatnonzero(sizes == size)
         rows = order[starts[of_size, None] + np.arange(size)]
         means[of_size] = emb[rows].mean(axis=1)

@@ -162,11 +162,14 @@ class Rng:
         """The next n words of next_uint64 as a uint64 array.
 
         Leaves the generator in the state n next_uint64 calls would.  Runs of
-        up to 2^17 words are drawn by parallel lanes at jump-ahead offsets.
+        up to 2^17 words are drawn by parallel lanes at jump-ahead offsets;
+        fewer than ``_STEPPED_WORDS`` are stepped one at a time, which is faster.
         """
         n = operator.index(n)
         if n < 0:
             raise ContractViolation("uint64s requires n >= 0")
+        if n < _STEPPED_WORDS:
+            return np.array([self.next_uint64() for _ in range(n)], dtype=np.uint64)
         out = np.empty(n, dtype=np.uint64)
         for start in range(0, n, _RUN_WORDS):
             out[start:start + _RUN_WORDS] = self._lane_words(min(n - start, _RUN_WORDS))
@@ -227,11 +230,12 @@ class Rng:
 # ---------------------------------------------------------------------------
 #
 # The state update is linear over GF(2): one step is a 256x256 bit matrix A.
-# A linear map is stored as the images of the 256 unit states, a (256, 4)
-# uint64 array whose row i is the image of the state with only bit i set
-# (bit i is bit i % 64 of word i // 64).
+# A linear map is a (64, 16, 4) uint64 nibble table: [k, v] is the image of the state
+# whose set bits are v's at bits 4k .. 4k + 3 (bit i: bit i % 64 of word i // 64).  An
+# image is the XOR of its state's 64 nibbles' entries: no BLAS, which stalled 8-16 ms.
 
 _RUN_WORDS = 1 << 17       # words per lane run; bounds the temporaries at 1 MiB each
+_STEPPED_WORDS = 320       # fewer are stepped: 250-380 broke even on a 2-vCPU Xeon
 
 
 def _step_lanes(s: np.ndarray) -> None:
@@ -246,36 +250,29 @@ def _step_lanes(s: np.ndarray) -> None:
     s3[:] = (s3 << 45) | (s3 >> 19)
 
 
-def _gf2_apply(images: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """The linear map given by images applied to each row of states (B, 4).
-
-    One product of 0/1 bit rows, taken mod 2.  Each entry counts ones, at
-    most 256, so float32 holds it exactly in any summation order.
-    """
-    def bits(words: np.ndarray) -> np.ndarray:             # column i: bit i % 64 of word i // 64
-        octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-        return np.unpackbits(octets, axis=1, bitorder="little").astype(np.float32)
-
-    parity = (bits(states) @ bits(images)).astype(np.uint16) & 1     # counts reach 256
-    return np.packbits(parity, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+def _gf2_apply(table: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The linear map given by its nibble table applied to each row of states (B, 4)."""
+    octets = np.ascontiguousarray(states, dtype="<u8").view(np.uint8)
+    nibbles = np.stack((octets & 15, octets >> 4), axis=2).reshape(len(octets), 64)
+    return np.bitwise_xor.reduce(table[np.arange(64), nibbles], axis=1)
 
 
 @functools.cache
 def _step_power(m: int) -> np.ndarray:
-    """Images of A^(2^m): A by stepping every unit state once, then squarings.
-
-    These are constants of the generator, built on first use and shared.
-    """
+    """The nibble table of A^(2^m): A by stepping every unit state once, then squarings.
+    These are constants of the generator, built on first use and shared."""
     if m > 0:
-        images = _gf2_apply(_step_power(m - 1), _step_power(m - 1))
+        half = _step_power(m - 1)
+        images = _gf2_apply(half, half[:, 1 << np.arange(4)].reshape(256, 4))
     else:
-        bit = np.arange(256)
-        units = np.zeros((4, 256), dtype=np.uint64)
-        units[bit // 64, bit] = np.left_shift(np.uint64(1), (bit % 64).astype(np.uint64))
-        _step_lanes(units)
-        images = np.ascontiguousarray(units.T)
-    images.flags.writeable = False
-    return images
+        units = np.kron(np.eye(4, dtype=np.uint64), 1 << np.arange(64, dtype=np.uint64))
+        _step_lanes(units)                              # column i: unit state i, stepped
+        images = units.T
+    table = np.zeros((64, 16, 4), dtype=np.uint64)        # entry [k, v]: XOR of v's bits
+    for b, unit in enumerate(images.reshape(64, 4, 4).transpose(1, 0, 2)):
+        table[:, 1 << b:2 << b] = table[:, :1 << b] ^ unit[:, None]
+    table.flags.writeable = False
+    return table
 
 
 def _box_muller(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

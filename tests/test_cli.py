@@ -904,8 +904,19 @@ def test_published_files_have_the_permission_bits_of_a_plain_open(tiny, tmp_path
     assert {p.name: oct(p.stat().st_mode) for p in files} == {p.name: mode for p in files}
 
 
-@pytest.mark.parametrize("target", ["outdir", "c" * 250 + ".csv"],
-                         ids=["a directory", "a name too long for a temp name"])
+def test_a_255_byte_target_publishes(tiny, tmp_path):
+    """The temp name is bounded, so a target name of the longest length a file name
+    may have publishes the bytes a short name gets, and leaves no temp file."""
+    reports = [str(tiny["evaluation"].parent)] * 2
+    long, short = tmp_path / ("c" * 251 + ".csv"), tmp_path / "c.csv"
+    for target in (long, short):
+        assert main(["compare", *reports, "--out", str(target), "--quiet"]) == 0
+    assert long.read_bytes() == short.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([long.name, short.name])
+
+
+@pytest.mark.parametrize("target", ["outdir", "c" * 252 + ".csv"],
+                         ids=["a directory", "a 256-byte name"])
 def test_a_failed_write_names_only_the_target(tiny, tmp_path, capsys, target):
     target = tmp_path / target
     if target.name == "outdir":
@@ -1042,5 +1053,6 @@ def test_roc_csv_is_what_csv_writer_writes(n_pos, n_neg, levels, seed):
     size = max(n_pos + n_neg, 1)
     distances = gen.integers(0, levels, size) / levels              # ties when levels < size
     same = np.arange(size) < n_pos
-    points = threshold_sweep(distances, same).roc_points
-    assert cli._roc_csv(points) == csv_writer_roc(points)
+    report = threshold_sweep(distances, same)
+    points = zip(report.false_accept_rates.tolist(), report.true_accept_rates.tolist())
+    assert cli._roc_csv(report) == csv_writer_roc(points)

@@ -28,6 +28,7 @@ from margindistill.evaluation import (
     threshold_sweep,
     verify,
 )
+from margindistill import evaluation, numerics
 from margindistill.mlp import init_mlp
 from margindistill.numerics import Rng
 from margindistill.teacher import TeacherOracle
@@ -109,23 +110,24 @@ def test_build_pairs_exhausts_all_available():
 
 
 class _StuckRng(Rng):
-    """An Rng whose randint(n) returns 0 for every n in ``stuck`` once ``live``
-    draws are spent.  With identity_list[0] a singleton, every later
-    rejection-sampling attempt in build_pairs is then refused (a singleton
-    identity, or r1 == r2), so a request for more pairs than ``live`` draws
-    can collect must end in the enumeration fallback."""
+    """An Rng whose words are all 0 once ``live`` words are drawn, one at a time or
+    by ``uint64s``.  randint(n) then gives 0 for every n, so with identity_list[0]
+    a singleton every later rejection-sampling attempt in build_pairs is refused
+    (a singleton identity, or r1 == r2), and a request for more pairs than
+    ``live`` words can collect must end in the enumeration fallback."""
 
-    def __init__(self, seed, live, stuck):
+    def __init__(self, seed, live):
         super().__init__(seed)
         self.live = live
-        self.stuck = stuck
 
-    def randint(self, n):
-        if self.live > 0:
-            self.live -= 1
-        elif n in self.stuck:
+    def next_uint64(self):
+        if self.live == 0:
             return 0
-        return super().randint(n)
+        self.live -= 1
+        return super().next_uint64()
+
+    def uint64s(self, n):
+        return np.array([self.next_uint64() for _ in range(n)], dtype=np.uint64)
 
 
 @pytest.mark.parametrize("want_same", [True, False])
@@ -137,15 +139,81 @@ def test_build_pairs_fallback_picks_equal_double_loop(seed, want_same):
     ds = IdentityDataset(gen.permutation(n) + 1000, labels, gen.normal(size=(n, 2)))
     capacity = ds.pair_capacity()[0 if want_same else 1]
     want = capacity if seed % 2 else int(gen.integers(1, capacity + 1))
-    live = int(gen.integers(0, want))          # fewer draws than pairs wanted
+    live = int(gen.integers(0, want))          # fewer words than pairs wanted
     request = (want, 0) if want_same else (0, want)
-    stuck = {ds.n_samples, ds.n_identities}
-    pairs = build_pairs(ds, *request, _StuckRng(seed, live, stuck))
-    a_ids, b_ids, same = loop_build_pairs(ds, *request, _StuckRng(seed, live, stuck))
+    pairs = build_pairs(ds, *request, _StuckRng(seed, live))
+    a_ids, b_ids, same = loop_build_pairs(ds, *request, _StuckRng(seed, live))
     assert len(pairs) == want
     np.testing.assert_array_equal(pairs.a_ids, a_ids)
     np.testing.assert_array_equal(pairs.b_ids, b_ids)
     np.testing.assert_array_equal(pairs.same, same)
+
+
+def _assert_same_pairs_and_next_word(ds, n_pos, n_neg, rng, ref):
+    """build_pairs on rng equals loop_build_pairs on ref, an equal Rng, in its pairs
+    and in the next word each Rng draws."""
+    pairs = build_pairs(ds, n_pos, n_neg, rng)
+    a_ids, b_ids, same = loop_build_pairs(ds, n_pos, n_neg, ref)
+    assert pairs.a_ids.tolist() == a_ids.tolist()
+    assert pairs.b_ids.tolist() == b_ids.tolist()
+    assert pairs.same.tolist() == same.tolist()
+    assert rng.next_uint64() == ref.next_uint64()
+
+
+_requests = st.one_of(st.just(0), st.just(1), st.just("all"), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=6), shuffle=st.booleans(),
+       pos=_requests, neg=_requests, live=st.none() | st.integers(0, 60),
+       seed=st.integers(0, 2**64 - 1))
+def test_build_pairs_equals_scalar_draws(sizes, shuffle, pos, neg, live, seed):
+    """Uneven identities, one-sample ones included, rows shuffled or not; requests of
+    0, 1, every available pair or any count between, and a word stream stuck at 0
+    after ``live`` words, which exhausts the attempt budget."""
+    labels = np.repeat(5 * np.arange(len(sizes)) - 3, sizes)
+    gen = np.random.default_rng(seed % 2**32)
+    if shuffle:
+        labels = gen.permutation(labels)
+    ds = IdentityDataset(gen.permutation(labels.size) + 100, labels,
+                         gen.normal(size=(labels.size, 2)))
+
+    def count(request, available):
+        if request == "all":
+            return available
+        if isinstance(request, float):
+            return int(request * available)
+        return min(request, available)
+
+    n_pos, n_neg = map(count, (pos, neg), ds.pair_capacity())
+    if live is None:
+        rng, ref = Rng(seed), Rng(seed)
+    else:
+        rng, ref = _StuckRng(seed, live), _StuckRng(seed, live)
+    _assert_same_pairs_and_next_word(ds, n_pos, n_neg, rng, ref)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_build_pairs_rejected_words_draw_one_at_a_time(monkeypatch, seed):
+    """With randint_limit lowered by n * 2^48, about n * 2^-16 of the words are
+    refused: about 1.5% of the 960-row draws.  The rounds that hold one are drawn
+    one attempt at a time, and the pairs and the next word stay the scalar draws'."""
+    def limit(n):
+        return 2**64 - 2**64 % n - n * 2**48
+
+    for module in (numerics, evaluation):
+        monkeypatch.setattr(module, "randint_limit", limit)
+    one_at_a_time = []                # words read one at a time, as a rejected word makes
+    step = evaluation._Words.next_uint64
+
+    def counted(words):
+        one_at_a_time.append(1)
+        return step(words)
+
+    monkeypatch.setattr(evaluation._Words, "next_uint64", counted)
+    ds = generate_hierarchical(HierarchySpec(seed=seed))
+    _assert_same_pairs_and_next_word(ds, 300, 300, Rng(seed), Rng(seed))
+    assert one_at_a_time
 
 
 def test_verify_separable_example():
@@ -224,7 +292,8 @@ def test_threshold_sweep_matches_brute_force_counts(pairs):
     same = [p[1] for p in pairs]
     report = threshold_sweep(np.array(d), np.array(same))
     thresholds, rows = brute_force_sweep(d, same)
-    assert report.roc_points == [(far, tar) for _, far, tar in rows]
+    assert report.false_accept_rates.tolist() == [far for _, far, _ in rows]
+    assert report.true_accept_rates.tolist() == [tar for _, _, tar in rows]
     accuracies = [acc for acc, _, _ in rows]
     assert report.best_accuracy == max(accuracies)
     assert report.best_threshold == thresholds[accuracies.index(max(accuracies))]
@@ -267,8 +336,8 @@ def test_verify_roc_points_monotone_sane():
     model = init_mlp((ds.input_dim, 8, 4), True, Rng(3))
     pairs = build_pairs(ds, 40, 40, Rng(4))
     report = verify(model, ds, pairs)
-    fars = [p[0] for p in report.roc_points]
-    tars = [p[1] for p in report.roc_points]
+    fars = report.false_accept_rates.tolist()
+    tars = report.true_accept_rates.tolist()
     assert fars == sorted(fars)
     assert tars == sorted(tars)
     assert fars[0] == 0.0 and tars[-1] == 1.0
@@ -342,7 +411,8 @@ def test_identity_means_equal_per_identity_means(n_ident, dim, sizes, shuffle, s
     if shuffle:
         labels = gen.permutation(labels)
     emb = gen.normal(size=(labels.size, dim)) * 10.0 ** gen.integers(-3, 4)
-    assert _identity_means(emb, labels).tobytes() == per_identity_means(emb, labels).tobytes()
+    ds = IdentityDataset(np.arange(labels.size), labels, emb)
+    assert _identity_means(emb, ds).tobytes() == per_identity_means(emb, labels).tobytes()
 
 
 def test_structure_correlation_identical_and_reversed():

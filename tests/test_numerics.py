@@ -277,10 +277,24 @@ def test_uint64s_equal_scalar_words_and_state(seed, n):
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_uint64s_every_lane_boundary(seed):
+    # the lanes directly too (n >= 1): uint64s steps fewer than _STEPPED_WORDS words
     states, words = _scalar_states(seed, LANE_BOUNDARIES[-1])
     for n in LANE_BOUNDARIES:
+        for draw in (Rng.uint64s, Rng._lane_words) if n else (Rng.uint64s,):
+            rng = Rng(seed)
+            assert draw(rng, n).tobytes() == words[:n].tobytes(), (draw, n)
+            assert rng._s == states[n], (draw, n)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_uint64s_either_side_of_the_stepped_break_even(seed):
+    """Stepped below _STEPPED_WORDS, lanes from it on: the same words and state."""
+    cut = numerics._STEPPED_WORDS
+    states, words = _scalar_states(seed, cut + 1)
+    for n in (0, 1, cut - 1, cut, cut + 1):
         rng = Rng(seed)
-        assert rng.uint64s(n).tobytes() == words[:n].tobytes(), n
+        got = rng.uint64s(n)
+        assert got.dtype == np.uint64 and got.tobytes() == words[:n].tobytes(), n
         assert rng._s == states[n], n
 
 

@@ -298,7 +298,7 @@ def _pk_datasets(draw):
 
 
 def _schedule_is_exact(ds, p, k):
-    sizes = [ds.rows_of(ident).size for ident in ds.identities_with(k).tolist()]
+    sizes = ds.identity_sizes[ds.identity_sizes >= k].tolist()
     return len(sizes) > p and min(sizes) > k
 
 
