@@ -85,6 +85,7 @@ def test_failures_and_workloads_are_counted_apart():
     # an A/A pair names its second side
     copy = ab_pairs.summarize(_runs([(1.0, 1.0)], [(1.1, 1.0)], other="copy"), METRICS, "copy")
     assert copy["w"]["metrics"]["rate"]["per_pair_ratios"] == [1.1]
+    assert copy["w"]["metrics"]["rate"]["verdict"] == "too few pairs"
 
 
 def test_seed_ranges():

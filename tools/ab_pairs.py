@@ -19,11 +19,14 @@ and a verdict:
   every change run reads better than every parent run;
 - ``worse than bound``: the change's median is worse than the parent's by more
   than the bound;
-- ``within bound`` otherwise.
+- ``within bound`` otherwise;
 
-Metrics, directions and bounds come from BENCHMARK.json in the change's tree.
-Run it from the repository root; it writes only under the scratch directory and
-the ``--json`` path.
+and ``too few pairs`` for fewer than ten pairs, as in the A/A pair.
+
+The workloads, the run length (50 s), the metrics, their directions and their
+bounds come from BENCHMARK.json in the change's tree.  Run it from the
+repository root; it writes only under the scratch directory and the ``--json``
+path.
 """
 
 from __future__ import annotations
@@ -86,7 +89,9 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     spread = p_q[1] - p_q[0]
     worse_by = sign * (p_med - c_med) / p_med if p_med else 0.0
     every_run_better = min(sign * c for c in change) > max(sign * p for p in parent)
-    if wins >= 0.9 * len(parent) and sign * (c_med - p_med) > spread:
+    if len(parent) < 10:
+        word = "too few pairs"
+    elif wins >= 0.9 * len(parent) and sign * (c_med - p_med) > spread:
         word = "gain"
     elif p_med and spread / abs(p_med) > bound and not every_run_better:
         word = "unresolved"
@@ -126,7 +131,7 @@ def summarize(runs: list[dict], metrics: list[dict], other: str = "change") -> d
     return summary
 
 
-def print_summary(summary: dict, title: str) -> None:
+def print_summary(summary: dict, title: str, other: str = "change") -> None:
     print(title)
     for workload, row in summary.items():
         failed = ", ".join(f"{side} {count}" for side, count in row["failed"].items())
@@ -136,7 +141,7 @@ def print_summary(summary: dict, title: str) -> None:
             ratios = " ".join("-" if r is None else f"{r:.3f}" for r in m["per_pair_ratios"])
             print(f"    {name:28} parent {m['parent_median']:.6g} "
                   f"[{m['parent_quartiles'][0]:.6g}, {m['parent_quartiles'][1]:.6g}]  "
-                  f"change {m['change_median']:.6g} "
+                  f"{other} {m['change_median']:.6g} "
                   f"[{m['change_quartiles'][0]:.6g}, {m['change_quartiles'][1]:.6g}]  "
                   f"won {m['change_better_pairs']}/{row['pairs']}  {m['verdict']}")
             print(f"    {'':28} ratios {ratios}")
@@ -156,8 +161,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True, type=seed_range, help="e.g. 2300-2309")
     parser.add_argument("--aa-seed", required=True, type=int)
     parser.add_argument("--traced-seed", type=int, help="one --trace 1 run per tree")
-    parser.add_argument("--seconds", type=float, default=50)
-    parser.add_argument("--workloads", nargs="+", default=["cli-protocol", "comparison"])
     parser.add_argument("--claim", help="workload:metric the change claims, if any")
     parser.add_argument("--json", type=Path, help="write the runs and summaries here")
     args = parser.parse_args(argv)
@@ -165,14 +168,16 @@ def main(argv=None) -> int:
     trees = {"parent": archive(args.parent, args.scratch / "parent"),
              "change": archive(args.change, args.scratch / "change"),
              "parent_copy": archive(args.parent, args.scratch / "parent_copy")}
-    metrics = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
 
     def pair(index: int, seed: int, sides: tuple[str, str]) -> list[dict]:
         order = sides if index % 2 == 0 else sides[::-1]
         records = []
         for side in order:
-            for workload in args.workloads:
-                record = run_once(trees[side], workload, seed, args.seconds, 0)
+            for workload in workloads:
+                record = run_once(trees[side], workload, seed, seconds, 0)
                 records.append({"pair": index, "first": order[0], "side": side, **record})
                 print(f"pair {index} seed {seed} {workload} {side}: exit {record['returncode']}",
                       file=sys.stderr, flush=True)
@@ -182,21 +187,22 @@ def main(argv=None) -> int:
     aa_runs = pair(0, args.aa_seed, ("parent", "parent_copy"))
     summary, aa_summary = summarize(runs, metrics), summarize(aa_runs, metrics, "parent_copy")
     print_summary(summary, f"{args.change} against {args.parent}")
-    print_summary(aa_summary, f"A/A: {args.parent} against a second archive of it")
+    print_summary(aa_summary, f"A/A: {args.parent} against a second archive of it",
+                  "parent_copy")
     traced = {}
     if args.traced_seed is not None:
-        for workload in args.workloads:
+        for workload in workloads:
             traced[workload] = {side: run_once(trees[side], workload, args.traced_seed,
-                                               args.seconds, 1)["result"]
+                                               seconds, 1)["result"]
                                 for side in ("parent", "change")}
     if args.json:
-        command = f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}"
+        command = f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g}"
         args.json.write_text(json.dumps({
             "parent_commit": commit_of(args.parent), "change_commit": commit_of(args.change),
             "command": command + " --trace 0",
             "protocol": f"tools/ab_pairs.py: {len(args.seeds)} pairs on seeds "
                         f"{args.seeds[0]}-{args.seeds[-1]}, even pairs parent first; per side "
-                        f"every workload in the order {', '.join(args.workloads)}",
+                        f"every workload in the order {', '.join(workloads)}",
             "claim": args.claim, "summary": summary,
             "aa_protocol": f"the parent against a second archive of it ('parent_copy'; "
                            f"its values are the 'change_*' entries), one pair, "
