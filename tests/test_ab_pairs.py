@@ -1,4 +1,4 @@
-"""The paired A/B driver's statistics, on fabricated result lines; no benchmark runs."""
+"""tools/ab_pairs.py's statistics, on fabricated result lines; no benchmark runs."""
 
 import importlib.util
 from pathlib import Path
@@ -15,7 +15,7 @@ METRICS = [{"name": "rate", "better": "higher", "bound": 0.25},
 
 
 def _runs(parent, change, workload="w", other="change", failed=(0, 0)):
-    """Records as the driver keeps them: one per side and pair, each with the result
+    """Records as tools/ab_pairs.py keeps them: one per side and pair, each with the result
     line perfbench/run.py prints."""
     runs = []
     for i, values in enumerate(zip(parent, change)):
