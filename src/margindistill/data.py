@@ -29,7 +29,7 @@ from .errors import (
     NoTripletsError,
     UnknownSampleError,
 )
-from .numerics import Rng, gram_sq_euclidean, pairwise_sq_euclidean, randint_limit
+from .numerics import Rng, Words, gram_sq_euclidean, pairwise_sq_euclidean, randint_limit
 
 MINING_STRATEGIES = ("all", "random_per_anchor", "semi_hard")
 
@@ -127,6 +127,8 @@ class IdentityDataset:
         # identity's rows, ascending, are identity_order[identity_starts[i]:][:identity_sizes[i]]
         self.identity_order = np.argsort(self.labels, kind="stable")
         self.identity_starts = np.cumsum(self.identity_sizes) - self.identity_sizes
+        for array in (self.identity_order, self.identity_sizes, self.identity_starts):
+            array.flags.writeable = False               # and so are the views rows_of gives
         self._rows_by_identity = dict(zip(self.identity_list, np.split(
             self.identity_order, self.identity_starts[1:])))
 
@@ -234,48 +236,34 @@ def sample_pk_batch(ds: IdentityDataset, p: int, k: int, rng: Rng) -> PkBatch:
 
 def sample_pk_batches(
     ds: IdentityDataset, p: int, k: int, rng: Rng, count: int
-) -> list[PkBatch] | None:
-    """The next ``count`` batches of ``sample_pk_batch(ds, p, k, rng)``, drawn at once.
+) -> list[PkBatch]:
+    """The next ``count`` batches of ``sample_pk_batch(ds, p, k, rng)``, drawn at once,
+    with the same batches and final state.
 
-    One ``rng.uint64s`` call draws every word, and the partial Fisher-Yates
-    steps run across all batches: first over the eligible identities, then
-    over each chosen identity's rows.  The batches and the final state equal
-    those of ``count`` calls only when every ``randint`` takes exactly one
-    word, that is when
-
-    - more than p identities are eligible and every eligible identity has
-      more than k samples (``randint(1)`` draws no word), and
-    - no word is rejected (at or above ``randint_limit``).
-
-    Otherwise returns None and leaves rng as it was.
+    When more than p identities are eligible and each has more than k samples, every
+    ``randint`` of a batch takes one word (``randint(1)`` takes none) unless it rejects
+    one.  Then one ``Words.attempts`` run draws the batches' words, and those before
+    the first rejected word are decoded at once: partial Fisher-Yates steps across the
+    batches, over the eligible identities, then over each chosen identity's rows.
+    That batch, the rest, and every batch otherwise come from ``sample_pk_batch``.
     """
-    if p < 1 or k < 1:
-        raise ContractViolation("p and k must be >= 1")
+    if p < 1 or k < 1 or count < 0:
+        raise ContractViolation("p and k must be >= 1, and count >= 0")
     eligible = np.flatnonzero(ds.identity_sizes >= k)       # positions among the identities
     sizes = ds.identity_sizes[eligible].astype(np.uint64)
     if eligible.size <= p or sizes.min() <= k:
-        return None
-    saved = list(rng._s)
-    words = rng.uint64s(count * (p + p * k)).reshape(count, p + p * k)
-    id_words, row_words = words[:, :p], words[:, p:].reshape(count, p, k)
+        return [sample_pk_batch(ds, p, k, rng) for _ in range(count)]
     id_bounds = eligible.size - np.arange(p, dtype=np.uint64)
     row_bounds = sizes[:, None] - np.arange(k, dtype=np.uint64)         # per eligible identity
-    chosen = _partial_shuffles(id_words, id_bounds)
-    rejected = np.any(id_words > _accepted(id_bounds))
-    if rejected or np.any(row_words > _accepted(row_bounds)[chosen]):
-        rng._s = saved
-        return None
-    picked = _partial_shuffles(row_words.reshape(-1, k), row_bounds[chosen.ravel()])
+    limit = min(map(randint_limit, {*id_bounds.tolist(), *row_bounds.ravel().tolist()}))
+    words, tail = Words(rng, 0).attempts(count, p + p * k, limit,
+                                         lambda words: sample_pk_batch(ds, p, k, words))
+    chosen = _partial_shuffles(words[:, :p], id_bounds)
+    picked = _partial_shuffles(words[:, p:].reshape(-1, k), row_bounds[chosen.ravel()])
     entries = ds.identity_order[ds.identity_starts[eligible[chosen]].reshape(-1, 1) + picked]
     labels = np.repeat(ds._identities[eligible[chosen]], k, axis=1)
     # as in sample_pk_batch: distinct identities, k distinct rows of each
-    return [PkBatch._built(p, k, e, c) for e, c in zip(entries.reshape(count, p * k), labels)]
-
-
-def _accepted(bounds: np.ndarray) -> np.ndarray:
-    """The largest word ``randint(n)`` accepts, for each bound n."""
-    limits = [randint_limit(n) - 1 for n in bounds.ravel().tolist()]
-    return np.array(limits, dtype=np.uint64).reshape(bounds.shape)
+    return [PkBatch._built(p, k, e, c) for e, c in zip(entries.reshape(-1, p * k), labels)] + tail
 
 
 def _partial_shuffles(words: np.ndarray, bounds: np.ndarray) -> np.ndarray:

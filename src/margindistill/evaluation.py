@@ -29,7 +29,7 @@ from .errors import (
     InsufficientData,
 )
 from .mlp import MlpModel, embed
-from .numerics import Rng, pairwise_sq_euclidean, randint_limit
+from .numerics import Rng, Words, pairwise_sq_euclidean, randint_limit
 from .teacher import TeacherOracle
 
 
@@ -86,70 +86,45 @@ def build_pairs(
     # an attempt takes at least `width` words (randint(1) takes none), and at least
     # `want` attempts run, so the words of both kinds' first rounds come in one draw
     width = int(ds.n_identities > 1) + int(np.minimum(ds.identity_sizes - 1, 2).min())
-    words = _Words(rng, n_pos * width + n_neg * 2)
+    words = Words(rng, n_pos * width + n_neg * 2)
     lo, hi = np.concatenate([_collect(ds, n_pos, True, width, words),
                              _collect(ds, n_neg, False, 2, words)], axis=1)
     return PairSet(a_ids=ds.sample_ids[lo], b_ids=ds.sample_ids[hi],
                    same=np.repeat([True, False], [n_pos, n_neg]))
 
 
-class _Words:
-    """The words ahead of ``rng``: a block drawn by ``uint64s``, then ``rng``'s own.
-    ``randint`` and ``sample_indices`` are ``Rng``'s, on these words."""
-
-    randint, sample_indices = Rng.randint, Rng.sample_indices
-
-    def __init__(self, rng: Rng, ahead: int):
-        self.rng, self.block, self.at = rng, rng.uint64s(ahead), 0
-
-    def peek(self, n: int) -> np.ndarray:
-        """The next n words, not taken; what the block lacks is drawn now."""
-        ahead = self.block[self.at:]
-        self.block, self.at = np.concatenate((ahead, self.rng.uint64s(max(n - ahead.size, 0)))), 0
-        return self.block[:n]
-
-    def next_uint64(self) -> int:
-        self.at += 1
-        if self.at > self.block.size:
-            return self.rng.next_uint64()
-        return int(self.block[self.at - 1])
-
-
-def _collect(ds: IdentityDataset, want: int, same: bool, width: int, words: _Words):
+def _collect(ds: IdentityDataset, want: int, same: bool, width: int, words: Words):
     """(lower rows, higher rows) of ``build_pairs``' ``want`` pairs of one kind.  A round
-    draws ``width`` words, the fewest, for each attempt that must still run, and decodes
-    them as arrays if each takes exactly ``width``: no word is rejected and, for same-
-    identity pairs, every one of 2+ identities has 3+ rows.  Otherwise its attempts are
-    drawn one at a time, the last reading past the round."""
+    is one ``words.attempts`` run of the attempts that must still run, ``width`` words
+    each, decoded as arrays up to the first that holds a rejected word; that one and
+    the rest are drawn one at a time.  Attempts differ in width, and all are drawn one
+    at a time, unless for same-identity pairs every one of 2+ identities has 3+ rows."""
     n, sizes = ds.n_samples, ds.identity_sizes
     bounds = {ds.n_identities, *sizes.tolist(), *(sizes - 1).tolist()} if same else {n}
     limit = min(map(randint_limit, bounds)) if width == 2 + same else 0
+
+    def draw(words: Words):
+        if same:                                    # a one-row identity: one row twice
+            rows = ds.rows_of(ds.identity_list[words.randint(ds.n_identities)])
+            return rows[words.sample_indices(rows.size, 2) if rows.size > 1 else [0, 0]]
+        return words.randint(n), words.randint(n)
+
     found = np.empty(0, dtype=np.int64)         # pair codes: lower row * n + higher row
     attempts, budget = 0, 200 * want + 10_000
     while found.size < want and attempts < budget:
         count = min(want - found.size, budget - attempts)
-        block = words.peek(count * width)
-        if int(block.max()) >= limit:
-            drawn = []                              # a one-row identity: one row twice
-            while words.at < block.size:
-                if same:
-                    rows = ds.rows_of(ds.identity_list[words.randint(ds.n_identities)])
-                    at = words.sample_indices(rows.size, 2) if rows.size > 1 else [0, 0]
-                    drawn.append(rows[at])
-                else:
-                    drawn.append((words.randint(n), words.randint(n)))
-            r1, r2 = np.array(drawn, dtype=np.intp).T
-        elif same:
-            w = block.reshape(count, 3).T
+        block, tail = words.attempts(count, width, limit, draw)
+        if same:
+            w = block.reshape(-1, 3).T              # no rows when the widths differ
             ident = (w[0] % np.uint64(ds.n_identities)).astype(np.intp)
             i = (w[1] % sizes[ident].astype(np.uint64)).astype(np.intp)
             j = (w[2] % (sizes[ident] - 1).astype(np.uint64)).astype(np.intp) + 1
             j[j == i] = 0                           # sample_indices' swap
-            r1, r2 = ds.identity_order[ds.identity_starts[ident] + np.stack((i, j))]
+            pairs = ds.identity_order[ds.identity_starts[ident] + np.stack((i, j))]
         else:
-            r1, r2 = (block % np.uint64(n)).astype(np.intp).reshape(count, 2).T
-        words.at = max(words.at, block.size)        # the attempts' words are taken
-        attempts += r1.size
+            pairs = (block % np.uint64(n)).astype(np.intp).T
+        r1, r2 = np.concatenate((pairs, np.array(tail, dtype=np.intp).reshape(-1, 2).T), axis=1)
+        attempts += count
         keep = (r1 != r2) & ((ds.labels[r1] == ds.labels[r2]) == same)
         codes = np.concatenate((found, np.minimum(r1, r2)[keep] * n + np.maximum(r1, r2)[keep]))
         found = codes[np.sort(np.unique(codes, return_index=True)[1])]    # first occurrences
@@ -231,7 +206,7 @@ def centroid_distance_matrix(
     with a zero diagonal.
     """
     emb = _embeddings_for(embedder, ds, np.arange(ds.n_samples))
-    return ds.identity_list, pairwise_sq_euclidean(_identity_means(emb, ds))
+    return list(ds.identity_list), pairwise_sq_euclidean(_identity_means(emb, ds))
 
 
 def _identity_means(emb: np.ndarray, ds: IdentityDataset) -> np.ndarray:

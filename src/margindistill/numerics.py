@@ -225,6 +225,39 @@ class Rng:
         return top * (2.0 ** -53)
 
 
+class Words:
+    """The words ahead of ``rng``: a block drawn by ``uint64s``, then ``rng``'s own.
+    ``randint`` and ``sample_indices`` are ``Rng``'s, on these words."""
+
+    randint, sample_indices = Rng.randint, Rng.sample_indices
+
+    def __init__(self, rng: Rng, ahead: int):
+        self.rng, self.block, self.at = rng, rng.uint64s(ahead), 0
+
+    def next_uint64(self) -> int:
+        self.at += 1
+        if self.at > self.block.size:
+            return self.rng.next_uint64()
+        return int(self.block[self.at - 1])
+
+    def attempts(self, count: int, width: int, limit: int, draw) -> tuple[np.ndarray, list]:
+        """A run of ``count`` attempts that take ``width`` words each unless one holds a
+        word at or above ``limit``: the (first, width) words of the attempts before the
+        first that does, and ``draw(self)`` for it and each later attempt, in order.
+
+        Only ``count * width`` words are drawn ahead, the fewest the attempts take, so
+        the tail's draws read the rest of them before the generator's own.
+        """
+        ahead = self.block[self.at:]
+        self.block = np.concatenate((ahead, self.rng.uint64s(max(count * width - ahead.size, 0))))
+        words = self.block[:count * width].reshape(count, width)
+        first = count
+        if count and int(words.max(initial=0)) >= limit:       # one test for the usual case
+            first = int(np.argmax(words.max(axis=1, initial=0) >= limit))
+        self.at = first * width
+        return words[:first], [draw(self) for _ in range(count - first)]
+
+
 # ---------------------------------------------------------------------------
 # bulk draws: xoshiro256** lanes and Box-Muller over word arrays
 # ---------------------------------------------------------------------------

@@ -112,20 +112,15 @@ class TrainLog:
 
 def _pk_batches(ds: IdentityDataset, cfg, rng: Rng):
     """The loop's batches: one ``sample_pk_batch`` draw per iteration, in order.
-
-    When mining draws no random numbers, each chunk of up to SCHEDULE_CHUNK
-    iterations is drawn at once by ``sample_pk_batches``, with the same
-    batches and final state.  A chunk it cannot draw exactly is sampled one
-    batch at a time as the loop asks for it, so mining's draws interleave.
-    """
+    Unless mining draws between batches, chunks of up to SCHEDULE_CHUNK iterations
+    are drawn at once by ``sample_pk_batches``, with the same batches and state."""
+    if cfg.mining == "random_per_anchor":
+        for _ in range(cfg.iterations):
+            yield sample_pk_batch(ds, cfg.p, cfg.k, rng)
+        return
     for start in range(0, cfg.iterations, SCHEDULE_CHUNK):
-        count = min(SCHEDULE_CHUNK, cfg.iterations - start)
-        batches = None
-        if cfg.mining in ("all", "semi_hard"):          # mining that draws nothing
-            batches = sample_pk_batches(ds, cfg.p, cfg.k, rng, count)
-        if batches is None:
-            batches = (sample_pk_batch(ds, cfg.p, cfg.k, rng) for _ in range(count))
-        yield from batches
+        yield from sample_pk_batches(ds, cfg.p, cfg.k, rng,
+                                     min(SCHEDULE_CHUNK, cfg.iterations - start))
 
 
 def _run_triplet_loop(

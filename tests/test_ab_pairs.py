@@ -91,3 +91,26 @@ def test_failures_and_workloads_are_counted_apart():
 def test_seed_ranges():
     assert ab_pairs.seed_range("2300-2302") == [2300, 2301, 2302]
     assert ab_pairs.seed_range("7") == [7]
+
+
+def test_runs_without_a_result_leave_their_pairs_out():
+    parent = [(100.0 + i, 10.0) for i in range(12)]
+    change = [(130.0 + i, 10.0) for i in range(12)]
+    runs = _runs(parent, change) + _runs(parent[:3], change[:3], "short")
+    runs[1]["result"] = None                                # pair 0 killed: no line
+    runs[4]["result"] = {"correct": False}                  # pair 2, a line without metrics
+    runs[-1]["result"] = ["not", "a", "record"]             # a malformed line
+    summary = ab_pairs.summarize(runs, METRICS)
+    row = summary["w"]
+    assert row["pairs"] == 10 and row["without_result"] == {"parent": 1, "change": 1}
+    assert not row["all_correct"]
+    rate = row["metrics"]["rate"]
+    assert rate["per_pair_ratios"][:2] == [1.297, 1.2913]    # pairs 1 and 3: 131/101, 133/103
+    assert len(rate["per_pair_ratios"]) == 10
+    assert rate["change_better_pairs"] == 10 and rate["verdict"] == "gain"
+    short = summary["short"]
+    assert short["pairs"] == 2 and short["without_result"] == {"parent": 0, "change": 1}
+    assert short["metrics"]["rate"]["verdict"] == "too few pairs"
+    lone = ab_pairs.summarize(_runs(parent[:1], change[:1])[:1], METRICS)["w"]
+    assert lone["pairs"] == 0 and lone["metrics"] == {}
+    ab_pairs.print_summary(summary, "fabricated")

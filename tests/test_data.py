@@ -154,6 +154,16 @@ def test_dataset_invariants_enforced():
         IdentityDataset([0, 1], [1, 1], np.array([[np.inf, 0], [0, 0]]))
 
 
+def test_dataset_grouping_is_read_only():
+    # the PK schedule, build_pairs and identity means all read this one grouping
+    ds = generate_hierarchical(small_spec())
+    rows = ds.rows_of(ds.identity_list[0])
+    for array in (ds.identity_order, ds.identity_sizes, ds.identity_starts, rows):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    ds.X[0, 0] = 1.0                             # the features stay writable
+
+
 def test_pk_batch_minimal():
     ds = generate_hierarchical(small_spec())
     b = sample_pk_batch(ds, 1, 1, Rng(0))

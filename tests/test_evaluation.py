@@ -196,21 +196,22 @@ def test_build_pairs_equals_scalar_draws(sizes, shuffle, pos, neg, live, seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_build_pairs_rejected_words_draw_one_at_a_time(monkeypatch, seed):
     """With randint_limit lowered by n * 2^48, about n * 2^-16 of the words are
-    refused: about 1.5% of the 960-row draws.  The rounds that hold one are drawn
-    one attempt at a time, and the pairs and the next word stay the scalar draws'."""
+    refused: about 1.5% of the 960-row draws.  A round's attempts from the first that
+    holds one are drawn one at a time, and the pairs and the next word stay the scalar
+    draws'."""
     def limit(n):
         return 2**64 - 2**64 % n - n * 2**48
 
     for module in (numerics, evaluation):
         monkeypatch.setattr(module, "randint_limit", limit)
     one_at_a_time = []                # words read one at a time, as a rejected word makes
-    step = evaluation._Words.next_uint64
+    step = numerics.Words.next_uint64
 
     def counted(words):
         one_at_a_time.append(1)
         return step(words)
 
-    monkeypatch.setattr(evaluation._Words, "next_uint64", counted)
+    monkeypatch.setattr(numerics.Words, "next_uint64", counted)
     ds = generate_hierarchical(HierarchySpec(seed=seed))
     _assert_same_pairs_and_next_word(ds, 300, 300, Rng(seed), Rng(seed))
     assert one_at_a_time
@@ -358,6 +359,13 @@ def test_centroid_matrix_orthogonal_identities():
     idents, mat = centroid_distance_matrix(oracle, ds)
     assert idents == [0, 1]
     assert mat[0, 1] == mat[1, 0] == pytest.approx(2.0, abs=1e-15)
+
+
+def test_centroid_matrix_hands_out_a_copy_of_the_identities():
+    ds, oracle = _table_ds([[1, 0], [1, 0], [0, 1], [0, 1]], [0, 0, 1, 1])
+    idents, _ = centroid_distance_matrix(oracle, ds)
+    idents.append(2)
+    assert ds.identity_list == [0, 1] and ds.n_identities == 2
 
 
 def test_centroid_matrix_matches_double_loop():

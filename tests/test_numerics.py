@@ -1,9 +1,11 @@
+import copy
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from scipy.stats import chi2
 
 from margindistill.data import IdentityDataset
@@ -16,6 +18,7 @@ from margindistill.numerics import (
     derive_subseed,
     gram_sq_euclidean,
     pairwise_sq_euclidean,
+    randint_limit,
 )
 
 from oracles import (
@@ -313,6 +316,40 @@ def test_uint64s_validates():
     with pytest.raises(ContractViolation):
         Rng(0).uint64s(-1)
     assert Rng(0).uint64s(np.int64(3)).tolist() == Rng(0).uint64s(3).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, _MASK64), width=st.integers(1, 4), count=st.integers(0, 50),
+       taken=st.integers(0, 120), ahead=st.integers(0, 320), n=st.integers(2, 17),
+       kind=st.sampled_from(["0", "2^64", "lowered"]))
+def test_words_attempts_equal_scalar_draws(seed, width, count, taken, ahead, n, kind):
+    """Attempts of ``width`` draws of randint(n) after ``taken`` words, on a block of
+    ``ahead`` words that the attempts use up.  A limit of 0 flags every attempt, 2^64
+    none (n a power of two, which rejects nothing), and randint_limit lowered by
+    n * 2^56 rejects about n / 256 of the words."""
+    if kind == "2^64":
+        n = 1 << (n.bit_length() - 1)
+    lowered = {"0": randint_limit, "2^64": randint_limit,
+               "lowered": lambda m: randint_limit(m) - m * 2**56}[kind]
+    limit = {"0": 0, "2^64": 2**64, "lowered": lowered(n)}[kind]
+    with mock.patch.object(numerics, "randint_limit", lowered):
+        rng, ref = Rng(seed), Rng(seed)
+        words = numerics.Words(rng, min(ahead, taken + count * width))
+        assert [words.next_uint64() for _ in range(taken)] == scalar_words(
+            ref.next_uint64, taken).tolist()
+        stream = scalar_words(copy.deepcopy(ref).next_uint64, count * width)
+        prefix, tail = words.attempts(count, width, limit,
+                                      lambda w: [w.randint(n) for _ in range(width)])
+        want = [[ref.randint(n) for _ in range(width)] for _ in range(count)]
+    first = len(prefix)
+    event(f"limit {kind}: " + ("none" if first == count else "all" if first == 0 else "some")
+          + " drawn one at a time")
+    assert prefix.dtype == np.uint64 and prefix.shape == (first, width)
+    assert prefix.ravel().tolist() == stream[:first * width].tolist()
+    assert all(w < limit for w in stream[:first * width].tolist())
+    assert first == count or max(stream[first * width:][:width].tolist()) >= limit
+    assert (prefix % np.uint64(n)).tolist() + tail == want
+    assert rng.next_uint64() == ref.next_uint64()
 
 
 @pytest.mark.parametrize("m", range(12))

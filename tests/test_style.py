@@ -1,5 +1,5 @@
 """Style rules of src/, tools/ and tests/: lines of at most 99 columns, no ``;`` statements,
-no unused imports."""
+no unused imports; and the generator's state touched only in numerics.py."""
 
 import ast
 import io
@@ -46,3 +46,14 @@ def test_no_unused_imports(path):
     unused = [(n, name) for n, name in imports
               if name not in read and "# noqa: F401" not in lines[n - 1]]
     assert not unused, f"{path.name}: unused imports (line, name): {unused}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.parent.name == "margindistill"
+                                  and p.name != "numerics.py"], ids=lambda p: p.name)
+def test_generator_state_stays_in_numerics(path):
+    # Rng's state is read and written only where the draws are; elsewhere a draw
+    # ahead goes through numerics.Words.  An attribute, or a name for getattr.
+    rows = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "_s"
+            or isinstance(node, ast.Constant) and node.value == "_s"]
+    assert not rows, f"{path.name}: generator state _s on lines {rows}"

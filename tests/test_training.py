@@ -297,11 +297,6 @@ def _pk_datasets(draw):
     return ds, p, k, seed
 
 
-def _schedule_is_exact(ds, p, k):
-    sizes = ds.identity_sizes[ds.identity_sizes >= k].tolist()
-    return len(sizes) > p and min(sizes) > k
-
-
 def _assert_same_batches(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -320,17 +315,26 @@ def _per_batch_draws(ds, p, k, rng, count):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_pk_datasets(), st.integers(1, 9))
+@given(_pk_datasets(), st.integers(0, 9))
 def test_pk_schedule_equals_per_batch_draws(case, count):
     ds, p, k, seed = case
     rng, ref = Rng(seed), Rng(seed)
-    batches = sample_pk_batches(ds, p, k, rng, count)
-    if not _schedule_is_exact(ds, p, k):
-        assert batches is None and rng._s == ref._s
+    want = _per_batch_draws(ds, p, k, ref, count)
+    if want is None:
+        with pytest.raises(CapacityError):
+            sample_pk_batches(ds, p, k, rng, count)
         return
-    event("exact")
-    _assert_same_batches(batches, _per_batch_draws(ds, p, k, ref, count))
+    sizes = ds.identity_sizes[ds.identity_sizes >= k]
+    event("bulk" if sizes.size > p and sizes.min() > k else "per batch")
+    _assert_same_batches(sample_pk_batches(ds, p, k, rng, count), want)
     assert rng._s == ref._s
+
+
+def test_pk_schedule_rejects_a_negative_count():
+    ds = tiny_dataset()
+    for p in (3, 6):                             # bulk draws, then per-batch draws
+        with pytest.raises(ContractViolation):
+            sample_pk_batches(ds, p, 3, Rng(0), -1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -348,19 +352,21 @@ def test_loop_batches_equal_per_iteration_draws_across_chunks(case, iterations):
     assert rng._s == ref._s
 
 
-def _counting_sampler(monkeypatch):
+def _counting_sampler(monkeypatch, module=training):
     calls = []
 
     def counted(*args):
         calls.append(1)
         return sample_pk_batch(*args)
 
-    monkeypatch.setattr(training, "sample_pk_batch", counted)
+    monkeypatch.setattr(module, "sample_pk_batch", counted)
     return calls
 
 
 @pytest.mark.parametrize("draws", ["identity", "row"])
 def test_rejected_word_replays_its_chunk_on_the_scalar_path(monkeypatch, draws):
+    """The batches before a chunk's first rejected word are decoded from the bulk
+    words; that batch and the rest of the chunk are drawn one at a time."""
     # 64 identities of 30 samples: identity draws have bounds 57-64, row draws 23-30
     ds = generate_hierarchical(HierarchySpec(identities_per_supercluster=16, seed=2))
 
@@ -371,31 +377,30 @@ def test_rejected_word_replays_its_chunk_on_the_scalar_path(monkeypatch, draws):
 
     for module in (numerics, data):
         monkeypatch.setattr(module, "randint_limit", limit)
-    calls = _counting_sampler(monkeypatch)
+    calls = _counting_sampler(monkeypatch, data)
     cfg = SimpleNamespace(p=8, k=8, iterations=1025, mining="semi_hard")
     rng, ref = Rng(7), Rng(7)
     got = list(training._pk_batches(ds, cfg, rng))
-    # the first chunk's 73,728 words hold a rejected one, the last batch's 72 do not
-    assert len(calls) == 1024
+    # the first chunk's first rejected word is in batch 7 (identity) or 32 (row), and
+    # the last batch's 72 words hold none
+    assert 0 < len(calls) < 1025
     _assert_same_batches(got, _per_batch_draws(ds, 8, 8, ref, 1025))
     assert rng._s == ref._s
 
 
-def test_rejected_first_word_leaves_the_generator_untouched():
+def test_rejected_first_word_gives_the_same_batches_and_state(monkeypatch):
     ds = tiny_dataset()                          # 6 identities: randint(6) rejects 2^64 - 1
     mask = 2**64 - 1
     out = mask * pow(9, -1, 2**64) & mask        # next word = rotl(s1 * 5, 7) * 9
     s1 = ((out >> 7) | (out << 57)) & mask
-    rng = Rng(0)
-    rng._s = [1, s1 * pow(5, -1, 2**64) & mask, 2, 3]
-    probe, ref = Rng(0), Rng(0)
-    probe._s, ref._s = list(rng._s), list(rng._s)
+    state = [1, s1 * pow(5, -1, 2**64) & mask, 2, 3]
+    rng, probe, ref = Rng(0), Rng(0), Rng(0)
+    rng._s, probe._s, ref._s = list(state), list(state), list(state)
     assert probe.next_uint64() == mask
-    assert sample_pk_batches(ds, 3, 3, rng, 4) is None and rng._s == ref._s
-    cfg = SimpleNamespace(p=3, k=3, iterations=4, mining="all")
-    _assert_same_batches(list(training._pk_batches(ds, cfg, rng)),
-                         _per_batch_draws(ds, 3, 3, ref, 4))
-    assert rng._s == ref._s
+    want = _per_batch_draws(ds, 3, 3, ref, 4)
+    calls = _counting_sampler(monkeypatch, data)
+    _assert_same_batches(sample_pk_batches(ds, 3, 3, rng, 4), want)
+    assert len(calls) == 4 and rng._s == ref._s
 
 
 def test_random_per_anchor_batches_are_drawn_between_minings():
@@ -446,7 +451,8 @@ def test_semi_hard_training_at_default_spec_draws_the_schedule(monkeypatch):
     def refuse(*args):
         raise AssertionError("a PK batch was sampled one iteration at a time")
 
-    monkeypatch.setattr(training, "sample_pk_batch", refuse)
+    for module in (training, data):              # data: a rejected word's batches
+        monkeypatch.setattr(module, "sample_pk_batch", refuse)
     ds = generate_hierarchical(HierarchySpec(seed=6))
     teacher, _ = train_teacher(ds, TeacherTrainConfig(iterations=30, floor_pairs=20), seed=1)
     student = init_mlp((16, 32, 32, 16), True, Rng(2))

@@ -21,7 +21,9 @@ and a verdict:
   than the bound;
 - ``within bound`` otherwise;
 
-and ``too few pairs`` for fewer than ten pairs, as in the A/A pair.
+and ``too few pairs`` for fewer than ten pairs, as in the A/A pair.  Only pairs where
+both sides printed a result line count; the runs without one (failed, killed or
+malformed) are counted per side, and every run is written to ``--json``.
 
 The workloads, the run length (50 s), the metrics, their directions and their
 bounds come from BENCHMARK.json in the change's tree.  Run it from the
@@ -106,27 +108,43 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
             "verdict": word}
 
 
+def metric_values(result, metrics: list[dict]) -> list[float] | None:
+    """The values of ``metrics`` in one run's result line; None if it lacks any, as the
+    line of a failed, killed or malformed run does."""
+    try:
+        return [result["metrics"][m["name"]]["value"] for m in metrics]
+    except (KeyError, TypeError):
+        return None
+
+
 def summarize(runs: list[dict], metrics: list[dict], other: str = "change") -> dict:
-    """Per workload: the pairs, the failed operations of each side, whether every run's
-    checks passed, and ``verdict`` of each metric.  ``runs`` holds one record per side
-    and pair, with keys pair, side ("parent" or ``other``), workload and result."""
+    """Per workload: the pairs where both sides have a result, each side's runs without
+    one, the failed operations of each side, whether every run's checks passed, and
+    ``verdict`` of each metric over those pairs.  ``runs`` holds one record per side and
+    pair, with keys pair, side ("parent" or ``other``), workload and result."""
     summary = {}
     for workload in sorted({r["workload"] for r in runs}):
         sides = {side: sorted((r for r in runs if r["workload"] == workload
                                and r["side"] == side), key=lambda r: r["pair"])
                  for side in ("parent", other)}
-        results = {side: [r["result"] or {} for r in recs] for side, recs in sides.items()}
+        results = {side: [r["result"] if isinstance(r["result"], dict) else {} for r in recs]
+                   for side, recs in sides.items()}
+        values = {side: {r["pair"]: metric_values(r["result"], metrics) for r in recs}
+                  for side, recs in sides.items()}
+        both = [i for i, v in values["parent"].items()
+                if v is not None and values[other].get(i) is not None]
         summary[workload] = {
-            "pairs": len(sides[other]),
+            "pairs": len(both),
+            "without_result": {side: sum(v is None for v in vals.values())
+                               for side, vals in values.items()},
             "failed": {side: f"{sum(x.get('failed', 0) for x in res)} of "
                              f"{sum(x.get('attempted', 0) for x in res)}"
                        for side, res in results.items()},
             "all_correct": all(x.get("correct") is True for res in results.values()
                                for x in res),
             "metrics": {m["name"]: verdict(
-                *([x["metrics"][m["name"]]["value"] for x in results[side]]
-                  for side in ("parent", other)), m["better"], m["bound"])
-                for m in metrics},
+                *([values[side][i][j] for i in both] for side in ("parent", other)),
+                m["better"], m["bound"]) for j, m in enumerate(metrics)} if both else {},
         }
     return summary
 
@@ -135,8 +153,9 @@ def print_summary(summary: dict, title: str, other: str = "change") -> None:
     print(title)
     for workload, row in summary.items():
         failed = ", ".join(f"{side} {count}" for side, count in row["failed"].items())
-        print(f"  {workload}: {row['pairs']} pairs, failed {failed}, "
-              f"all correct {row['all_correct']}")
+        missing = ", ".join(f"{side} {n}" for side, n in row["without_result"].items())
+        print(f"  {workload}: {row['pairs']} pairs with both results, runs without one "
+              f"{missing}, failed {failed}, all correct {row['all_correct']}")
         for name, m in row["metrics"].items():
             ratios = " ".join("-" if r is None else f"{r:.3f}" for r in m["per_pair_ratios"])
             print(f"    {name:28} parent {m['parent_median']:.6g} "
