@@ -97,8 +97,8 @@ def _collect(ds: IdentityDataset, want: int, same: bool, width: int, words: Word
     """(lower rows, higher rows) of ``build_pairs``' ``want`` pairs of one kind.  A round
     is one ``words.attempts`` run of the attempts that must still run, ``width`` words
     each, decoded as arrays up to the first that holds a rejected word; that one and
-    the rest are drawn one at a time.  Attempts differ in width, and all are drawn one
-    at a time, unless for same-identity pairs every one of 2+ identities has 3+ rows."""
+    the rest are drawn one at a time.  Same-identity attempts differ in width, and all
+    are drawn one at a time, unless there are 2+ identities and each has 3+ rows."""
     n, sizes = ds.n_samples, ds.identity_sizes
     bounds = {ds.n_identities, *sizes.tolist(), *(sizes - 1).tolist()} if same else {n}
     limit = min(map(randint_limit, bounds)) if width == 2 + same else 0
