@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation, DegenerateInput, FormatError
-from .numerics import Rng
+from .numerics import Rng, one_blas_thread
 
 CHECKPOINT_MAGIC = b"TFMLP1"
 _SMALL_NORM = 2.0 ** -450     # below this a row norm may have lost bits to underflow
@@ -154,18 +154,20 @@ def forward_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardCa
 
 def embed(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """``forward_batch(model, x)[0]`` bit for bit, run EMBED_ROWS rows at a time,
-    so a whole dataset holds one block's activations instead of every layer's."""
+    so a whole dataset holds one block's activations instead of every layer's.
+    The products run on the calling thread."""
     x = _checked_input(model, x)
     out = np.empty((x.shape[0], model.embed_dim))
-    for start in range(0, x.shape[0], EMBED_ROWS):
-        a = x[start:start + EMBED_ROWS]
-        for w, b in zip(model.weights[:-1], model.biases[:-1]):
-            a = _affine(a, w, b)
-            np.maximum(a, 0.0, out=a)
-        rows = out[start:start + EMBED_ROWS]
-        rows[:] = _affine(a, model.weights[-1], model.biases[-1])
-        if model.normalize_output:
-            _normalize_rows(rows, a)
+    with one_blas_thread():
+        for start in range(0, x.shape[0], EMBED_ROWS):
+            a = x[start:start + EMBED_ROWS]
+            for w, b in zip(model.weights[:-1], model.biases[:-1]):
+                a = _affine(a, w, b)
+                np.maximum(a, 0.0, out=a)
+            rows = out[start:start + EMBED_ROWS]
+            rows[:] = _affine(a, model.weights[-1], model.biases[-1])
+            if model.normalize_output:
+                _normalize_rows(rows, a)
     return out
 
 

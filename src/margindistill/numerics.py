@@ -1,4 +1,5 @@
-"""Pairwise distances and seeded randomness used by every other module.
+"""Pairwise distances, seeded randomness and the BLAS thread limit used by every other
+module.
 
 All reductions run in 64-bit floating point even when weights elsewhere are
 stored in 32-bit.
@@ -17,13 +18,18 @@ yield exactly the words, floats and final state of one-at-a-time draws.
 Box-Muller's ``log`` and ``cos`` stay libm's (``math``), applied per value;
 the other array operations are exact.  The jump tables are powers of the
 GF(2) step matrix, built on first use and never at import.
+
+``one_blas_thread`` runs a block's BLAS products on the calling thread.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import math
 import operator
+import threading
 
 import numpy as np
 
@@ -31,6 +37,7 @@ from .errors import ContractViolation
 
 _SPAN64 = 1 << 64
 _MASK64 = _SPAN64 - 1
+_DIFF_ELEMENTS = 1 << 15     # differences held at once by pairwise_sq_euclidean: 256 KiB
 
 
 # ---------------------------------------------------------------------------
@@ -41,12 +48,19 @@ def pairwise_sq_euclidean(x: np.ndarray, y: np.ndarray | None = None) -> np.ndar
     """All-pairs squared Euclidean distances between rows of x and y.
 
     Computed from explicit differences (not the dot-product expansion) so
-    entries are exact non-negative float64 values.
+    entries are exact non-negative float64 values.  The differences are taken
+    for a block of rows of x at a time, at most ``_DIFF_ELEMENTS`` of them (or
+    one row), so the memory beyond the result stays bounded; each entry is
+    reduced as in one (n, m, d) difference tensor, with the same bits.
     """
     x = np.asarray(x, dtype=np.float64)
     y = x if y is None else np.asarray(y, dtype=np.float64)
-    diff = x[:, None, :] - y[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    out = np.empty((x.shape[0], y.shape[0]))
+    step = max(1, _DIFF_ELEMENTS // max(1, y.size))
+    for start in range(0, x.shape[0], step):
+        diff = x[start:start + step, None, :] - y[None, :, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=out[start:start + step])
+    return out
 
 
 def gram_sq_euclidean(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -75,6 +89,62 @@ def gram_sq_euclidean(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.maximum(d, 0.0, out=d)
         bound = (dim + 2) * 2.0**-53 * (8.0 * (sq + sq.max())) + dim * 2.0**-1018
     return d, bound
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _blas_thread_setter():
+    """OpenBLAS's ``openblas_set_num_threads_local(n)``, which returns the count it
+    replaces, looked up through numpy's own extension module, whose symbol search
+    covers the BLAS it links.  None where it is absent: another BLAS, OpenBLAS before
+    0.3.27, or a platform whose search does not reach it (Windows)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:                                 # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    try:
+        setter = ctypes.CDLL(umath.__file__).openblas_set_num_threads_local
+    except (OSError, AttributeError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+_blas_lock = threading.Lock()
+_blas_users = 0              # blocks inside one_blas_thread, over all threads
+_blas_first = 0              # the count the first of them replaced
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block's BLAS products on the calling thread: OpenBLAS's thread count
+    is 1 inside and the old count again after, also after an exception.  Without the
+    setter it does nothing.  The bits do not depend on the count.
+
+    OpenBLAS's pthreads build (numpy's wheels) applies the setter to the whole
+    process, so the blocks inside are counted over all threads: the last one out
+    restores the count the first one in replaced, and one that leaves earlier the
+    count it replaced (its own, where the setter is thread-local).
+    """
+    global _blas_users, _blas_first
+    setter = _blas_thread_setter()
+    if setter is None:
+        yield
+        return
+    with _blas_lock:
+        replaced = setter(1)
+        if _blas_users == 0:
+            _blas_first = replaced
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            setter(replaced if _blas_users else _blas_first)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Both phases share one engine: sample a PK batch, embed it with the student,
 mine triplets, compute the batch loss (with per-triplet teacher gaps and the
 batch-maximum gap in dynamic mode), backpropagate, and take an SGD step.
-The loop runs in one Python thread (BLAS may use more for matrix products,
-with the same bits), runs are fully determined by (dataset, config, seed),
-and the teacher oracle is read-only throughout.
+The loop and its matrix products run on the calling thread, runs are fully
+determined by (dataset, config, seed), and the teacher oracle is read-only
+throughout.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import ContractViolation, DivergenceError
 from .loss import MarginConfig, batch_loss
 from .mlp import MlpModel, backward_batch, forward_batch, init_mlp, init_sgd, sgd_step
 # pairwise_sq_euclidean is unused here, but perfbench's tracer patches this name
-from .numerics import Rng, derive_subseed, pairwise_sq_euclidean  # noqa: F401
+from .numerics import Rng, derive_subseed, one_blas_thread, pairwise_sq_euclidean  # noqa: F401
 from .teacher import TeacherOracle, tabulate, triplet_gaps
 
 SCHEDULE_CHUNK = 1024        # iterations whose PK batches are drawn at once
@@ -135,25 +135,26 @@ def _run_triplet_loop(
     iterations, learning_rate, momentum and mining."""
     log = TrainLog()
     sgd = init_sgd(model, cfg.learning_rate, cfg.momentum)
-    for it, batch in enumerate(_pk_batches(ds, cfg, rng)):
-        # overflow or NaN in the embeddings reaches the loss, which is checked below
-        with np.errstate(over="ignore", invalid="ignore"):
-            emb, cache = forward_batch(model, ds.X[batch.entries])
-            triplets = mine_triplets(batch, emb, cfg.mining, rng)
-            gaps = None
-            if margin.mode == "dynamic":
-                gaps = triplet_gaps(teacher_vectors[batch.entries], triplets)
-            result = batch_loss(emb, triplets, gaps, margin)
-        if not math.isfinite(result.loss):
-            raise DivergenceError(
-                f"training diverged: loss {result.loss} at iteration {it} "
-                f"with learning_rate {cfg.learning_rate}"
+    with one_blas_thread():
+        for it, batch in enumerate(_pk_batches(ds, cfg, rng)):
+            # overflow or NaN in the embeddings reaches the loss, which is checked below
+            with np.errstate(over="ignore", invalid="ignore"):
+                emb, cache = forward_batch(model, ds.X[batch.entries])
+                triplets = mine_triplets(batch, emb, cfg.mining, rng)
+                gaps = None
+                if margin.mode == "dynamic":
+                    gaps = triplet_gaps(teacher_vectors[batch.entries], triplets)
+                result = batch_loss(emb, triplets, gaps, margin)
+            if not math.isfinite(result.loss):
+                raise DivergenceError(
+                    f"training diverged: loss {result.loss} at iteration {it} "
+                    f"with learning_rate {cfg.learning_rate}"
+                )
+            grads = backward_batch(model, cache, result.grad)
+            sgd_step(sgd, model, grads)
+            log.append(
+                it, result.loss, float(result.margins.mean()), float(result.active.mean())
             )
-        grads = backward_batch(model, cache, result.grad)
-        sgd_step(sgd, model, grads)
-        log.append(
-            it, result.loss, float(result.margins.mean()), float(result.active.mean())
-        )
     return log
 
 

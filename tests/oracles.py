@@ -286,6 +286,14 @@ def per_iteration_triplet_loop(model, ds, cfg, margin, rng, teacher_vectors=None
     return log
 
 
+def one_shot_sq_euclidean(x, y=None):
+    """pairwise_sq_euclidean as one (n, m, d) difference tensor, before it took row blocks."""
+    x = np.asarray(x, dtype=np.float64)
+    y = x if y is None else np.asarray(y, dtype=np.float64)
+    diff = x[:, None, :] - y[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
 def sq_euclidean(a, b):
     """Squared Euclidean distance of two vectors, one np.dot."""
     d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)

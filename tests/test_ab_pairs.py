@@ -14,16 +14,16 @@ METRICS = [{"name": "rate", "better": "higher", "bound": 0.25},
            {"name": "wall", "better": "lower", "bound": 0.25}]
 
 
-def _runs(parent, change, workload="w", other="change", failed=(0, 0)):
-    """Records as tools/ab_pairs.py keeps them: one per side and pair, each with the result
-    line perfbench/run.py prints."""
+def _runs(parent, change, workload="w", other="change", failed=(0, 0), cpu=(1.0, 1.0)):
+    """Records as tools/ab_pairs.py keeps them: one per side and pair, each with its CPU
+    seconds and the result line perfbench/run.py prints."""
     runs = []
     for i, values in enumerate(zip(parent, change)):
-        for side, (rate, wall), fails in zip(("parent", other), values, failed):
-            runs.append({"pair": i, "side": side, "workload": workload, "result": {
-                "correct": True, "attempted": 10, "failed": fails,
-                "metrics": {"rate": {"value": rate, "unit": "1/s"},
-                            "wall": {"value": wall, "unit": "s"}}}})
+        for side, (rate, wall), fails, cpu_s in zip(("parent", other), values, failed, cpu):
+            runs.append({"pair": i, "side": side, "workload": workload, "cpu_s": cpu_s + i,
+                         "result": {"correct": True, "attempted": 10, "failed": fails,
+                                    "metrics": {"rate": {"value": rate, "unit": "1/s"},
+                                                "wall": {"value": wall, "unit": "s"}}}})
     return runs
 
 
@@ -86,6 +86,34 @@ def test_failures_and_workloads_are_counted_apart():
     copy = ab_pairs.summarize(_runs([(1.0, 1.0)], [(1.1, 1.0)], other="copy"), METRICS, "copy")
     assert copy["w"]["metrics"]["rate"]["per_pair_ratios"] == [1.1]
     assert copy["w"]["metrics"]["rate"]["verdict"] == "too few pairs"
+
+
+def test_process_cpu_is_each_sides_median_over_the_pairs(capsys):
+    parent = [(100.0, 10.0)] * 5
+    runs = _runs(parent, parent, cpu=(90.0, 50.0))          # cpu 90 + i and 50 + i
+    runs[1]["result"] = None                                # pair 0 leaves the report
+    runs[-1].pop("cpu_s")                                   # a record from before cpu_s
+    row = ab_pairs.summarize(runs, METRICS)["w"]
+    assert row["cpu_s_median"] == {"parent": 92.5, "change": 52.0}
+    ab_pairs.print_summary({"w": row}, "fabricated")
+    assert "process CPU, median (a report, not gated): parent 92.50 s, change 52.00 s" in (
+        capsys.readouterr().out)
+    assert "cpu_s_median" not in row["metrics"]             # no verdict for it
+    lone = ab_pairs.summarize(_runs(parent[:1], parent[:1])[:1], METRICS)["w"]
+    assert lone["cpu_s_median"] == {"parent": None, "change": None}
+
+
+def test_run_once_records_the_benchmark_process_cpu(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, time\n"
+        "end = time.process_time() + 0.3\n"
+        "while time.process_time() < end:\n"
+        "    pass\n"
+        "print(json.dumps({'correct': True}))\n")
+    record = ab_pairs.run_once(tmp_path, "w", 7, 1.0, 0)
+    assert record["returncode"] == 0 and record["result"] == {"correct": True}
+    assert 0.3 <= record["cpu_s"] < 5.0
 
 
 def test_seed_ranges():

@@ -1,6 +1,7 @@
 import copy
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -23,6 +24,7 @@ from margindistill.numerics import (
 
 from oracles import (
     list_sample_indices,
+    one_shot_sq_euclidean,
     scalar_normals,
     scalar_uniforms,
     scalar_words,
@@ -129,6 +131,46 @@ def test_pairwise_matches_pointwise():
     for i in range(6):
         for j in range(6):
             assert mat[i, j] == pytest.approx(sq_euclidean(x[i], x[j]), abs=1e-12)
+
+
+@settings(max_examples=120, deadline=None)
+@given(m=st.integers(1, 600), dim=st.integers(1, 80), blocks=st.integers(1, 3),
+       last=st.one_of(st.just(1), st.floats(0.0, 1.0)), exponent=st.integers(-3, 3),
+       seed=st.integers(0, 2**32))
+def test_pairwise_row_blocks_give_the_one_shot_bits(m, dim, blocks, last, exponent, seed):
+    step = max(1, numerics._DIFF_ELEMENTS // (m * dim))          # rows of x per block
+    tail = last if last == 1 else 1 + int(last * (step - 1))     # 1 row, or ragged
+    event(f"last block {'1 row' if tail == 1 else 'full' if tail == step else 'ragged'}")
+    n = (blocks - 1) * step + tail
+    draws = Rng(seed).normals((n + m) * dim) * 10.0**exponent
+    x, y = draws[:n * dim].reshape(n, dim), draws[n * dim:].reshape(m, dim)
+    got = pairwise_sq_euclidean(x, y)
+    assert got.shape == (n, m) and got.tobytes() == one_shot_sq_euclidean(x, y).tobytes()
+    if n <= 200:
+        assert pairwise_sq_euclidean(x).tobytes() == one_shot_sq_euclidean(x).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(128, 128, 32), (64, 64, 16),
+                                   (7, 300, 5), (1, 1, 1), (0, 3, 2), (3, 0, 2)])
+def test_pairwise_blocks_match_one_shot_on_fixed_shapes(shape):
+    n, m, dim = shape
+    draws = Rng(n * m + dim).normals((n + m) * dim)
+    x, y = draws[:n * dim].reshape(n, dim), draws[n * dim:].reshape(m, dim)
+    assert pairwise_sq_euclidean(x, y).tobytes() == one_shot_sq_euclidean(x, y).tobytes()
+
+
+def test_pairwise_holds_one_block_of_differences():
+    x = Rng(3).normals(1500 * 32).reshape(1500, 32)
+    tracemalloc.start()
+    try:
+        d = pairwise_sq_euclidean(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the one-shot form holds 1500 x 1500 x 32 float64 differences (576 MB); the
+    # blocks hold the 18 MB result and one block of at most _DIFF_ELEMENTS differences
+    assert d.shape == (1500, 1500)
+    assert peak < d.nbytes + 2 * 8 * numerics._DIFF_ELEMENTS + (1 << 20), peak
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,10 @@ and ``too few pairs`` for fewer than ten pairs, as in the A/A pair.  Only pairs 
 both sides printed a result line count; the runs without one (failed, killed or
 malformed) are counted per side, and every run is written to ``--json``.
 
+Each run's process CPU seconds (user plus system, from ``getrusage`` of the finished
+benchmark process) are recorded too, and each side's median per workload is printed
+as a report: it is not one of BENCHMARK.json's metrics and has no verdict.
+
 The workloads, the run length (50 s), the metrics, their directions and their
 bounds come from BENCHMARK.json in the change's tree.  Run it from the
 repository root; it writes only under the scratch directory and the ``--json``
@@ -36,6 +40,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -60,18 +65,22 @@ def commit_of(rev: str) -> str:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark process in ``tree``: its return code and its last output line's JSON."""
+    """One benchmark process in ``tree``: its return code, its CPU seconds (user plus
+    system) and its last output line's JSON."""
     started = int(time.time())
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
                           cwd=tree, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu_s = after.ru_utime - before.ru_utime + after.ru_stime - before.ru_stime
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1]) if lines else None
     except json.JSONDecodeError:
         result = None
     return {"seed": seed, "workload": workload, "started_unix": started,
-            "returncode": proc.returncode, "result": result}
+            "returncode": proc.returncode, "cpu_s": round(cpu_s, 3), "result": result}
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -119,9 +128,10 @@ def metric_values(result, metrics: list[dict]) -> list[float] | None:
 
 def summarize(runs: list[dict], metrics: list[dict], other: str = "change") -> dict:
     """Per workload: the pairs where both sides have a result, each side's runs without
-    one, the failed operations of each side, whether every run's checks passed, and
+    one, the failed operations of each side, whether every run's checks passed, each
+    side's median CPU seconds over those pairs (a report, without a verdict), and
     ``verdict`` of each metric over those pairs.  ``runs`` holds one record per side and
-    pair, with keys pair, side ("parent" or ``other``), workload and result."""
+    pair, with keys pair, side ("parent" or ``other``), workload, result and cpu_s."""
     summary = {}
     for workload in sorted({r["workload"] for r in runs}):
         sides = {side: sorted((r for r in runs if r["workload"] == workload
@@ -133,6 +143,8 @@ def summarize(runs: list[dict], metrics: list[dict], other: str = "change") -> d
                   for side, recs in sides.items()}
         both = [i for i, v in values["parent"].items()
                 if v is not None and values[other].get(i) is not None]
+        cpu = {side: [r["cpu_s"] for r in recs if r["pair"] in both and "cpu_s" in r]
+               for side, recs in sides.items()}
         summary[workload] = {
             "pairs": len(both),
             "without_result": {side: sum(v is None for v in vals.values())
@@ -142,6 +154,8 @@ def summarize(runs: list[dict], metrics: list[dict], other: str = "change") -> d
                        for side, res in results.items()},
             "all_correct": all(x.get("correct") is True for res in results.values()
                                for x in res),
+            "cpu_s_median": {side: statistics.median(v) if v else None
+                             for side, v in cpu.items()},
             "metrics": {m["name"]: verdict(
                 *([values[side][i][j] for i in both] for side in ("parent", other)),
                 m["better"], m["bound"]) for j, m in enumerate(metrics)} if both else {},
@@ -156,6 +170,9 @@ def print_summary(summary: dict, title: str, other: str = "change") -> None:
         missing = ", ".join(f"{side} {n}" for side, n in row["without_result"].items())
         print(f"  {workload}: {row['pairs']} pairs with both results, runs without one "
               f"{missing}, failed {failed}, all correct {row['all_correct']}")
+        cpu = ", ".join(f"{side} " + ("-" if v is None else f"{v:.2f} s")
+                        for side, v in row["cpu_s_median"].items())
+        print(f"    process CPU, median (a report, not gated): {cpu}")
         for name, m in row["metrics"].items():
             ratios = " ".join("-" if r is None else f"{r:.3f}" for r in m["per_pair_ratios"])
             print(f"    {name:28} parent {m['parent_median']:.6g} "
