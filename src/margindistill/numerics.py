@@ -127,7 +127,8 @@ def one_blas_thread():
     OpenBLAS's pthreads build (numpy's wheels) applies the setter to the whole
     process, so the blocks inside are counted over all threads: the last one out
     restores the count the first one in replaced, and one that leaves earlier the
-    count it replaced (its own, where the setter is thread-local).
+    count it replaced (its own, where the setter is thread-local; on the whole
+    process, which can end the others' limit early but never leaves one behind).
     """
     global _blas_users, _blas_first
     setter = _blas_thread_setter()
