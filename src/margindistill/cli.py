@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import hashlib
 import itertools
 import json
 import os
@@ -28,7 +27,7 @@ import numpy as np
 from . import __version__, evaluation
 from .data import (HierarchySpec, IdentityDataset, companion_path, generate_hierarchical,
                    json_field, load_dataset_jsonl, read_text, save_dataset_companion,
-                   save_dataset_jsonl)
+                   save_dataset_jsonl, sha256)
 from .errors import FormatError, MarginDistillError
 from .loss import MarginConfig
 from .mlp import CHECKPOINT_MAGIC, init_mlp, load_checkpoint, save_checkpoint
@@ -113,7 +112,7 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
     def content_hash(self) -> str:
-        return hashlib.sha256(self.resolved_text().encode("utf-8")).hexdigest()[:10]
+        return sha256((self.resolved_text().encode("utf-8"),)).hex()[:10]
 
 
 def load_config(path: str | None, seed_override: int | None = None) -> ExperimentConfig:
@@ -437,6 +436,9 @@ def main(argv=None) -> int:
         return 2
     except (MarginDistillError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:          # numpy's names the allocation; a bare one is empty
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -10,7 +10,6 @@ which makes generation a pure function of (spec, seed).
 from __future__ import annotations
 
 import functools
-import hashlib
 import io
 import itertools
 import json
@@ -344,9 +343,8 @@ def mine_triplets(
 
     if strategy == "all":
         per_pair = b - batch.k
-        return np.column_stack([
-            np.repeat(a_idx, per_pair), np.repeat(p_idx, per_pair), negatives[a_idx].ravel()
-        ])
+        return _stack_triplets(np.repeat(a_idx, per_pair), np.repeat(p_idx, per_pair),
+                               negatives[a_idx].ravel())
 
     if strategy == "random_per_anchor":
         if rng is None:
@@ -382,7 +380,14 @@ def mine_triplets(
         violates = dmat[a_idx, n_idx] > dmat.take(pair_at)
         farthest = np.where(negative, dmat, -np.inf).argmax(axis=1)
         n_idx = np.where(violates, n_idx, farthest[a_idx])
-    return np.column_stack([a_idx, p_idx, n_idx])
+    return _stack_triplets(a_idx, p_idx, n_idx)
+
+
+def _stack_triplets(anchors, positives, negatives) -> np.ndarray:
+    """The (T, 3) int64 triplets of three length-T position arrays."""
+    out = np.empty((anchors.size, 3), dtype=np.int64)
+    out[:, 0], out[:, 1], out[:, 2] = anchors, positives, negatives
+    return out
 
 
 def _rows_certified(ranked: np.ndarray, bound: np.ndarray) -> bool:
@@ -391,7 +396,7 @@ def _rows_certified(ranked: np.ndarray, bound: np.ndarray) -> bool:
     it, as it fails a row-wise minimum."""
     with np.errstate(invalid="ignore"):               # inf - inf in rows that fail anyway
         return bool(np.isfinite(ranked[:, -1]).all()
-                    and (np.diff(ranked) > 2.0 * bound[:, None]).all())
+                    and (ranked[:, 1:] - ranked[:, :-1] > 2.0 * bound[:, None]).all())
 
 
 def _label_layout(labels: np.ndarray, k: int):
@@ -479,7 +484,14 @@ def _blocks(fh):
         yield memoryview(buffer)[:size]
 
 
-def _sha256(*parts) -> bytes:
+def sha256(*parts) -> bytes:
+    """The sha256 digest of the byte strings of iterables ``parts``, in order.
+
+    Every digest the package takes comes from here.  hashlib is imported on
+    the first call, so a process that never hashes never loads OpenSSL.
+    """
+    import hashlib
+
     digest = hashlib.sha256()
     for part in itertools.chain(*parts):
         digest.update(part)
@@ -497,7 +509,7 @@ def save_dataset_companion(ds: IdentityDataset, dataset, path) -> None:
             *(np.ascontiguousarray(a, dtype=t) for a, t in
               ((ds.sample_ids, "<i8"), (ds.labels, "<i8"), (ds.X, "<f8")))]
     with open(dataset, "rb") as fh:
-        digest = _sha256(_blocks(fh), body)
+        digest = sha256(_blocks(fh), body)
     with open(path, "wb") as fh:
         fh.write(COMPANION_MAGIC + digest)
         for part in body:
@@ -523,7 +535,7 @@ def _companion_arrays(path):
         # hash the dataset file in blocks, keeping only its header line; head[-16:] is n, d
         with open(path, "rb") as fh:
             header = fh.readline()
-            if _sha256((header,), _blocks(fh), (head[-16:], body)) != digest:
+            if sha256((header,), _blocks(fh), (head[-16:], body)) != digest:
                 return None
     except OSError:
         return None

@@ -76,7 +76,7 @@ def _scatter_rows(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None
     for c0 in range(0, dim, width):
         block = values[:, c0:c0 + width]
         w = block.shape[1]
-        flat = (rows[:, None] * w + np.arange(w)).ravel()
+        flat = np.arange(n_out * w).reshape(n_out, w).take(rows, axis=0).ravel()
         out[:, c0:c0 + w] = np.bincount(
             flat, weights=block.ravel(), minlength=n_out * w).reshape(n_out, w)
 
@@ -126,14 +126,15 @@ def batch_loss(
         gaps = np.asarray(teacher_gaps, dtype=np.float64)
         if gaps.shape != (n_triplets,):
             raise ContractViolation("teacher_gaps must have one entry per triplet")
-        if not np.all(np.isfinite(gaps)) or np.any(gaps < 0.0):
+        d_max = float(gaps.max())                     # NaN or inf if any gap is
+        if not math.isfinite(d_max) or gaps.min() < 0.0:
             raise ContractViolation("teacher gaps must be finite and >= 0")
-        d_max = float(gaps.max())
         if d_max == 0.0:
             margins = np.full(n_triplets, cfg.m_min, dtype=np.float64)
         else:
             margins = (cfg.m_max - cfg.m_min) / d_max * gaps + cfg.m_min
-            np.clip(margins, cfg.m_min, cfg.m_max, out=margins)
+            np.maximum(margins, cfg.m_min, out=margins)
+            np.minimum(margins, cfg.m_max, out=margins)
 
     losses = np.maximum(d_ap - d_an + margins, 0.0)
     active = losses > 0.0
@@ -141,7 +142,7 @@ def batch_loss(
 
     grad = np.zeros_like(emb)
     scale = 1.0 / n_triplets
-    act = np.where(active)[0]
+    act = np.flatnonzero(active)
     if act.size:
         if act.size < n_triplets:                     # take: far cheaper than [act] here
             tri, rows = tri.take(act, axis=0), rows.take(act, axis=1)

@@ -152,9 +152,9 @@ def _run_triplet_loop(
                 )
             grads = backward_batch(model, cache, result.grad)
             sgd_step(sgd, model, grads)
-            log.append(
-                it, result.loss, float(result.margins.mean()), float(result.active.mean())
-            )
+            margins, active = result.margins, result.active
+            log.append(it, result.loss, float(margins.sum() / margins.size),
+                       float(np.count_nonzero(active) / active.size))
     return log
 
 

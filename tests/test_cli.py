@@ -332,6 +332,39 @@ def test_missing_upstream_artifact_diagnostic(tmp_path, capsys):
     assert "nope.jsonl" in captured.err
 
 
+def test_out_of_memory_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # numpy's MemoryError names the allocation; a bare one gets a message of its own
+    def refuse(spec):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "generate_hierarchical", refuse)
+    config = _write_config(tmp_path)
+    for message, shown in (("Unable to allocate 23.8 GiB", "Unable to allocate 23.8 GiB"),
+                           ("", "out of memory")):
+        assert main(["gen-data", "--config", config, "--out", str(tmp_path / "runs")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {shown}"]
+
+
+def test_importing_the_package_loads_no_digest_library(tmp_path):
+    # OpenSSL comes with hashlib: only a process that takes a digest loads it
+    script = """if True:
+        import sys
+        import margindistill, margindistill.cli
+        print(sorted({"hashlib", "_hashlib"} & set(sys.modules)))
+        cfg = margindistill.cli.load_config(None)
+        print(cfg.content_hash(), sorted({"hashlib", "_hashlib"} & set(sys.modules)))
+        import hashlib
+        print(hashlib.sha256(cfg.resolved_text().encode("utf-8")).hexdigest()[:10])
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    lines = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path, check=True,
+                           capture_output=True, text=True).stdout.splitlines()
+    assert lines[0] == "[]"
+    digest, loaded = lines[1].split(" ", 1)
+    assert loaded == "['_hashlib', 'hashlib']"
+    assert digest == lines[2]
+
+
 def test_bad_checkpoint_magic_is_format_error(tiny, tmp_path):
     rc, err = _cli_reading(tiny, "ckpt", _input(tiny, tmp_path, "ckpt", b"\x00" * 64))
     assert rc == 1 and "not a recognized checkpoint" in err

@@ -44,7 +44,7 @@ def test_triplet_loss_examples():
 def test_triplet_loss_rejects_negative_inputs():
     emb = np.zeros((3, 2))
     tri = np.array([[0, 1, 2], [2, 1, 0]])
-    for bad in ([-0.1, 0.5], [0.5, np.nan], [np.inf, 0.5]):
+    for bad in ([-0.1, 0.5], [0.5, np.nan], [np.inf, 0.5], [-np.inf, 0.5], [np.nan, -1.0]):
         with pytest.raises(ContractViolation, match="finite and >= 0"):
             batch_loss(emb, tri, np.array(bad), DYN)
 

@@ -139,7 +139,7 @@ def test_pairwise_matches_pointwise():
        seed=st.integers(0, 2**32))
 def test_pairwise_row_blocks_give_the_one_shot_bits(m, dim, blocks, last, exponent, seed):
     step = max(1, numerics._DIFF_ELEMENTS // (m * dim))          # rows of x per block
-    tail = last if last == 1 else 1 + int(last * (step - 1))     # 1 row, or ragged
+    tail = 1 if last == 1 else 1 + int(last * (step - 1))        # 1 row, or ragged
     event(f"last block {'1 row' if tail == 1 else 'full' if tail == step else 'ragged'}")
     n = (blocks - 1) * step + tail
     draws = Rng(seed).normals((n + m) * dim) * 10.0**exponent

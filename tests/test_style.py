@@ -1,5 +1,6 @@
 """Style rules of src/, tools/ and tests/: lines of at most 99 columns, no ``;`` statements,
-no unused imports; and the generator's state touched only in numerics.py."""
+no unused imports; the generator's state touched only in numerics.py; and hashlib imported
+by the package only inside a function."""
 
 import ast
 import io
@@ -57,3 +58,23 @@ def test_generator_state_stays_in_numerics(path):
             if isinstance(node, ast.Attribute) and node.attr == "_s"
             or isinstance(node, ast.Constant) and node.value == "_s"]
     assert not rows, f"{path.name}: generator state _s on lines {rows}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.parent.name == "margindistill"],
+                         ids=lambda p: p.name)
+def test_hashlib_is_imported_only_inside_a_function(path):
+    # hashlib maps OpenSSL, so importing the package must not import it: a digest
+    # imports it on first use (data.sha256).  Module level includes class bodies
+    # and if/try blocks, everything outside a def.
+    def module_level(node):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield child
+                yield from module_level(child)
+
+    rows = [node.lineno for node in module_level(ast.parse(path.read_text()))
+            if isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] in ("hashlib", "_hashlib") for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").split(".")[0] in ("hashlib", "_hashlib")]
+    assert not rows, f"{path.name}: hashlib imported at module level on lines {rows}"
