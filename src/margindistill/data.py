@@ -28,7 +28,8 @@ from .errors import (
     NoTripletsError,
     UnknownSampleError,
 )
-from .numerics import Rng, Words, gram_sq_euclidean, pairwise_sq_euclidean, randint_limit
+from .numerics import (Rng, Words, gram_sq_euclidean, pairwise_sq_euclidean, partial_shuffles,
+                       randint_limit)
 
 MINING_STRATEGIES = ("all", "random_per_anchor", "semi_hard")
 
@@ -257,36 +258,12 @@ def sample_pk_batches(
     limit = min(map(randint_limit, {*id_bounds.tolist(), *row_bounds.ravel().tolist()}))
     words, tail = Words(rng, 0).attempts(count, p + p * k, limit,
                                          lambda words: sample_pk_batch(ds, p, k, words))
-    chosen = _partial_shuffles(words[:, :p], id_bounds)
-    picked = _partial_shuffles(words[:, p:].reshape(-1, k), row_bounds[chosen.ravel()])
+    chosen = partial_shuffles(words[:, :p], id_bounds)
+    picked = partial_shuffles(words[:, p:].reshape(-1, k), row_bounds[chosen.ravel()])
     entries = ds.identity_order[ds.identity_starts[eligible[chosen]].reshape(-1, 1) + picked]
     labels = np.repeat(ds._identities[eligible[chosen]], k, axis=1)
     # as in sample_pk_batch: distinct identities, k distinct rows of each
     return [PkBatch._built(p, k, e, c) for e, c in zip(entries.reshape(-1, p * k), labels)] + tail
-
-
-def _partial_shuffles(words: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Row r: ``Rng.sample_indices(n, k)`` for the words its k draws take, where
-    bounds (broadcast against words) holds n, n - 1, ..., n - k + 1 and no word
-    is rejected.
-
-    The swap targets j = i + w mod (n - i) depend on the words alone.  As in
-    ``sample_indices`` only displaced values are tracked: step i takes the
-    value at position j and moves the value at position i there, and a
-    position holds what the last earlier step moved to it, or itself.
-    """
-    n_rows, k = words.shape
-    steps = np.arange(k, dtype=np.uint64)
-    targets = (words % bounds + steps).astype(np.int64).T    # (k, rows)
-    taken = np.empty((k, n_rows), dtype=np.int64)
-    moved = np.empty((k, n_rows), dtype=np.int64)           # moved[t]: put at targets[t]
-    for i, target in enumerate(targets):
-        take, move = target, np.full(n_rows, i)
-        for t in range(i):                                  # later moves win
-            take = np.where(targets[t] == target, moved[t], take)
-            move = np.where(targets[t] == i, moved[t], move)
-        taken[i], moved[i] = take, move
-    return taken.T
 
 
 def mine_triplets(
@@ -453,6 +430,18 @@ def json_field(value, kind: type):
     return float(value) if kind is float else value
 
 
+def read_json_records(path, lines: list[str], what: str, decode) -> tuple[tuple, ...]:
+    """The columns of JSON-lines records ``lines``, non-blank lines of file ``path``:
+    ``decode`` maps each line's JSON object to a tuple of its fields, checked with
+    ``json_field``.  The first line that fails raises ``FormatError("<path>: bad
+    <what>: <reason>")``.  Dataset records and pair files both follow this rule."""
+    try:
+        rows = [decode(json.loads(ln)) for ln in lines]
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:  # JSONDecodeError too
+        raise FormatError(f"{path}: bad {what}: {exc}") from exc
+    return tuple(zip(*rows))
+
+
 def save_dataset_jsonl(ds: IdentityDataset, path) -> None:
     header = {
         "input_dim": ds.input_dim,
@@ -570,21 +559,6 @@ def _text_blocks(path, fh, size: int | None):
         yield [ln for ln in text.splitlines() if ln.strip()]
 
 
-def _record_lists(path, lines: list[str]):
-    sample_ids = []
-    labels = []
-    feats = []
-    for ln in lines:
-        try:
-            rec = json.loads(ln)
-            sample_ids.append(json_field(rec["sample"], int))
-            labels.append(json_field(rec["identity"], int))
-            feats.append(rec["x"])
-        except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: bad record: {exc}") from exc
-    return sample_ids, labels, feats
-
-
 def _record_arrays(path, sample_ids, labels, feats):
     try:
         ids = np.array([sample_ids, labels], dtype=np.int64)
@@ -606,7 +580,8 @@ def _parse_records(path, blocks, n_declared):
     for lines in filter(None, blocks):
         if found:
             parts.append(_record_arrays(path, *parsed))
-        parsed = _record_lists(path, lines)
+        parsed = read_json_records(path, lines, "record", lambda rec: (
+            json_field(rec["sample"], int), json_field(rec["identity"], int), rec["x"]))
         found += len(lines)
     if found != n_declared:
         raise FormatError(f"{path}: header declares {n_declared} samples, found {found}")

@@ -18,7 +18,10 @@ class CapacityError(MarginDistillError, ValueError):
 
 
 class UnknownSampleError(MarginDistillError, KeyError):
-    """A sample id was not found in an embedding table."""
+    """A sample id was not found in a dataset or an embedding table."""
+
+    def __str__(self) -> str:
+        return Exception.__str__(self)      # KeyError's is the repr: the message in quotes
 
 
 class NoTripletsError(MarginDistillError, ValueError):

@@ -14,13 +14,12 @@ matrices; ranks use the average convention for ties.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import IdentityDataset, json_field, read_text
+from .data import IdentityDataset, json_field, read_json_records, read_text
 from .errors import (
     CapacityError,
     ContractViolation,
@@ -29,7 +28,7 @@ from .errors import (
     InsufficientData,
 )
 from .mlp import MlpModel, embed
-from .numerics import Rng, Words, pairwise_sq_euclidean, randint_limit
+from .numerics import Rng, Words, pairwise_sq_euclidean, partial_shuffles, randint_limit
 from .teacher import TeacherOracle
 
 
@@ -115,12 +114,11 @@ def _collect(ds: IdentityDataset, want: int, same: bool, width: int, words: Word
         count = min(want - found.size, budget - attempts)
         block, tail = words.attempts(count, width, limit, draw)
         if same:
-            w = block.reshape(-1, 3).T              # no rows when the widths differ
-            ident = (w[0] % np.uint64(ds.n_identities)).astype(np.intp)
-            i = (w[1] % sizes[ident].astype(np.uint64)).astype(np.intp)
-            j = (w[2] % (sizes[ident] - 1).astype(np.uint64)).astype(np.intp) + 1
-            j[j == i] = 0                           # sample_indices' swap
-            pairs = ds.identity_order[ds.identity_starts[ident] + np.stack((i, j))]
+            w = block.reshape(-1, 3)                # no rows when the widths differ
+            ident = (w[:, 0] % np.uint64(ds.n_identities)).astype(np.intp)
+            size = sizes[ident, None].astype(np.uint64)
+            picked = partial_shuffles(w[:, 1:], size - np.arange(2, dtype=np.uint64))
+            pairs = ds.identity_order[ds.identity_starts[ident, None] + picked].T
         else:
             pairs = (block % np.uint64(n)).astype(np.intp).T
         r1, r2 = np.concatenate((pairs, np.array(tail, dtype=np.intp).reshape(-1, 2).T), axis=1)
@@ -292,21 +290,11 @@ def load_pairs_jsonl(path) -> PairSet:
                    .replace(', "same": true}', " 1").replace(', "same": false}', " 0"))
         a_ids, b_ids, same = np.fromstring(numbers, dtype=np.int64, sep=" ").reshape(-1, 3).T
         return PairSet(a_ids=a_ids, b_ids=b_ids, same=same == 1)
-    a_ids = []
-    b_ids = []
-    same = []
-    for ln in text.splitlines():
-        if not ln.strip():
-            continue
-        try:
-            rec = json.loads(ln)
-            a_ids.append(json_field(rec["a"], int))
-            b_ids.append(json_field(rec["b"], int))
-            same.append(json_field(rec["same"], bool))
-        except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: bad pair record: {exc}") from exc
-    if not a_ids:
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
         raise FormatError(f"{path}: empty pair file")
+    a_ids, b_ids, same = read_json_records(path, lines, "pair record", lambda rec: (
+        json_field(rec["a"], int), json_field(rec["b"], int), json_field(rec["same"], bool)))
     try:
         ids = np.array([a_ids, b_ids], dtype=np.int64)
     except OverflowError as exc:

@@ -141,14 +141,22 @@ def _normalize_rows(z: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     return norms
 
 
+def _run(model: MlpModel, a: np.ndarray, acts: list | None = None):
+    """(output rows, their norms before normalization, or None) of rows ``a`` through
+    the network; each hidden layer's output is appended to ``acts`` when it is given."""
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        a = _affine(a, w, b)
+        np.maximum(a, 0.0, out=a)
+        if acts is not None:
+            acts.append(a)
+    z = _affine(a, model.weights[-1], model.biases[-1])
+    return z, _normalize_rows(z, a) if model.normalize_output else None
+
+
 def forward_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Embed a (B, input_dim) batch; the cache feeds backward_batch."""
     acts = [_checked_input(model, x)]
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        acts.append(_affine(acts[-1], w, b))
-        np.maximum(acts[-1], 0.0, out=acts[-1])
-    emb = _affine(acts[-1], model.weights[-1], model.biases[-1])
-    norms = _normalize_rows(emb, acts[-1]) if model.normalize_output else None
+    emb, norms = _run(model, acts[0], acts)
     return emb, ForwardCache(acts=acts, norms=norms, emb=emb, model_version=model.version)
 
 
@@ -160,14 +168,7 @@ def embed(model: MlpModel, x: np.ndarray) -> np.ndarray:
     out = np.empty((x.shape[0], model.embed_dim))
     with one_blas_thread():
         for start in range(0, x.shape[0], EMBED_ROWS):
-            a = x[start:start + EMBED_ROWS]
-            for w, b in zip(model.weights[:-1], model.biases[:-1]):
-                a = _affine(a, w, b)
-                np.maximum(a, 0.0, out=a)
-            rows = out[start:start + EMBED_ROWS]
-            rows[:] = _affine(a, model.weights[-1], model.biases[-1])
-            if model.normalize_output:
-                _normalize_rows(rows, a)
+            out[start:start + EMBED_ROWS] = _run(model, x[start:start + EMBED_ROWS])[0]
     return out
 
 

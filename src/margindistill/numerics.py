@@ -174,7 +174,6 @@ class Rng:
     def __init__(self, seed: int):
         if not isinstance(seed, int) or not (0 <= seed <= _MASK64):
             raise ContractViolation("seed must be an integer in [0, 2^64)")
-        self.seed = seed
         s = []
         state = seed
         for _ in range(4):
@@ -294,6 +293,30 @@ class Rng:
         top = self.uint64s(count)
         top >>= 11
         return top * (2.0 ** -53)
+
+
+def partial_shuffles(words: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Row r: ``Rng.sample_indices(n, k)`` for the words its k draws take, where
+    bounds (broadcast against words) holds n, n - 1, ..., n - k + 1 and no word
+    is rejected.
+
+    The swap targets j = i + w mod (n - i) depend on the words alone.  As in
+    ``sample_indices`` only displaced values are tracked: step i takes the
+    value at position j and moves the value at position i there, and a
+    position holds what the last earlier step moved to it, or itself.
+    """
+    n_rows, k = words.shape
+    steps = np.arange(k, dtype=np.uint64)
+    targets = (words % bounds + steps).astype(np.int64).T    # (k, rows)
+    taken = np.empty((k, n_rows), dtype=np.int64)
+    moved = np.empty((k, n_rows), dtype=np.int64)           # moved[t]: put at targets[t]
+    for i, target in enumerate(targets):
+        take, move = target, np.full(n_rows, i)
+        for t in range(i):                                  # later moves win
+            take = np.where(targets[t] == target, moved[t], take)
+            move = np.where(targets[t] == i, moved[t], move)
+        taken[i], moved[i] = take, move
+    return taken.T
 
 
 class Words:

@@ -60,11 +60,11 @@ class TeacherOracle:
         self._index = IdIndex(self.sample_ids, "embedding table")
 
     @classmethod
-    def from_model(cls, model: MlpModel, warning: str | None = None) -> "TeacherOracle":
+    def from_model(cls, model: MlpModel) -> "TeacherOracle":
         """Record a frozen model; ``tabulate`` turns it into a queryable table."""
         if not model.normalize_output:
             raise ContractViolation("teacher models must L2-normalize their output")
-        return cls(dim=model.embed_dim, model=model, warning=warning)
+        return cls(dim=model.embed_dim, model=model)
 
     @classmethod
     def from_table(cls, sample_ids, identities, vectors,
@@ -185,8 +185,8 @@ def calibrate_margins(
     """
     if n_triplets < 1:
         raise ContractViolation("n_triplets must be >= 1")
-    _, inverse, counts = np.unique(ds.labels, return_inverse=True, return_counts=True)
-    eligible_rows = np.flatnonzero(counts[inverse] >= 2)
+    eligible_rows = np.sort(ds.identity_order[np.repeat(ds.identity_sizes >= 2,
+                                                        ds.identity_sizes)])
     if not eligible_rows.size or ds.n_identities < 2:
         raise CapacityError("calibration needs >= 2 identities, one with >= 2 samples")
     vectors = oracle.embed_rows(ds, np.arange(ds.n_samples))

@@ -23,7 +23,8 @@ from margindistill.evaluation import build_pairs, threshold_sweep
 from margindistill.loss import MarginConfig
 from margindistill.mlp import init_mlp, load_checkpoint, save_checkpoint
 from margindistill.numerics import Rng, derive_subseed
-from margindistill.teacher import TeacherOracle, calibrate_margins, tabulate
+from margindistill.teacher import (TeacherOracle, calibrate_margins, load_embedding_table,
+                                   save_embedding_table, tabulate)
 from margindistill.training import DistillConfig, TeacherTrainConfig
 
 from oracles import csv_writer_roc, save_pairs_jsonl
@@ -456,6 +457,23 @@ def test_checkpoint_teacher_is_tabulated_against_the_dataset(tiny, tmp_path):
     table = tabulate(TeacherOracle.from_model(load_checkpoint(ckpt)), ds)
     want = calibrate_margins(table, ds, 5, Rng(derive_subseed(0, "calibrate")))
     assert report["d_values"] == want.d_values
+
+
+@pytest.mark.parametrize("kind", ["pairs", "table"])
+def test_an_unknown_sample_id_is_one_plain_error_line(tiny, tmp_path, kind):
+    # evaluate reads a pair that names id 999; calibrate embeds every dataset id
+    # (0-15) with a table that lacks 15.  The message is printed without quotes.
+    if kind == "pairs":
+        path = _input(tiny, tmp_path, "pairs", '{"a": 999, "b": 0, "same": false}\n')
+        want = "error: sample id 999 not in dataset\n"
+    else:
+        table = load_embedding_table(tiny["table"])
+        keep = table.sample_ids != 15
+        path = _input(tiny, tmp_path, "table", b"")
+        save_embedding_table(TeacherOracle.from_table(
+            table.sample_ids[keep], table.identities[keep], table.vectors[keep]), path)
+        want = "error: sample id 15 not in embedding table\n"
+    assert _cli_reading(tiny, kind, path) == (1, want)
 
 
 def test_full_pipeline_and_compare(tmp_path, capsys):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
-from margindistill.data import HierarchySpec, IdentityDataset, generate_hierarchical
+from margindistill.data import (HierarchySpec, IdentityDataset, generate_hierarchical,
+                                load_dataset_jsonl)
 from margindistill.errors import (
     CapacityError,
     ContractViolation,
@@ -570,3 +571,27 @@ def test_pair_loader_equals_per_record_json(text):
             except FormatError as exc:
                 results.append(str(exc))
     assert results[0] == results[1]
+
+
+_DATASET_HEADER = '{"input_dim": 1, "n_samples": 1, "n_identities": 1, "seed": null}\n'
+
+
+@pytest.mark.parametrize("pair_line, record_line", [
+    ("not json", "not json"),
+    ("[1, 2]", "[1, 2]"),
+    ('{"a": true, "b": 2, "same": false}', '{"sample": true, "identity": 0, "x": [0.5]}'),
+], ids=["not-json", "array", "id-true"])
+def test_pair_and_dataset_records_follow_one_rule(tmp_path, pair_line, record_line):
+    """A faulty JSON-lines record is refused with the same reason in a pair file
+    and in a dataset file read from its text."""
+    (tmp_path / "pairs.jsonl").write_text(pair_line + "\n")
+    (tmp_path / "dataset.jsonl").write_text(_DATASET_HEADER + record_line + "\n")
+    with pytest.raises(FormatError) as pair_error:
+        load_pairs_jsonl(tmp_path / "pairs.jsonl")
+    with pytest.raises(FormatError) as record_error:
+        load_dataset_jsonl(tmp_path / "dataset.jsonl")
+    pair_prefix = f"{tmp_path / 'pairs.jsonl'}: bad pair record: "
+    record_prefix = f"{tmp_path / 'dataset.jsonl'}: bad record: "
+    assert str(pair_error.value).startswith(pair_prefix)
+    assert str(record_error.value).startswith(record_prefix)
+    assert str(pair_error.value)[len(pair_prefix):] == str(record_error.value)[len(record_prefix):]

@@ -276,6 +276,49 @@ def test_sample_indices_cost_does_not_grow_with_n():
     assert len(set(out)) == 4 and all(0 <= v < 2**62 for v in out)
 
 
+class _Feed:
+    """Given words as a generator's stream, for Rng.sample_indices to draw from."""
+
+    randint, sample_indices = Rng.randint, Rng.sample_indices
+
+    def __init__(self, words):
+        self.next_uint64 = iter(words).__next__
+
+
+@st.composite
+def _shuffle_rows(draw):
+    """(n per row, k, words): each row's k words are accepted by randint(n - i) at
+    step i, and their swap targets often repeat (i, i + 1 or i + 2, or the last
+    position), so values move along chains of swaps."""
+    ns = draw(st.lists(st.one_of(st.integers(1, 12), st.integers(1, 2**32)),
+                       min_size=1, max_size=5), label="n per row")
+    most = min(min(ns), 12)
+    k = draw(st.one_of(st.just(1), st.just(most), st.integers(1, most)), label="k")
+    words = []
+    for n in ns:
+        row = []
+        for i in range(k):
+            bound = n - i
+            target = draw(st.one_of(st.integers(0, min(2, bound - 1)), st.just(bound - 1),
+                                    st.integers(0, bound - 1)))
+            lap = draw(st.integers(0, randint_limit(bound) // bound - 1))
+            row.append(target + lap * bound)
+        words.append(row)
+    event(f"k {'= 1' if k == 1 else '= n' if k in ns else '< n'}")
+    return ns, k, words
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_shuffle_rows())
+def test_partial_shuffles_equals_sample_indices_row_by_row(rows):
+    ns, k, words = rows
+    bounds = np.array(ns, dtype=np.uint64)[:, None] - np.arange(k, dtype=np.uint64)
+    got = numerics.partial_shuffles(np.array(words, dtype=np.uint64), bounds)
+    assert got.dtype == np.int64 and got.shape == (len(ns), k)
+    for n, row, picked in zip(ns, words, got.tolist()):
+        assert picked == _Feed(row).sample_indices(n, k)
+
+
 def test_normals_are_deterministic_and_sane():
     a = Rng(8).normals(4000)
     b = Rng(8).normals(4000)

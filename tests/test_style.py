@@ -1,6 +1,7 @@
 """Style rules of src/, tools/ and tests/: lines of at most 99 columns, no ``;`` statements,
-no unused imports; the generator's state touched only in numerics.py; and hashlib imported
-by the package only inside a function."""
+no unused imports; the generator's state touched only in numerics.py; hashlib imported
+by the package only inside a function; and no package module importing another's
+``_``-prefixed name."""
 
 import ast
 import io
@@ -78,3 +79,16 @@ def test_hashlib_is_imported_only_inside_a_function(path):
             or isinstance(node, ast.ImportFrom) and node.level == 0
             and (node.module or "").split(".")[0] in ("hashlib", "_hashlib")]
     assert not rows, f"{path.name}: hashlib imported at module level on lines {rows}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.parent.name == "margindistill"],
+                         ids=lambda p: p.name)
+def test_no_module_imports_another_modules_private_name(path):
+    # what two modules share is public in the module that owns it, so one rule has
+    # one implementation that both use.  Dunders such as __version__ are not private.
+    rows = [(node.lineno, alias.name) for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "margindistill")
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert not rows, f"{path.name}: private names of other modules imported: {rows}"
