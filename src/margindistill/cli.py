@@ -264,14 +264,21 @@ def cmd_train_teacher(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
     return 0
 
 
+def _read_calibration(path: Path) -> CalibrationReport:
+    text = read_text(path)
+    try:
+        return CalibrationReport.from_json(text)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
 def cmd_calibrate(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
     ds = load_dataset_jsonl(_require_input(cfg, "io.dataset"))
     oracle = _load_model_file(_require_input(cfg, "io.teacher"), teacher_of=ds)
     report = calibrate_margins(oracle, ds, cfg["calibrate.n_triplets"],
                                Rng(derive_subseed(cfg["run.seed"], "calibrate")))
     d = _publish(out, "calibrate", cfg, {"calibration.json": (
-        _text(report.to_json() + "\n"),
-        lambda path: CalibrationReport.from_json(read_text(path)))})
+        _text(report.to_json() + "\n"), _read_calibration)})
     _say(quiet, f"wrote {d / 'calibration.json'} (d in [{report.d_min_observed:.4f}, "
                 f"{report.d_max_observed:.4f}] over {report.sample_count} triplets)")
     return 0
@@ -285,7 +292,7 @@ def _margin_from_config(cfg: ExperimentConfig) -> MarginConfig:
         raise ConfigError(f"distill.margin_mode must be fixed or dynamic, got {mode!r}")
     if cfg["distill.use_calibration"]:
         path = _require_input(cfg, "io.calibration")
-        report = CalibrationReport.from_json(read_text(path))
+        report = _read_calibration(path)
         return MarginConfig.dynamic(report.suggested_m_min, report.suggested_m_max)
     return MarginConfig.dynamic(cfg["distill.m_min"], cfg["distill.m_max"])
 

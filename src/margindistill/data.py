@@ -28,8 +28,7 @@ from .errors import (
     NoTripletsError,
     UnknownSampleError,
 )
-from .numerics import (Rng, Words, gram_sq_euclidean, pairwise_sq_euclidean, partial_shuffles,
-                       randint_limit)
+from .numerics import Rng, gram_sq_euclidean, pairwise_sq_euclidean, partial_shuffles
 
 MINING_STRATEGIES = ("all", "random_per_anchor", "semi_hard")
 
@@ -216,15 +215,21 @@ class PkBatch:
         return self.entries.size
 
 
-def sample_pk_batch(ds: IdentityDataset, p: int, k: int, rng: Rng) -> PkBatch:
-    """Uniform P identities (without replacement) and K samples per identity."""
-    if p < 1 or k < 1:
-        raise ContractViolation("p and k must be >= 1")
-    eligible = ds._identities[ds.identity_sizes >= k]
+def _pk_eligible(ds: IdentityDataset, p: int, k: int) -> np.ndarray:
+    """The positions among ds's identities of those with k or more samples, p or more."""
+    eligible = np.flatnonzero(ds.identity_sizes >= k)
     if eligible.size < p:
         raise CapacityError(
             f"need {p} identities with >= {k} samples, dataset has {eligible.size}"
         )
+    return eligible
+
+
+def sample_pk_batch(ds: IdentityDataset, p: int, k: int, rng: Rng) -> PkBatch:
+    """Uniform P identities (without replacement) and K samples per identity."""
+    if p < 1 or k < 1:
+        raise ContractViolation("p and k must be >= 1")
+    eligible = ds._identities[_pk_eligible(ds, p, k)]
     chosen = eligible[rng.sample_indices(eligible.size, p)]
     entries = []
     for ident in chosen:
@@ -240,30 +245,26 @@ def sample_pk_batches(
     """The next ``count`` batches of ``sample_pk_batch(ds, p, k, rng)``, drawn at once,
     with the same batches and final state.
 
-    When more than p identities are eligible and each has more than k samples, every
-    ``randint`` of a batch takes one word (``randint(1)`` takes none) unless it rejects
-    one.  Then one ``Words.attempts`` run draws the batches' words, and those before
-    the first rejected word are decoded at once: partial Fisher-Yates steps across the
-    batches, over the eligible identities, then over each chosen identity's rows.
-    That batch, the rest, and every batch otherwise come from ``sample_pk_batch``.
+    A batch takes p + p * k words, one per ``randint``, so one ``uint64s`` call draws
+    every batch's words, and they are decoded at once: partial Fisher-Yates steps
+    across the batches, over the eligible identities, then over each chosen
+    identity's rows.
     """
     if p < 1 or k < 1 or count < 0:
         raise ContractViolation("p and k must be >= 1, and count >= 0")
-    eligible = np.flatnonzero(ds.identity_sizes >= k)       # positions among the identities
-    sizes = ds.identity_sizes[eligible].astype(np.uint64)
-    if eligible.size <= p or sizes.min() <= k:
-        return [sample_pk_batch(ds, p, k, rng) for _ in range(count)]
+    if count == 0:
+        return []
+    eligible = _pk_eligible(ds, p, k)
     id_bounds = eligible.size - np.arange(p, dtype=np.uint64)
-    row_bounds = sizes[:, None] - np.arange(k, dtype=np.uint64)         # per eligible identity
-    limit = min(map(randint_limit, {*id_bounds.tolist(), *row_bounds.ravel().tolist()}))
-    words, tail = Words(rng, 0).attempts(count, p + p * k, limit,
-                                         lambda words: sample_pk_batch(ds, p, k, words))
+    row_bounds = ds.identity_sizes[eligible].astype(np.uint64)[:, None] - np.arange(
+        k, dtype=np.uint64)                                 # per eligible identity
+    words = rng.uint64s(count * (p + p * k)).reshape(count, p + p * k)
     chosen = partial_shuffles(words[:, :p], id_bounds)
     picked = partial_shuffles(words[:, p:].reshape(-1, k), row_bounds[chosen.ravel()])
     entries = ds.identity_order[ds.identity_starts[eligible[chosen]].reshape(-1, 1) + picked]
     labels = np.repeat(ds._identities[eligible[chosen]], k, axis=1)
     # as in sample_pk_batch: distinct identities, k distinct rows of each
-    return [PkBatch._built(p, k, e, c) for e, c in zip(entries.reshape(-1, p * k), labels)] + tail
+    return [PkBatch._built(p, k, e, c) for e, c in zip(entries.reshape(-1, p * k), labels)]
 
 
 def mine_triplets(
@@ -630,13 +631,12 @@ def _load_dataset(path, block: int | None) -> IdentityDataset:
                               f"n_identities, and an integer or null seed: {exc}") from exc
         if arrays is None:
             arrays = _parse_records(path, itertools.chain([lines[1:]], blocks), counts[1])
-    ds = IdentityDataset(
-        sample_ids=arrays[0],
-        labels=arrays[1],
-        features=arrays[2],
-        spec=_spec_from_header(path, header.get("spec")),
-        seed=seed,
-    )
+    spec = _spec_from_header(path, header.get("spec"))
+    try:
+        ds = IdentityDataset(sample_ids=arrays[0], labels=arrays[1], features=arrays[2],
+                             spec=spec, seed=seed)
+    except ContractViolation as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     if (ds.input_dim, ds.n_samples, ds.n_identities) != counts:
         raise FormatError(f"{path}: header counts disagree with records")
     return ds

@@ -28,7 +28,7 @@ from .errors import (
     InsufficientData,
 )
 from .mlp import MlpModel, embed
-from .numerics import Rng, Words, pairwise_sq_euclidean, partial_shuffles, randint_limit
+from .numerics import Rng, Words, pairwise_sq_euclidean, partial_shuffles
 from .teacher import TeacherOracle
 
 
@@ -71,10 +71,11 @@ def build_pairs(
     """n_pos same-identity and n_neg different-identity sample-id pairs.
 
     No unordered pair repeats.  An attempt draws a random identity and two of its
-    rows (``sample_indices``), or two random rows, refused on one row or one
-    identity; a pair is kept at its first attempt.  After 200 * want + 10,000
-    attempts a deterministic enumeration fallback picks the rest, so tight
-    requests stay feasible.  The draws are those of one draw at a time."""
+    rows (``sample_indices``; a one-row identity takes the two words too), or two
+    random rows, refused on one row or one identity; a pair is kept at its first
+    attempt.  After 200 * want + 10,000 attempts a deterministic enumeration
+    fallback picks the rest, so tight requests stay feasible.  The draws are those
+    of one draw at a time."""
     if n_pos < 0 or n_neg < 0:
         raise ContractViolation("pair counts must be >= 0")
     pos_available, neg_available = ds.pair_capacity()
@@ -82,46 +83,34 @@ def build_pairs(
         raise CapacityError(f"requested {n_pos} positive pairs, only {pos_available} exist")
     if n_neg > neg_available:
         raise CapacityError(f"requested {n_neg} negative pairs, only {neg_available} exist")
-    # an attempt takes at least `width` words (randint(1) takes none), and at least
-    # `want` attempts run, so the words of both kinds' first rounds come in one draw
-    width = int(ds.n_identities > 1) + int(np.minimum(ds.identity_sizes - 1, 2).min())
-    words = Words(rng, n_pos * width + n_neg * 2)
-    lo, hi = np.concatenate([_collect(ds, n_pos, True, width, words),
-                             _collect(ds, n_neg, False, 2, words)], axis=1)
+    # at least `want` attempts run, so the words of both kinds' first rounds come in one draw
+    words = Words(rng, n_pos * 3 + n_neg * 2)
+    lo, hi = np.concatenate([_collect(ds, n_pos, True, words),
+                             _collect(ds, n_neg, False, words)], axis=1)
     return PairSet(a_ids=ds.sample_ids[lo], b_ids=ds.sample_ids[hi],
                    same=np.repeat([True, False], [n_pos, n_neg]))
 
 
-def _collect(ds: IdentityDataset, want: int, same: bool, width: int, words: Words):
+def _collect(ds: IdentityDataset, want: int, same: bool, words: Words):
     """(lower rows, higher rows) of ``build_pairs``' ``want`` pairs of one kind.  A round
-    is one ``words.attempts`` run of the attempts that must still run, ``width`` words
-    each, decoded as arrays up to the first that holds a rejected word; that one and
-    the rest are drawn one at a time.  Same-identity attempts differ in width, and all
-    are drawn one at a time, unless there are 2+ identities and each has 3+ rows."""
+    takes the words of the attempts that must still run at once, 3 per same-identity
+    attempt and 2 per different-identity one, and decodes them as arrays."""
     n, sizes = ds.n_samples, ds.identity_sizes
-    bounds = {ds.n_identities, *sizes.tolist(), *(sizes - 1).tolist()} if same else {n}
-    limit = min(map(randint_limit, bounds)) if width == 2 + same else 0
-
-    def draw(words: Words):
-        if same:                                    # a one-row identity: one row twice
-            rows = ds.rows_of(ds.identity_list[words.randint(ds.n_identities)])
-            return rows[words.sample_indices(rows.size, 2) if rows.size > 1 else [0, 0]]
-        return words.randint(n), words.randint(n)
-
     found = np.empty(0, dtype=np.int64)         # pair codes: lower row * n + higher row
     attempts, budget = 0, 200 * want + 10_000
     while found.size < want and attempts < budget:
         count = min(want - found.size, budget - attempts)
-        block, tail = words.attempts(count, width, limit, draw)
+        w = words.take(count * (2 + same)).reshape(count, 2 + same)
         if same:
-            w = block.reshape(-1, 3)                # no rows when the widths differ
             ident = (w[:, 0] % np.uint64(ds.n_identities)).astype(np.intp)
-            size = sizes[ident, None].astype(np.uint64)
-            picked = partial_shuffles(w[:, 1:], size - np.arange(2, dtype=np.uint64))
-            pairs = ds.identity_order[ds.identity_starts[ident, None] + picked].T
+            size = sizes[ident, None]
+            # bounds size, size - 1; a one-row identity's are 1, 1 and it picks its one
+            # row twice, which is refused below
+            bounds = np.maximum(size - np.arange(2), 1).astype(np.uint64)
+            picked = np.minimum(partial_shuffles(w[:, 1:], bounds), size - 1)
+            r1, r2 = ds.identity_order[ds.identity_starts[ident, None] + picked].T
         else:
-            pairs = (block % np.uint64(n)).astype(np.intp).T
-        r1, r2 = np.concatenate((pairs, np.array(tail, dtype=np.intp).reshape(-1, 2).T), axis=1)
+            r1, r2 = (w % np.uint64(n)).astype(np.intp).T
         attempts += count
         keep = (r1 != r2) & ((ds.labels[r1] == ds.labels[r2]) == same)
         codes = np.concatenate((found, np.minimum(r1, r2)[keep] * n + np.maximum(r1, r2)[keep]))

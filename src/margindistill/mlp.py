@@ -214,11 +214,16 @@ class SgdState:
     vel_b: list[np.ndarray] = field(default_factory=list)
 
 
-def init_sgd(model: MlpModel, learning_rate: float, momentum: float) -> SgdState:
-    if not (learning_rate > 0.0):
-        raise ContractViolation("learning_rate must be > 0")
-    if not (0.0 <= momentum < 1.0):
+def check_sgd(learning_rate: float, momentum: float) -> None:
+    """SGD's hyperparameters: a finite learning rate > 0 and a momentum in [0, 1)."""
+    if not (math.isfinite(learning_rate) and learning_rate > 0.0):
+        raise ContractViolation("learning_rate must be finite and > 0")
+    if not 0.0 <= momentum < 1.0:
         raise ContractViolation("momentum must lie in [0, 1)")
+
+
+def init_sgd(model: MlpModel, learning_rate: float, momentum: float) -> SgdState:
+    check_sgd(learning_rate, momentum)
     return SgdState(
         learning_rate=learning_rate,
         momentum=momentum,

@@ -35,8 +35,7 @@ import numpy as np
 
 from .errors import ContractViolation
 
-_SPAN64 = 1 << 64
-_MASK64 = _SPAN64 - 1
+_MASK64 = (1 << 64) - 1
 _DIFF_ELEMENTS = 1 << 15     # differences held at once by pairwise_sq_euclidean: 256 KiB
 
 
@@ -160,11 +159,6 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return (z ^ (z >> 31)) & _MASK64, state
 
 
-def randint_limit(n: int) -> int:
-    """``Rng.randint(n)`` redraws every word at or above this: 2^64 - (2^64 mod n)."""
-    return _SPAN64 - _SPAN64 % n
-
-
 class Rng:
     """xoshiro256** pseudo-random generator with a fixed 64-bit seed.
 
@@ -201,16 +195,11 @@ class Rng:
         return (self.next_uint64() >> 11) * (2.0 ** -53)
 
     def randint(self, n: int) -> int:
-        """Uniform integer in [0, n) via unbiased rejection sampling."""
+        """Integer in [0, n): one word mod n, for every n, so a draw takes one word.
+        Each value's probability is within 2^-64 of 1/n."""
         if n < 1:
             raise ContractViolation("randint requires n >= 1")
-        if n == 1:
-            return 0
-        v = self.next_uint64()
-        limit = randint_limit(n)
-        while v >= limit:
-            v = self.next_uint64()
-        return v % n
+        return self.next_uint64() % n
 
     def sample_indices(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), via partial Fisher-Yates.
@@ -297,8 +286,7 @@ class Rng:
 
 def partial_shuffles(words: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Row r: ``Rng.sample_indices(n, k)`` for the words its k draws take, where
-    bounds (broadcast against words) holds n, n - 1, ..., n - k + 1 and no word
-    is rejected.
+    bounds (broadcast against words) holds n, n - 1, ..., n - k + 1.
 
     The swap targets j = i + w mod (n - i) depend on the words alone.  As in
     ``sample_indices`` only displaced values are tracked: step i takes the
@@ -320,8 +308,9 @@ def partial_shuffles(words: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 
 class Words:
-    """The words ahead of ``rng``: a block drawn by ``uint64s``, then ``rng``'s own.
-    ``randint`` and ``sample_indices`` are ``Rng``'s, on these words."""
+    """The words ahead of ``rng``: a block drawn by ``uint64s``, then ``rng``'s own,
+    read in order by ``take`` and ``next_uint64``.  ``randint`` and ``sample_indices``
+    are ``Rng``'s, on these words."""
 
     randint, sample_indices = Rng.randint, Rng.sample_indices
 
@@ -334,22 +323,11 @@ class Words:
             return self.rng.next_uint64()
         return int(self.block[self.at - 1])
 
-    def attempts(self, count: int, width: int, limit: int, draw) -> tuple[np.ndarray, list]:
-        """A run of ``count`` attempts that take ``width`` words each unless one holds a
-        word at or above ``limit``: the (first, width) words of the attempts before the
-        first that does, and ``draw(self)`` for it and each later attempt, in order.
-
-        Only ``count * width`` words are drawn ahead, the fewest the attempts take, so
-        the tail's draws read the rest of them before the generator's own.
-        """
-        ahead = self.block[self.at:]
-        self.block = np.concatenate((ahead, self.rng.uint64s(max(count * width - ahead.size, 0))))
-        words = self.block[:count * width].reshape(count, width)
-        first = count
-        if count and int(words.max(initial=0)) >= limit:       # one test for the usual case
-            first = int(np.argmax(words.max(axis=1, initial=0) >= limit))
-        self.at = first * width
-        return words[:first], [draw(self) for _ in range(count - first)]
+    def take(self, n: int) -> np.ndarray:
+        """The next n words as a uint64 array."""
+        ahead = self.block[self.at:self.at + n]
+        self.at += n
+        return np.concatenate((ahead, self.rng.uint64s(n - ahead.size)))
 
 
 # ---------------------------------------------------------------------------

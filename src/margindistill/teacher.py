@@ -254,4 +254,8 @@ def load_embedding_table(path) -> TeacherOracle:
             f"file has {len(blob)}"
         )
     records = np.frombuffer(blob, dtype=_table_record(dim), count=count, offset=off)
-    return TeacherOracle.from_table(records["sample"], records["identity"], records["vector"])
+    try:
+        return TeacherOracle.from_table(records["sample"], records["identity"],
+                                        records["vector"])
+    except ContractViolation as exc:
+        raise FormatError(f"{path}: {exc}") from exc

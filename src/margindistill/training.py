@@ -27,7 +27,8 @@ from .data import (
 )
 from .errors import ContractViolation, DivergenceError
 from .loss import MarginConfig, batch_loss
-from .mlp import MlpModel, backward_batch, forward_batch, init_mlp, init_sgd, sgd_step
+from .mlp import (MlpModel, backward_batch, check_sgd, forward_batch, init_mlp, init_sgd,
+                  sgd_step)
 # pairwise_sq_euclidean is unused here, but perfbench's tracer patches this name
 from .numerics import Rng, derive_subseed, one_blas_thread, pairwise_sq_euclidean  # noqa: F401
 from .teacher import TeacherOracle, tabulate, triplet_gaps
@@ -43,10 +44,7 @@ def _check_loop(cfg) -> None:
         raise ContractViolation("iterations must be >= 0")
     if cfg.mining not in MINING_STRATEGIES:
         raise ContractViolation(f"unknown mining strategy {cfg.mining!r}")
-    if not (math.isfinite(cfg.learning_rate) and cfg.learning_rate > 0.0):
-        raise ContractViolation("learning_rate must be finite and > 0")
-    if not 0.0 <= cfg.momentum < 1.0:
-        raise ContractViolation("momentum must lie in [0, 1)")
+    check_sgd(cfg.learning_rate, cfg.momentum)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 from margindistill import data
 from margindistill.data import (IdentityDataset, json_field, mine_triplets, read_text,
                                 sample_pk_batch)
-from margindistill.errors import FormatError
+from margindistill.errors import ContractViolation, FormatError
 from margindistill.evaluation import PairSet
 from margindistill.loss import batch_loss
 from margindistill.mlp import backward_batch, forward_batch, init_sgd, sgd_step
@@ -394,7 +394,8 @@ def loop_build_pairs(ds, n_pos, n_neg, rng):
             if want_same:
                 ident = ds.identity_list[rng.randint(ds.n_identities)]
                 rows = ds.rows_of(ident)
-                if rows.size < 2:
+                if rows.size < 2:                     # refused after its two row words
+                    rng.next_uint64(), rng.next_uint64()
                     continue
                 i, j = rng.sample_indices(rows.size, 2)
                 r1, r2 = int(rows[i]), int(rows[j])
@@ -495,8 +496,12 @@ def whole_text_load_dataset(path):
     except (OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: ids must fit in int64 and x must be equal-length "
                           f"number lists: {exc}") from exc
-    ds = IdentityDataset(sample_ids=ids[0], labels=ids[1], features=features,
-                         spec=data._spec_from_header(path, header.get("spec")), seed=seed)
+    spec = data._spec_from_header(path, header.get("spec"))
+    try:
+        ds = IdentityDataset(sample_ids=ids[0], labels=ids[1], features=features,
+                             spec=spec, seed=seed)
+    except ContractViolation as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     if (ds.input_dim, ds.n_samples, ds.n_identities) != counts:
         raise FormatError(f"{path}: header counts disagree with records")
     return ds

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from margindistill import cli, data
+from margindistill import cli, data, teacher
 from margindistill.cli import load_config, main
 from margindistill.data import HierarchySpec, load_dataset_jsonl
 from margindistill.evaluation import build_pairs, threshold_sweep
@@ -293,6 +293,33 @@ def test_removed_eval_every_key_rejected(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:") and "distill.eval_every" in err[0]
 
 
+@pytest.mark.parametrize("text, want", [
+    *[(text, False) for text in ("false", "0", "no", "off", "False", "OFF")],
+    *[(text, True) for text in ("true", "1", "yes", "on", "Yes")],
+])
+def test_boolean_spellings(tmp_path, text, want):
+    path = tmp_path / "c.txt"
+    path.write_text(f"distill.use_calibration = {text}\n")
+    assert load_config(str(path))["distill.use_calibration"] is want
+
+
+def test_a_boolean_of_another_spelling_is_config_error(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_text("distill.use_calibration = maybe\n")
+    rc = main(["distill", "--config", str(path), "--out", str(tmp_path / "runs")])
+    assert (rc, capsys.readouterr().err) == (
+        2, f"error: {path}:1: bad value for distill.use_calibration: not a boolean: 'maybe'\n")
+
+
+def test_an_unknown_margin_mode_is_config_error(tiny, tmp_path, capsys):
+    config = _write_config(tmp_path, TINY_CONFIG, distill_dot_margin_mode="dynamc", **{
+        "io.dataset": tiny["dataset"], "io.teacher": tiny["table"]})
+    rc = main(["distill", "--config", config, "--out", str(tmp_path / "runs"), "--quiet"])
+    assert (rc, capsys.readouterr().err) == (
+        2, "error: distill.margin_mode must be fixed or dynamic, got 'dynamc'\n")
+    assert not (tmp_path / "runs").exists()
+
+
 def test_config_hash_stable_and_sensitive(tmp_path):
     c1 = load_config(_write_config(tmp_path))
     c2 = load_config(_write_config(tmp_path))
@@ -422,6 +449,41 @@ def test_inconsistent_calibration_report_is_format_error(tiny, tmp_path, change)
     path = _input(tiny, tmp_path, "calibration", json.dumps(report))
     rc, err = _cli_reading(tiny, "calibration", path)
     assert rc == 1 and "bad calibration report" in err
+
+
+def _no_records(text):
+    header = {**json.loads(text.splitlines()[0]), "n_samples": 0, "n_identities": 0}
+    return json.dumps(header) + "\n"
+
+
+def _repeated_id(text):
+    lines = text.splitlines()
+    lines[2] = json.dumps({**json.loads(lines[2]), "sample": json.loads(lines[1])["sample"]})
+    return "\n".join(lines) + "\n"
+
+
+def _non_unit_vector(blob):
+    dim = struct.unpack_from("<II", blob, 6)[1]
+    records = np.frombuffer(blob, teacher._table_record(dim), offset=14).copy()
+    records["vector"][0] *= 2
+    return blob[:14] + records.tobytes()
+
+
+def _no_d_values(text):
+    return json.dumps({k: v for k, v in json.loads(text).items() if k != "d_values"})
+
+
+@pytest.mark.parametrize("kind, change, message", [
+    ("dataset", _no_records, "features must be a (n, input_dim) array"),
+    ("dataset", _repeated_id, "duplicate sample id in dataset"),
+    ("table", _non_unit_vector, "table vectors must be unit-norm"),
+    ("calibration", _no_d_values, "bad calibration report: 'd_values'"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_a_loaded_file_fault_names_the_file(tiny, tmp_path, kind, change, message):
+    # a fault the constructors find in a loaded file is a FormatError that names it
+    old = tiny[kind].read_bytes() if kind == "table" else tiny[kind].read_text()
+    path = _input(tiny, tmp_path, kind, change(old))
+    assert _cli_reading(tiny, kind, path) == (1, f"error: {path}: {message}\n")
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -608,6 +670,13 @@ def test_compare_requires_reports(tmp_path, capsys):
     rc = main(["compare", str(tmp_path), "--out", str(tmp_path / "c.csv")])
     assert rc == 2
     assert "expected file" in capsys.readouterr().err
+
+
+def test_compare_needs_two_reports(tiny, tmp_path, capsys):
+    rc = main(["compare", str(tiny["evaluation"].parent), "--out", str(tmp_path / "c.csv")])
+    assert (rc, capsys.readouterr().err) == (
+        2, "error: compare needs at least two evaluation reports\n")
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_seed_override_changes_artifacts(tmp_path):

@@ -605,6 +605,25 @@ def test_dataset_jsonl_header_mismatch_rejected(tmp_path):
         load_dataset_jsonl(path)
 
 
+@pytest.mark.parametrize("key", ["input_dim", "n_identities"])
+@pytest.mark.parametrize("companion", [False, True])
+def test_dataset_header_counts_that_disagree_with_the_records_are_refused(tmp_path, key,
+                                                                          companion):
+    # the records parse, one per declared sample, but hold another dim or identity count
+    ds = generate_hierarchical(small_spec())
+    path = tmp_path / "ds.jsonl"
+    save_dataset_jsonl(ds, path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header[key] += 1
+    path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    if companion:               # the arrays from a companion that matches the file
+        data.save_dataset_companion(ds, path, data.companion_path(path))
+    with pytest.raises(FormatError) as caught:
+        load_dataset_jsonl(path)
+    assert str(caught.value) == f"{path}: header counts disagree with records"
+
+
 def test_dataset_jsonl_garbage_rejected(tmp_path):
     path = tmp_path / "bad.jsonl"
     for text in ("not json", "5", "null", '["input_dim", "n_samples", "n_identities"]'):

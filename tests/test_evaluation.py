@@ -29,7 +29,6 @@ from margindistill.evaluation import (
     threshold_sweep,
     verify,
 )
-from margindistill import evaluation, numerics
 from margindistill.mlp import init_mlp
 from margindistill.numerics import Rng
 from margindistill.teacher import TeacherOracle
@@ -194,28 +193,17 @@ def test_build_pairs_equals_scalar_draws(sizes, shuffle, pos, neg, live, seed):
     _assert_same_pairs_and_next_word(ds, n_pos, n_neg, rng, ref)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_build_pairs_rejected_words_draw_one_at_a_time(monkeypatch, seed):
-    """With randint_limit lowered by n * 2^48, about n * 2^-16 of the words are
-    refused: about 1.5% of the 960-row draws.  A round's attempts from the first that
-    holds one are drawn one at a time, and the pairs and the next word stay the scalar
-    draws'."""
-    def limit(n):
-        return 2**64 - 2**64 % n - n * 2**48
-
-    for module in (numerics, evaluation):
-        monkeypatch.setattr(module, "randint_limit", limit)
-    one_at_a_time = []                # words read one at a time, as a rejected word makes
-    step = numerics.Words.next_uint64
-
-    def counted(words):
-        one_at_a_time.append(1)
-        return step(words)
-
-    monkeypatch.setattr(numerics.Words, "next_uint64", counted)
-    ds = generate_hierarchical(HierarchySpec(seed=seed))
-    _assert_same_pairs_and_next_word(ds, 300, 300, Rng(seed), Rng(seed))
-    assert one_at_a_time
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("sizes", [[1], [2], [1, 1], [1, 2], [2, 2], [2, 1, 2], [1, 4, 1, 2]])
+def test_build_pairs_with_one_and_two_row_identities_equals_scalar_draws(sizes, seed):
+    """A one-row identity's attempt takes its identity word and two row words and is
+    refused; a two-row identity's second row draw is randint(1), which takes a word.
+    Every pair of both kinds is requested, and half of them."""
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    ds = IdentityDataset(np.arange(labels.size) + 7, labels, np.ones((labels.size, 2)))
+    pos, neg = ds.pair_capacity()
+    for n_pos, n_neg in ((pos, neg), (pos // 2, neg // 2)):
+        _assert_same_pairs_and_next_word(ds, n_pos, n_neg, Rng(seed), Rng(seed))
 
 
 def test_verify_separable_example():

@@ -1,10 +1,12 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from margindistill.errors import ContractViolation, DegenerateInput, FormatError
+from margindistill.loss import MarginConfig
 from margindistill.mlp import (
     EMBED_ROWS,
     MlpModel,
@@ -18,6 +20,7 @@ from margindistill.mlp import (
     sgd_step,
 )
 from margindistill.numerics import Rng
+from margindistill.training import DistillConfig
 
 from oracles import central_diff_grad, scalar_uniforms, straightline_mlp_forward
 
@@ -309,6 +312,20 @@ def test_sgd_validation():
         init_sgd(model, 0.1, 1.0)
 
 
+@pytest.mark.parametrize("learning_rate, momentum", [
+    (0.0, 0.5), (-0.1, 0.5), (math.inf, 0.9), (math.nan, 0.9), (0.1, 1.0), (0.1, -0.1),
+    (0.1, math.nan),
+])
+def test_sgd_settings_are_refused_as_the_training_configs_refuse_them(learning_rate, momentum):
+    # one rule for both: the same values refused with the same message
+    with pytest.raises(ContractViolation) as direct:
+        init_sgd(_scalar_model(), learning_rate, momentum)
+    with pytest.raises(ContractViolation) as config:
+        DistillConfig(margin=MarginConfig.fixed(0.3), learning_rate=learning_rate,
+                      momentum=momentum)
+    assert str(direct.value) == str(config.value)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
@@ -337,6 +354,21 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOTMLP" + b"\x00" * 32)
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"\x03\x00", "truncated checkpoint: "),                    # no whole dim count
+    (struct.pack("<II", 3, 4), "truncated checkpoint: "),         # 3 dims, one present
+    (struct.pack("<III", 3, 4, 4), "truncated checkpoint: "),     # 3 dims, no flag
+    (struct.pack("<IIB", 1, 4, 1), "checkpoint needs >= 2 layer dims"),
+    (struct.pack("<IB", 0, 1), "checkpoint needs >= 2 layer dims"),
+], ids=["count", "dims", "flag", "one-dim", "no-dim"])
+def test_checkpoint_header_faults(tmp_path, header, message):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(b"TFMLP1" + header)
+    with pytest.raises(FormatError) as caught:
+        load_checkpoint(path)
+    assert str(caught.value).startswith(f"{path}: {message}")
 
 
 def test_checkpoint_truncated(tmp_path):

@@ -1,8 +1,6 @@
-import copy
 import subprocess
 import sys
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +17,6 @@ from margindistill.numerics import (
     derive_subseed,
     gram_sq_euclidean,
     pairwise_sq_euclidean,
-    randint_limit,
 )
 
 from oracles import (
@@ -212,8 +209,33 @@ def test_rng_matches_reference_implementation(seed):
 
 
 def test_randint_single_outcome():
-    rng = Rng(3)
+    rng, ref = Rng(3), Rng(3)
     assert all(rng.randint(1) == 0 for _ in range(10))
+    ref.uint64s(10)                              # each draw took its word
+    assert rng._s == ref._s
+
+
+def _state_before(word):
+    """A generator state whose next word is ``word``: the output is rotl(s1 * 5, 7) * 9."""
+    x = word * pow(9, -1, 2**64) & _MASK64
+    s1 = ((x >> 7) | (x << 57)) & _MASK64
+    return [1, s1 * pow(5, -1, 2**64) & _MASK64, 2, 3]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 10, 2**32 + 1, 2**63 + 1, 2**64 - 1])
+@pytest.mark.parametrize("word", [None, 0, 2**64 - 1])
+def test_randint_is_one_word_mod_n(n, word):
+    """randint(n) takes exactly one word, randint(1) and 2^64 - 1 included, and gives
+    that word mod n."""
+    rng, ref = Rng(n % 1000), Rng(n % 1000)
+    if word is not None:
+        rng._s, ref._s = _state_before(word), _state_before(word)
+    drawn = []
+    for _ in range(5):
+        drawn.append(ref.next_uint64())
+        assert rng.randint(n) == drawn[-1] % n
+        assert rng._s == ref._s
+    assert word in (None, drawn[0])
 
 
 def test_randint_validates():
@@ -287,8 +309,8 @@ class _Feed:
 
 @st.composite
 def _shuffle_rows(draw):
-    """(n per row, k, words): each row's k words are accepted by randint(n - i) at
-    step i, and their swap targets often repeat (i, i + 1 or i + 2, or the last
+    """(n per row, k, words): each row's k words, any of 2^64 at step i whose swap
+    target is i + w mod (n - i), and those targets often repeat (i, i + 1 or i + 2, or the last
     position), so values move along chains of swaps."""
     ns = draw(st.lists(st.one_of(st.integers(1, 12), st.integers(1, 2**32)),
                        min_size=1, max_size=5), label="n per row")
@@ -301,7 +323,7 @@ def _shuffle_rows(draw):
             bound = n - i
             target = draw(st.one_of(st.integers(0, min(2, bound - 1)), st.just(bound - 1),
                                     st.integers(0, bound - 1)))
-            lap = draw(st.integers(0, randint_limit(bound) // bound - 1))
+            lap = draw(st.integers(0, (_MASK64 - target) // bound))
             row.append(target + lap * bound)
         words.append(row)
     event(f"k {'= 1' if k == 1 else '= n' if k in ns else '< n'}")
@@ -403,38 +425,26 @@ def test_uint64s_validates():
     assert Rng(0).uint64s(np.int64(3)).tolist() == Rng(0).uint64s(3).tolist()
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, _MASK64), width=st.integers(1, 4), count=st.integers(0, 50),
-       taken=st.integers(0, 120), ahead=st.integers(0, 320), n=st.integers(2, 17),
-       kind=st.sampled_from(["0", "2^64", "lowered"]))
-def test_words_attempts_equal_scalar_draws(seed, width, count, taken, ahead, n, kind):
-    """Attempts of ``width`` draws of randint(n) after ``taken`` words, on a block of
-    ``ahead`` words that the attempts use up.  A limit of 0 flags every attempt, 2^64
-    none (n a power of two, which rejects nothing), and randint_limit lowered by
-    n * 2^56 rejects about n / 256 of the words."""
-    if kind == "2^64":
-        n = 1 << (n.bit_length() - 1)
-    lowered = {"0": randint_limit, "2^64": randint_limit,
-               "lowered": lambda m: randint_limit(m) - m * 2**56}[kind]
-    limit = {"0": 0, "2^64": 2**64, "lowered": lowered(n)}[kind]
-    with mock.patch.object(numerics, "randint_limit", lowered):
-        rng, ref = Rng(seed), Rng(seed)
-        words = numerics.Words(rng, min(ahead, taken + count * width))
-        assert [words.next_uint64() for _ in range(taken)] == scalar_words(
-            ref.next_uint64, taken).tolist()
-        stream = scalar_words(copy.deepcopy(ref).next_uint64, count * width)
-        prefix, tail = words.attempts(count, width, limit,
-                                      lambda w: [w.randint(n) for _ in range(width)])
-        want = [[ref.randint(n) for _ in range(width)] for _ in range(count)]
-    first = len(prefix)
-    event(f"limit {kind}: " + ("none" if first == count else "all" if first == 0 else "some")
-          + " drawn one at a time")
-    assert prefix.dtype == np.uint64 and prefix.shape == (first, width)
-    assert prefix.ravel().tolist() == stream[:first * width].tolist()
-    assert all(w < limit for w in stream[:first * width].tolist())
-    assert first == count or max(stream[first * width:][:width].tolist()) >= limit
-    assert (prefix % np.uint64(n)).tolist() + tail == want
-    assert rng.next_uint64() == ref.next_uint64()
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, _MASK64), ahead=st.integers(0, 400),
+       reads=st.lists(st.one_of(st.none(), st.integers(0, 400)), max_size=6))
+def test_words_read_the_stream_in_order(seed, ahead, reads):
+    """A block of ``ahead`` words, then reads of one word (None) or of n words by
+    ``take``, within the block, across its end and past it, give the generator's
+    words in order; the generator is left where the block and the reads past it
+    leave it."""
+    rng, ref = Rng(seed), Rng(seed)
+    words = numerics.Words(rng, ahead)
+    got = [words.next_uint64() if n is None else words.take(n) for n in reads]
+    taken = sum(1 if n is None else n for n in reads)
+    want = scalar_words(ref.next_uint64, max(ahead, taken)).tolist()
+    for value, n in zip(got, reads):
+        if n is None:
+            assert value == want.pop(0)
+        else:
+            assert value.dtype == np.uint64 and value.tolist() == want[:n]
+            del want[:n]
+    assert rng._s == ref._s
 
 
 @pytest.mark.parametrize("m", range(12))

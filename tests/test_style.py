@@ -1,7 +1,7 @@
 """Style rules of src/, tools/ and tests/: lines of at most 99 columns, no ``;`` statements,
-no unused imports; the generator's state touched only in numerics.py; hashlib imported
-by the package only inside a function; and no package module importing another's
-``_``-prefixed name."""
+no unused imports; the generator's state and next_uint64 touched only in numerics.py;
+hashlib imported by the package only inside a function; and no package module importing
+another's ``_``-prefixed name."""
 
 import ast
 import io
@@ -53,12 +53,25 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.parent.name == "margindistill"
                                   and p.name != "numerics.py"], ids=lambda p: p.name)
 def test_generator_state_stays_in_numerics(path):
-    # Rng's state is read and written only where the draws are; elsewhere a draw
-    # ahead goes through numerics.Words.  An attribute, or a name for getattr.
+    # Rng's state is read and written only where the draws are; elsewhere draws go
+    # through Rng's methods, and words read ahead through numerics.Words.  An
+    # attribute, or a name for getattr.
     rows = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute) and node.attr == "_s"
             or isinstance(node, ast.Constant) and node.value == "_s"]
     assert not rows, f"{path.name}: generator state _s on lines {rows}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.parent.name == "margindistill"
+                                  and p.name != "numerics.py"], ids=lambda p: p.name)
+def test_raw_words_stay_in_numerics(path):
+    # one word per scalar draw is one rule, kept in numerics.py: other modules draw
+    # through randint, sample_indices, random or the bulk forms, never one word at a
+    # time themselves.  An attribute, or a name for getattr.
+    rows = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "next_uint64"
+            or isinstance(node, ast.Constant) and node.value == "next_uint64"]
+    assert not rows, f"{path.name}: next_uint64 on lines {rows}"
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.parent.name == "margindistill"],

@@ -392,6 +392,14 @@ def test_embedding_table_trailing_and_missing_bytes(tmp_path):
             load_embedding_table(tmp_path / name)
 
 
+@pytest.mark.parametrize("sample_id, identity", [(2**32, 0), (0, 2**32), (2**40, 2**33)])
+def test_embedding_table_ids_past_u32_are_refused(tmp_path, sample_id, identity):
+    oracle = _table_oracle([(sample_id, identity, [1.0, 0.0]), (1, 1, [0.0, 1.0])])
+    with pytest.raises(ContractViolation, match="table ids must fit in u32"):
+        save_embedding_table(oracle, tmp_path / "t.emb")
+    assert not (tmp_path / "t.emb").exists()
+
+
 def test_embedding_table_bytes_match_record_writer(tmp_path):
     ds = generate_hierarchical(HierarchySpec(seed=3))
     oracle = tabulate(TeacherOracle.from_model(init_mlp((ds.input_dim, 8, 5), True, Rng(1))), ds)

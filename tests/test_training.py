@@ -2,13 +2,14 @@ import hashlib
 import json
 import warnings
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import margindistill.training as training
-from margindistill import data, numerics
+from margindistill import data
 from margindistill.data import (
     HierarchySpec,
     IdentityDataset,
@@ -314,19 +315,28 @@ def _per_batch_draws(ds, p, k, rng, count):
         return None
 
 
+def _refuse(*args):
+    raise AssertionError("a PK batch was sampled one batch at a time")
+
+
 @settings(max_examples=150, deadline=None)
 @given(_pk_datasets(), st.integers(0, 9))
 def test_pk_schedule_equals_per_batch_draws(case, count):
+    """Every batch is decoded from the bulk words, also where an eligible identity has
+    exactly k rows or exactly p identities are eligible: randint(1) takes a word."""
     ds, p, k, seed = case
     rng, ref = Rng(seed), Rng(seed)
     want = _per_batch_draws(ds, p, k, ref, count)
-    if want is None:
-        with pytest.raises(CapacityError):
-            sample_pk_batches(ds, p, k, rng, count)
-        return
     sizes = ds.identity_sizes[ds.identity_sizes >= k]
-    event("bulk" if sizes.size > p and sizes.min() > k else "per batch")
-    _assert_same_batches(sample_pk_batches(ds, p, k, rng, count), want)
+    event("too few eligible" if want is None else "exactly p eligible" if sizes.size == p
+          else "more than p eligible")
+    event(f"an eligible identity of exactly k rows: {bool(np.any(sizes == k))}")
+    with mock.patch.object(data, "sample_pk_batch", _refuse):
+        if want is None:
+            with pytest.raises(CapacityError):
+                sample_pk_batches(ds, p, k, rng, count)
+            return
+        _assert_same_batches(sample_pk_batches(ds, p, k, rng, count), want)
     assert rng._s == ref._s
 
 
@@ -363,33 +373,9 @@ def _counting_sampler(monkeypatch, module=training):
     return calls
 
 
-@pytest.mark.parametrize("draws", ["identity", "row"])
-def test_rejected_word_replays_its_chunk_on_the_scalar_path(monkeypatch, draws):
-    """The batches before a chunk's first rejected word are decoded from the bulk
-    words; that batch and the rest of the chunk are drawn one at a time."""
-    # 64 identities of 30 samples: identity draws have bounds 57-64, row draws 23-30
-    ds = generate_hierarchical(HierarchySpec(identities_per_supercluster=16, seed=2))
-
-    def limit(n):
-        """randint's limit, less n * 2^48 (still a multiple of n) for one kind of draw:
-        about n * 2^-16 of those words are rejected."""
-        return 2**64 - 2**64 % n - (n * 2**48 if (n > 40) == (draws == "identity") else 0)
-
-    for module in (numerics, data):
-        monkeypatch.setattr(module, "randint_limit", limit)
-    calls = _counting_sampler(monkeypatch, data)
-    cfg = SimpleNamespace(p=8, k=8, iterations=1025, mining="semi_hard")
-    rng, ref = Rng(7), Rng(7)
-    got = list(training._pk_batches(ds, cfg, rng))
-    # the first chunk's first rejected word is in batch 7 (identity) or 32 (row), and
-    # the last batch's 72 words hold none
-    assert 0 < len(calls) < 1025
-    _assert_same_batches(got, _per_batch_draws(ds, 8, 8, ref, 1025))
-    assert rng._s == ref._s
-
-
 def test_rejected_first_word_gives_the_same_batches_and_state(monkeypatch):
-    ds = tiny_dataset()                          # 6 identities: randint(6) rejects 2^64 - 1
+    # 2^64 - 1, the one word a rejection rule for randint(6) would redraw, is kept
+    ds = tiny_dataset()                          # 6 identities
     mask = 2**64 - 1
     out = mask * pow(9, -1, 2**64) & mask        # next word = rotl(s1 * 5, 7) * 9
     s1 = ((out >> 7) | (out << 57)) & mask
@@ -400,7 +386,7 @@ def test_rejected_first_word_gives_the_same_batches_and_state(monkeypatch):
     want = _per_batch_draws(ds, 3, 3, ref, 4)
     calls = _counting_sampler(monkeypatch, data)
     _assert_same_batches(sample_pk_batches(ds, 3, 3, rng, 4), want)
-    assert len(calls) == 4 and rng._s == ref._s
+    assert not calls and rng._s == ref._s
 
 
 def test_random_per_anchor_batches_are_drawn_between_minings():
@@ -448,11 +434,7 @@ def test_loop_trains_bitwise_like_per_iteration_sampling(monkeypatch, mining):
 @pytest.mark.filterwarnings("ignore:under-trained teacher")
 def test_semi_hard_training_at_default_spec_draws_the_schedule(monkeypatch):
     # the loop's case: if it fell back to per-iteration sampling, the speedup is gone
-    def refuse(*args):
-        raise AssertionError("a PK batch was sampled one iteration at a time")
-
-    for module in (training, data):              # data: a rejected word's batches
-        monkeypatch.setattr(module, "sample_pk_batch", refuse)
+    monkeypatch.setattr(training, "sample_pk_batch", _refuse)
     ds = generate_hierarchical(HierarchySpec(seed=6))
     teacher, _ = train_teacher(ds, TeacherTrainConfig(iterations=30, floor_pairs=20), seed=1)
     student = init_mlp((16, 32, 32, 16), True, Rng(2))
