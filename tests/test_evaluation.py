@@ -194,7 +194,8 @@ def test_build_pairs_equals_scalar_draws(sizes, shuffle, pos, neg, live, seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("sizes", [[1], [2], [1, 1], [1, 2], [2, 2], [2, 1, 2], [1, 4, 1, 2]])
+@pytest.mark.parametrize("sizes", [[1], [2], [1, 1], [1, 2], [2, 1], [2, 2], [2, 1, 2],
+                                   [1, 4, 2, 1]])
 def test_build_pairs_with_one_and_two_row_identities_equals_scalar_draws(sizes, seed):
     """A one-row identity's attempt takes its identity word and two row words and is
     refused; a two-row identity's second row draw is randint(1), which takes a word.
