@@ -28,7 +28,8 @@ from .errors import (
     NoTripletsError,
     UnknownSampleError,
 )
-from .numerics import Rng, gram_sq_euclidean, pairwise_sq_euclidean, partial_shuffles
+from .numerics import (Rng, check_seed, gram_sq_euclidean, pairwise_sq_euclidean,
+                       partial_shuffles)
 
 MINING_STRATEGIES = ("all", "random_per_anchor", "semi_hard")
 
@@ -52,6 +53,7 @@ class HierarchySpec:
                 raise ContractViolation(f"{f.name} must be {f.type}, got {value!r}")
             if kind is numbers.Integral and f.name != "seed" and value < 1:
                 raise ContractViolation(f"{f.name} must be >= 1")
+        object.__setattr__(self, "seed", check_seed(self.seed))     # a numpy seed as an int
         if not (0.0 < self.sample_noise < self.identity_spread < self.supercluster_spread):
             raise ContractViolation(
                 "spreads must satisfy 0 < sample_noise < identity_spread "

@@ -9,8 +9,10 @@ Randomness comes from :class:`Rng`, a from-scratch xoshiro256** generator
 bit-exact for a given seed on every platform and build, which is why we do
 not use ``numpy.random`` here: numpy does not promise stream stability
 across versions.  Gaussian draws are produced from the stream via Box-Muller
-(two uniforms per normal, no cached spare); they are deterministic per
-platform but may differ in the last ulp across libm implementations.
+(two words per normal, no cached spare); they are deterministic per
+platform but may differ in the last ulp across libm implementations.  Every
+draw takes a fixed number of words: one per ``randint`` or ``random``, two per
+normal, k per ``sample_indices(n, k)``.
 
 Bulk draws (``uint64s``, ``normals``, ``uniforms``) step many copies of the
 generator at once, each started at a jump-ahead offset of the stream, and
@@ -28,6 +30,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import numbers
 import operator
 import threading
 
@@ -159,6 +162,14 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return (z ^ (z >> 31)) & _MASK64, state
 
 
+def check_seed(seed) -> int:
+    """The one seed rule: an integral value, not a bool, in [0, 2^64), as an int."""
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or not 0 <= seed <= _MASK64):
+        raise ContractViolation(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    return int(seed)
+
+
 class Rng:
     """xoshiro256** pseudo-random generator with a fixed 64-bit seed.
 
@@ -166,15 +177,12 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        if not isinstance(seed, int) or not (0 <= seed <= _MASK64):
-            raise ContractViolation("seed must be an integer in [0, 2^64)")
         s = []
-        state = seed
+        state = check_seed(seed)
         for _ in range(4):
             word, state = _splitmix64(state)
             s.append(word)
-        if not any(s):  # xoshiro state must be nonzero
-            s[0] = 1
+        # never all zero: four distinct states, and SplitMix64's output mix is a bijection
         self._s = s
 
     def next_uint64(self) -> int:
@@ -260,22 +268,21 @@ class Rng:
         return x
 
     def normals(self, count: int) -> np.ndarray:
-        """Standard normals via Box-Muller, two words per normal and no cached spare.
-
-        The same bits as drawing them one at a time: a zero u1 is skipped and
-        pairing resumes at the next word.
-        """
-        pieces = [np.empty(0)]
-        tail = np.empty(0, dtype=np.uint64)
-        while count > 0:
-            want = min(count, _RUN_WORDS // 2)
-            top = self.uint64s(2 * want - tail.size)
+        """Standard normals via Box-Muller from two words each, u1 then u2, as random()
+        reads them, except that a u1 of 0 reads as 2^-53: no word is ever skipped."""
+        if count < 0:
+            raise ContractViolation("normals requires count >= 0")
+        out = np.empty(count)
+        for start in range(0, count, _RUN_WORDS // 2):
+            top = self.uint64s(2 * min(count - start, _RUN_WORDS // 2))
             top >>= 11
-            top = np.concatenate((tail, top)) if tail.size else top
-            z, tail = _box_muller(top)
-            pieces.append(z)
-            count -= z.size
-        return np.concatenate(pieces)
+            u1 = np.maximum(top[0::2], 1) * (2.0 ** -53)
+            u2 = top[1::2] * (2.0 ** -53)
+            log_u1 = np.fromiter(map(math.log, u1.tolist()), np.float64, u1.size)
+            cos_u2 = np.fromiter(map(math.cos, ((2.0 * math.pi) * u2).tolist()), np.float64,
+                                 u2.size)
+            out[start:start + u1.size] = np.sqrt(-2.0 * log_u1) * cos_u2
+        return out
 
     def uniforms(self, count: int) -> np.ndarray:
         """count draws of random(), as one array."""
@@ -331,7 +338,7 @@ class Words:
 
 
 # ---------------------------------------------------------------------------
-# bulk draws: xoshiro256** lanes and Box-Muller over word arrays
+# bulk draws: xoshiro256** lanes
 # ---------------------------------------------------------------------------
 #
 # The state update is linear over GF(2): one step is a 256x256 bit matrix A.
@@ -380,36 +387,13 @@ def _step_power(m: int) -> np.ndarray:
     return table
 
 
-def _box_muller(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normals from consecutive stream words shifted right by 11.
-
-    Pairs (u1, u2) exactly as one-at-a-time draws do: a word with u1 = 0 is
-    skipped.  Returns the normals and the unused tail, at most one word (a
-    u1 still waiting for its u2).  The array operations are exact; log and
-    cos are libm's, called through math.
-    """
-    pieces = []
-    while True:
-        zeros = np.flatnonzero(top[0::2] == 0)
-        pairs = top.size // 2 if zeros.size == 0 else int(zeros[0])
-        u1 = top[0:2 * pairs:2] * (2.0 ** -53)
-        u2 = top[1:2 * pairs:2] * (2.0 ** -53)
-        log_u1 = np.fromiter(map(math.log, u1.tolist()), np.float64, pairs)
-        cos_u2 = np.fromiter(map(math.cos, ((2.0 * math.pi) * u2).tolist()), np.float64, pairs)
-        pieces.append(np.sqrt(-2.0 * log_u1) * cos_u2)
-        if zeros.size == 0:
-            return np.concatenate(pieces), top[2 * pairs:]
-        top = top[2 * pairs + 1:]
-
-
 def derive_subseed(seed: int, label: str) -> int:
     """Labeled sub-seed so that stages draw from independent streams.
 
     FNV-1a folds the label into 64 bits, SplitMix64 then mixes it with the
     run seed; changing either the label or the seed changes the result.
     """
-    if not isinstance(seed, int) or not 0 <= seed <= _MASK64:
-        raise ContractViolation("seed must be an integer in [0, 2^64)")
+    seed = check_seed(seed)
     h = 0xCBF29CE484222325
     for byte in label.encode("utf-8"):
         h = ((h ^ byte) * 0x100000001B3) & _MASK64

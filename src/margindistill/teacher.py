@@ -70,8 +70,8 @@ class TeacherOracle:
     def from_table(cls, sample_ids, identities, vectors,
                    model=None, warning: str | None = None) -> "TeacherOracle":
         vectors = np.asarray(vectors, dtype=np.float64)
-        return cls(
-            dim=vectors.shape[1], model=model, sample_ids=sample_ids,
+        return cls(     # __init__ refuses every ndim but 2
+            dim=vectors.shape[-1] if vectors.ndim else 0, model=model, sample_ids=sample_ids,
             identities=identities, vectors=vectors, warning=warning,
         )
 
@@ -254,6 +254,8 @@ def load_embedding_table(path) -> TeacherOracle:
             f"file has {len(blob)}"
         )
     records = np.frombuffer(blob, dtype=_table_record(dim), count=count, offset=off)
+    if not np.isfinite(records["vector"]).all():        # before the cast, which warns on sNaN
+        raise FormatError(f"{path}: table vectors must be finite")
     try:
         return TeacherOracle.from_table(records["sample"], records["identity"],
                                         records["vector"])

@@ -327,10 +327,8 @@ def scalar_uniforms(next_word, count):
 
 
 def scalar_normal(next_word):
-    """One Box-Muller normal, no cached spare; a zero u1 is redrawn."""
-    u1 = (next_word() >> 11) * 2.0**-53
-    while u1 == 0.0:  # avoid log(0)
-        u1 = (next_word() >> 11) * 2.0**-53
+    """One Box-Muller normal from two words, no cached spare; a zero u1 reads as 2^-53."""
+    u1 = max(next_word() >> 11, 1) * 2.0**-53
     u2 = (next_word() >> 11) * 2.0**-53
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 

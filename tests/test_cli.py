@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from margindistill import cli, data, teacher
 from margindistill.cli import load_config, main
 from margindistill.data import HierarchySpec, load_dataset_jsonl
-from margindistill.evaluation import build_pairs, threshold_sweep
+from margindistill.evaluation import build_pairs, threshold_sweep, verify
 from margindistill.loss import MarginConfig
 from margindistill.mlp import init_mlp, load_checkpoint, save_checkpoint
 from margindistill.numerics import Rng, derive_subseed
@@ -536,6 +536,36 @@ def test_an_unknown_sample_id_is_one_plain_error_line(tiny, tmp_path, kind):
             table.sample_ids[keep], table.identities[keep], table.vectors[keep]), path)
         want = "error: sample id 15 not in embedding table\n"
     assert _cli_reading(tiny, kind, path) == (1, want)
+
+
+def test_a_signaling_nan_in_a_table_is_one_error_line_and_no_warning(tiny, tmp_path):
+    # casting a float32 signaling NaN to float64 warns; isfinite on the raw values does not
+    blob = bytearray(tiny["table"].read_bytes())
+    struct.pack_into("<I", blob, len(teacher.TABLE_MAGIC) + 8 + 8, 0x7FA00000)
+    path = _input(tiny, tmp_path, "table", bytes(blob))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = _cli_reading(tiny, "table", path)
+    assert result == (1, f"error: {path}: table vectors must be finite\n")
+    assert [str(w.message) for w in caught] == []
+
+
+def test_train_teacher_prints_the_under_trained_warning_line(tiny, tmp_path, capsys):
+    config = _write_config(tmp_path, TINY_CONFIG, io_dot_dataset=tiny["dataset"],
+                           teacher_dot_iterations=0, teacher_dot_accuracy_floor=1.0)
+    with pytest.warns(UserWarning, match="^under-trained teacher: "):
+        assert main(["train-teacher", "--config", config, "--out", str(tmp_path)]) == 0
+    ds = load_dataset_jsonl(tiny["dataset"])
+    table = load_embedding_table(_only_dir(tmp_path, "train-teacher") / "teacher_table.emb")
+    floor_pairs = TeacherTrainConfig().floor_pairs
+    pos, neg = ds.pair_capacity()
+    pairs = build_pairs(ds, min(floor_pairs, pos), min(floor_pairs, neg),
+                        Rng(derive_subseed(derive_subseed(0, "teacher"), "teacher-floor")))
+    accuracy = verify(table, ds, pairs).best_accuracy
+    assert accuracy < 1.0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"warning: under-trained teacher: 0 iterations; verification accuracy "
+        f"{accuracy:.3f} below floor 1.000")
 
 
 def test_full_pipeline_and_compare(tmp_path, capsys):

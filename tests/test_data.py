@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -653,6 +654,18 @@ def test_mine_k1_batch_yields_no_triplets():
         assert tri.shape == (0, 3)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, True, 1.0])
+def test_dataset_header_spec_with_a_bad_seed_is_a_format_error(tmp_path, seed):
+    path = tmp_path / "ds.jsonl"
+    save_dataset_jsonl(generate_hierarchical(small_spec()), path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["spec"]["seed"] = seed
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: bad header spec: seed "):
+        load_dataset_jsonl(path)
+
+
 @pytest.mark.parametrize("edit", [
     lambda spec: spec.update(bogus=1),
     lambda spec: spec.pop("sample_noise"),
@@ -670,3 +683,32 @@ def test_dataset_jsonl_bad_header_spec_rejected(tmp_path, edit):
     path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
     with pytest.raises(FormatError):
         load_dataset_jsonl(path)
+
+
+def _four_rows():
+    return IdentityDataset([0, 1, 2, 3], [0, 0, 1, 1], np.eye(4))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: data.IdIndex(np.array([], dtype=np.int64), "a table"),
+                 ContractViolation, "no sample ids in a table", id="IdIndex-no-ids"),
+    pytest.param(lambda: IdentityDataset([], [], np.zeros((0, 2))), ContractViolation,
+                 "dataset must contain at least one sample", id="dataset-empty"),
+    pytest.param(lambda: IdentityDataset([0, 1], [0], np.zeros((2, 2))), ContractViolation,
+                 "sample_ids/labels must align with features", id="dataset-misaligned"),
+    pytest.param(lambda: _four_rows().rows_of(7), CapacityError, "unknown identity 7",
+                 id="rows_of-unknown"),
+    pytest.param(lambda: PkBatch(2, 2, [0, 1, 2], [0, 0, 1]), ContractViolation,
+                 "batch arrays must have p*k entries", id="PkBatch-length"),
+    pytest.param(lambda: PkBatch(2, 2, [0, 1, 2, 3], [0, 0, 0, 1]), ContractViolation,
+                 "batch must hold exactly p identities, k samples each", id="PkBatch-counts"),
+    pytest.param(lambda: sample_pk_batch(_four_rows(), 0, 2, Rng(0)), ContractViolation,
+                 "p and k must be >= 1", id="sample_pk_batch-p0"),
+    pytest.param(lambda: mine_triplets(PkBatch(2, 2, [0, 1, 2, 3], [0, 0, 1, 1]), np.eye(4),
+                                       "random_per_anchor"),
+                 ContractViolation, "random_per_anchor mining requires an rng",
+                 id="random_per_anchor-no-rng"),
+])
+def test_data_contract_errors(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

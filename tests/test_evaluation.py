@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -584,3 +585,31 @@ def test_pair_and_dataset_records_follow_one_rule(tmp_path, pair_line, record_li
     assert str(pair_error.value).startswith(pair_prefix)
     assert str(record_error.value).startswith(record_prefix)
     assert str(pair_error.value)[len(pair_prefix):] == str(record_error.value)[len(record_prefix):]
+
+
+def _four_rows():
+    return IdentityDataset([0, 1, 2, 3], [0, 0, 1, 1], np.eye(4))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: PairSet([0, 1], [2], [True, False]), ContractViolation,
+                 "pair arrays must align", id="PairSet-misaligned"),
+    pytest.param(lambda: verify(object(), _four_rows(), PairSet([0], [1], [True])),
+                 ContractViolation, "cannot embed with a object", id="verify-no-embedder"),
+    pytest.param(lambda: build_pairs(_four_rows(), 1, -1, Rng(0)), ContractViolation,
+                 "pair counts must be >= 0", id="build_pairs-negative"),
+    pytest.param(lambda: threshold_sweep([], []), ContractViolation,
+                 "cannot sweep an empty pair set", id="threshold_sweep-empty"),
+    pytest.param(lambda: spearman([1, 2, 3], [1, 2]), ContractViolation,
+                 "rank correlation needs equal-length inputs", id="spearman-unequal"),
+    pytest.param(lambda: spearman([1, 2], [2, 1]), InsufficientData,
+                 "rank correlation needs >= 3 observations", id="spearman-short"),
+    pytest.param(lambda: spearman([1, 1, 1], [1, 2, 3]), DegenerateInput,
+                 "rank correlation undefined for constant ranks", id="spearman-constant"),
+    pytest.param(lambda: structure_correlation(np.zeros((3, 4)), np.zeros((3, 4))),
+                 ContractViolation, "matrices must be square and equally shaped",
+                 id="structure_correlation-not-square"),
+])
+def test_evaluation_contract_errors(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -392,3 +394,12 @@ def test_batch_loss_grad_matches_add_at_with_none_some_or_all_active(margin, act
     n_active = int(res.active.sum())
     assert {"none": n_active == 0, "some": 0 < n_active < 448, "all": n_active == 448}[active]
     assert res.grad.tobytes() == add_at_batch_grad(emb, triplets, res.active).tobytes()
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: MarginConfig.dynamic(float("nan"), 1.0),
+                 "margin bounds must be finite", id="dynamic-nan"),
+])
+def test_loss_contract_errors(call, message):
+    with pytest.raises(ContractViolation, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -379,3 +380,44 @@ def test_checkpoint_truncated(tmp_path):
     path.write_bytes(blob[: len(blob) - 6])
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+def _shifted_grads(shift_weights: bool):
+    """One layer's forward, backward and SGD state, with the gradient of its weights
+    (or of its biases) given one column too many."""
+    model = init_mlp((3, 2), False, Rng(0))
+    emb, cache = forward_batch(model, np.ones((4, 3)))
+    grads = backward_batch(model, cache, np.ones_like(emb))
+    grads.weights[0] = np.pad(grads.weights[0], ((0, 0), (0, int(shift_weights))))
+    grads.biases[0] = np.pad(grads.biases[0], (0, int(not shift_weights)))
+    return init_sgd(model, 0.1, 0.0), model, grads
+
+
+def _backward_with_extra_column():
+    model = init_mlp((3, 2), False, Rng(0))
+    _, cache = forward_batch(model, np.ones((4, 3)))
+    return backward_batch(model, cache, np.ones((4, 3)))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: MlpModel((3,), [], []), "layer_dims needs >= 2 positive entries",
+                 id="dims-one"),
+    pytest.param(lambda: MlpModel((3, 0), [np.zeros((3, 0))], [np.zeros(0)]),
+                 "layer_dims needs >= 2 positive entries", id="dims-zero"),
+    pytest.param(lambda: MlpModel((3, 2), [], []),
+                 "one weight matrix and bias per layer required", id="no-layers"),
+    pytest.param(lambda: MlpModel((3, 2), [np.zeros((2, 3))], [np.zeros(2)]),
+                 "layer shapes inconsistent with layer_dims (3, 2)", id="weight-shape"),
+    pytest.param(lambda: MlpModel((3, 2), [np.zeros((3, 2))], [np.zeros(3)]),
+                 "layer shapes inconsistent with layer_dims (3, 2)", id="bias-shape"),
+    pytest.param(_backward_with_extra_column,
+                 "grad_embedding shape (4, 3) != embeddings shape (4, 2)",
+                 id="backward-shape"),
+    pytest.param(lambda: sgd_step(*_shifted_grads(True)), "gradient shape mismatch",
+                 id="sgd-weights"),
+    pytest.param(lambda: sgd_step(*_shifted_grads(False)), "gradient shape mismatch",
+                 id="sgd-biases"),
+])
+def test_mlp_contract_errors(call, message):
+    with pytest.raises(ContractViolation, match=f"^{re.escape(message)}$"):
+        call()

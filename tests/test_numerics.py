@@ -1,3 +1,5 @@
+import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 from scipy.stats import chi2
 
-from margindistill.data import IdentityDataset
+from margindistill.data import HierarchySpec, IdentityDataset
 from margindistill.errors import ContractViolation, DegenerateInput
 from margindistill.evaluation import PairSet, _pair_cosine_distances, verify
 from margindistill.mlp import MlpModel, forward_batch
@@ -499,29 +501,75 @@ HALF_RUN = (1 << 17) // 2      # normals per Box-Muller run
     (1, [0]),                              # the first pair
     (9, [8]),                              # a middle pair
     (9, [16]),                             # the last pair
-    (9, [0, 1, 2, 10, 15]),                # zeros in a row; a zero u2 (word 10) is kept
+    (9, [0, 1, 2, 10, 15]),                # zeros in a row; zero u2s (words 1, 15) read as 0
     (600, [0, 601, 1198]),                 # lane-drawn words
-    (HALF_RUN + 2, [2 * HALF_RUN - 2]),    # the last pair of a run: its u2 is carried
+    (HALF_RUN + 2, [2 * HALF_RUN - 2]),    # the last pair of a run
     (HALF_RUN + 2, [2 * HALF_RUN]),        # the first u1 of the next run
 ])
-def test_normals_skip_zero_u1_like_scalar_draws(count, zero_words):
-    words = scalar_words(Rng(count).next_uint64, 2 * count + len(zero_words) + 5).tolist()
+def test_normals_read_a_zero_u1_as_the_smallest_u1(count, zero_words):
+    words = scalar_words(Rng(count).next_uint64, 2 * count).tolist()
     for i, pos in enumerate(zero_words):
         words[pos] = i % 2 * 2047          # 0 or 2047: both have top 53 bits 0
     bulk, scalar = _CraftedWords(words), _CraftedWords(words)
     rng = Rng(0)
     rng.uint64s = bulk.uint64s            # instance attribute shadows the method
     got = rng.normals(count)
-    want = scalar_normals(scalar.next_uint64, count)
-    assert got.tobytes() == want.tobytes()
-    assert bulk.pos == scalar.pos
+    assert got.tobytes() == scalar_normals(scalar.next_uint64, count).tobytes()
+    assert bulk.pos == scalar.pos == 2 * count
+    for pos in zero_words:
+        if pos % 2 == 0:                   # a u1
+            u2 = (words[pos + 1] >> 11) * 2.0**-53
+            want = math.sqrt(-2.0 * math.log(2.0**-53)) * math.cos(2.0 * math.pi * u2)
+            assert got[pos // 2] == want
+
+
+_WIDTHS = {"randint": lambda n: 1, "random": lambda: 1, "normals": lambda count: 2 * count,
+           "sample_indices": lambda n, k: k, "uint64s": lambda n: n}
+_DRAWS = st.one_of(
+    st.tuples(st.just("randint"), st.integers(1, _MASK64)),
+    st.tuples(st.just("random")),
+    st.tuples(st.just("normals"), st.integers(0, 700)),
+    st.integers(0, 40).flatmap(
+        lambda n: st.tuples(st.just("sample_indices"), st.just(n), st.integers(0, n))),
+    st.tuples(st.just("uint64s"), st.integers(0, 700)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, _MASK64), st.lists(_DRAWS, max_size=6))
+def test_every_draw_takes_a_fixed_number_of_words(seed, draws):
+    rng = Rng(seed)
+    for name, *args in draws:
+        ref = Rng(0)
+        ref._s = list(rng._s)
+        getattr(rng, name)(*args)
+        ref.uint64s(_WIDTHS[name](*args))
+        assert rng._s == ref._s, name
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, _MASK64), st.integers(0, HALF_RUN + 3), st.integers(0, 700))
+def test_normals_in_two_calls_equal_one_call(seed, a, b):
+    rng = Rng(seed)
+    split = np.concatenate((rng.normals(a), rng.normals(b)))
+    assert split.tobytes() == Rng(seed).normals(a + b).tobytes()
 
 
 def test_seed_validation():
-    with pytest.raises(ContractViolation):
-        Rng(-1)
-    with pytest.raises(ContractViolation):
-        Rng(2**64)
+    # one rule for Rng, derive_subseed and HierarchySpec: integral, not a bool, in [0, 2^64)
+    for check in (Rng, lambda seed: derive_subseed(seed, "data"),
+                  lambda seed: HierarchySpec(seed=seed)):
+        for seed in (-1, 2**64, np.int64(-1), True, np.bool_(True), 1.0, "1", None):
+            with pytest.raises(ContractViolation, match="^seed must be"):
+                check(seed)
+
+
+@pytest.mark.parametrize("seed", [np.uint64(5), np.int64(3), np.uint64(_MASK64)], ids=repr)
+def test_one_seed_rule_takes_numpy_integers_as_ints(seed):
+    assert Rng(seed)._s == Rng(int(seed))._s
+    assert derive_subseed(seed, "data") == derive_subseed(int(seed), "data")
+    spec = HierarchySpec(seed=seed)
+    assert type(spec.seed) is int and spec == HierarchySpec(seed=int(seed))
 
 
 def test_derive_subseed_label_and_seed_sensitivity():
@@ -568,3 +616,13 @@ def test_normalize_rescale_leaves_other_rows_bitwise():
     assert emb[keep].tobytes() == (rows[keep] / norms[:, None]).tobytes()
     assert cache.norms[keep].tobytes() == norms.tobytes()
     assert cache.norms[1] == 1e-160
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Rng(0).sample_indices(3, 4), "cannot sample 4 distinct items from 3",
+                 id="sample_indices-k-above-n"),
+    pytest.param(lambda: Rng(0).normals(-1), "normals requires count >= 0", id="normals-negative"),
+])
+def test_numerics_contract_errors(call, message):
+    with pytest.raises(ContractViolation, match=f"^{re.escape(message)}$"):
+        call()

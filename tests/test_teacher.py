@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import struct
 import tracemalloc
 from dataclasses import asdict
@@ -422,3 +423,25 @@ def test_embedding_table_jsonl_ragged_vectors_rejected(tmp_path):
     )
     with pytest.raises(FormatError, match="magic"):
         load_embedding_table(path)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: TeacherOracle(3, sample_ids=[0], identities=[0], vectors=np.eye(1, 2)),
+                 "table vectors must be (n, dim)", id="oracle-dim"),
+    pytest.param(lambda: TeacherOracle.from_table([0, 1], [0, 1], np.zeros(2)),
+                 "table vectors must be (n, dim)", id="from_table-1d"),
+    pytest.param(lambda: TeacherOracle.from_table(0, 0, np.float64(1.0)),
+                 "table vectors must be (n, dim)", id="from_table-0d"),
+    pytest.param(lambda: TeacherOracle.from_table([0, 1], [0], np.eye(2)),
+                 "table arrays must align", id="from_table-misaligned"),
+    pytest.param(lambda: calibrate_margins(
+        TeacherOracle.from_table([0, 1, 2], [0, 0, 1], np.eye(3)),
+        IdentityDataset([0, 1, 2], [0, 0, 1], np.eye(3)), 0, Rng(0)),
+        "n_triplets must be >= 1", id="calibrate-zero"),
+    pytest.param(lambda: save_embedding_table(
+        TeacherOracle.from_model(init_mlp((3, 2), True, Rng(0))), "never-written.emb"),
+        "only tabulated teachers can be saved", id="save-untabulated"),
+])
+def test_teacher_contract_errors(call, message):
+    with pytest.raises(ContractViolation, match=f"^{re.escape(message)}$"):
+        call()

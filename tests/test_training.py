@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import warnings
 from types import SimpleNamespace
 from unittest import mock
@@ -504,6 +505,24 @@ def test_train_teacher_warning_claims_only_what_holds(iterations, floor):
     assert message.count("floor") == (accuracy < floor)
 
 
+@pytest.mark.parametrize("iterations", [0, 40])
+def test_train_teacher_warns_when_accuracy_really_is_below_its_floor(iterations):
+    ds = tiny_dataset(sample_noise=0.25)      # identities overlap: accuracy stays below 1
+    cfg = TeacherTrainConfig(hidden_dims=(12,), embed_dim=6, iterations=iterations, p=3, k=3,
+                             floor_pairs=20, accuracy_floor=1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        oracle, _ = train_teacher(ds, cfg, seed=0)
+    pos, neg = ds.pair_capacity()
+    pairs = build_pairs(ds, min(20, pos), min(20, neg), Rng(derive_subseed(0, "teacher-floor")))
+    accuracy = verify(oracle, ds, pairs).best_accuracy
+    assert accuracy < 1.0
+    reasons = ["0 iterations"] * (iterations == 0)
+    reasons.append(f"verification accuracy {accuracy:.3f} below floor 1.000")
+    assert oracle.warning == "under-trained teacher: " + "; ".join(reasons)
+    assert [str(w.message) for w in caught] == [oracle.warning]
+
+
 # ---------------------------------------------------------------------------
 # train log file format
 # ---------------------------------------------------------------------------
@@ -519,3 +538,14 @@ def test_train_log_jsonl_roundtrip(tmp_path):
         {"iter": 0, "loss": 0.5, "mean_margin": 0.3, "active_frac": 0.9},
         {"iter": 1, "loss": 0.4, "mean_margin": 0.31, "active_frac": 0.8},
     ]
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: distill(tiny_dataset(), _teacher_for(tiny_dataset()),
+                                 init_mlp((5, 4), True, Rng(0)),
+                                 DistillConfig(margin=MarginConfig.fixed(0.1))),
+                 "student input dim disagrees with the dataset", id="distill-input-dim"),
+])
+def test_training_contract_errors(call, message):
+    with pytest.raises(ContractViolation, match=f"^{re.escape(message)}$"):
+        call()
