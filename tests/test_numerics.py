@@ -480,17 +480,19 @@ def test_normals_and_uniforms_equal_scalar_bytes(seed, count):
 
 
 class _CraftedWords:
-    """A word stream read from a list, served one word or many at a time."""
+    """A word stream read from a list, served one word or many at a time; reading
+    past its end raises IndexError."""
 
     def __init__(self, words):
         self.words, self.pos = list(words), 0
 
     def next_uint64(self):
-        self.pos += 1
-        return self.words[self.pos - 1]
+        return int(self.uint64s(1)[0])
 
     def uint64s(self, n):
         self.pos += n
+        if self.pos > len(self.words):
+            raise IndexError("read past the end of the crafted stream")
         return np.array(self.words[self.pos - n:self.pos], dtype=np.uint64)
 
 
