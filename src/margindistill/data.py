@@ -48,12 +48,16 @@ class HierarchySpec:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            kind = numbers.Integral if f.type == "int" else numbers.Real
+            kind, convert = (numbers.Integral, int) if f.type == "int" else (numbers.Real, float)
             if not isinstance(value, kind) or isinstance(value, bool):
                 raise ContractViolation(f"{f.name} must be {f.type}, got {value!r}")
             if kind is numbers.Integral and f.name != "seed" and value < 1:
                 raise ContractViolation(f"{f.name} must be >= 1")
-        object.__setattr__(self, "seed", check_seed(self.seed))     # a numpy seed as an int
+            try:        # a numpy value as an int or a float, as the header's JSON needs
+                object.__setattr__(self, f.name, convert(value))
+            except OverflowError as exc:
+                raise ContractViolation(f"{f.name} must fit a float: {value!r:.40}") from exc
+        check_seed(self.seed)
         if not (0.0 < self.sample_noise < self.identity_spread < self.supercluster_spread):
             raise ContractViolation(
                 "spreads must satisfy 0 < sample_noise < identity_spread "
@@ -219,6 +223,8 @@ class PkBatch:
 
 def _pk_eligible(ds: IdentityDataset, p: int, k: int) -> np.ndarray:
     """The positions among ds's identities of those with k or more samples, p or more."""
+    if p < 1 or k < 1:
+        raise ContractViolation("p and k must be >= 1")
     eligible = np.flatnonzero(ds.identity_sizes >= k)
     if eligible.size < p:
         raise CapacityError(
@@ -229,8 +235,6 @@ def _pk_eligible(ds: IdentityDataset, p: int, k: int) -> np.ndarray:
 
 def sample_pk_batch(ds: IdentityDataset, p: int, k: int, rng: Rng) -> PkBatch:
     """Uniform P identities (without replacement) and K samples per identity."""
-    if p < 1 or k < 1:
-        raise ContractViolation("p and k must be >= 1")
     eligible = ds._identities[_pk_eligible(ds, p, k)]
     chosen = eligible[rng.sample_indices(eligible.size, p)]
     entries = []
@@ -241,26 +245,17 @@ def sample_pk_batch(ds: IdentityDataset, p: int, k: int, rng: Rng) -> PkBatch:
     return PkBatch._built(p, k, np.concatenate(entries), np.repeat(chosen, k))
 
 
-def sample_pk_batches(
-    ds: IdentityDataset, p: int, k: int, rng: Rng, count: int
-) -> list[PkBatch]:
-    """The next ``count`` batches of ``sample_pk_batch(ds, p, k, rng)``, drawn at once,
-    with the same batches and final state.
+def pk_batches(ds: IdentityDataset, p: int, k: int, words: np.ndarray) -> list[PkBatch]:
+    """The batches of ``sample_pk_batch(ds, p, k, rng)`` for the words its draws take,
+    one row of p + p * k words per batch, one per ``randint``.
 
-    A batch takes p + p * k words, one per ``randint``, so one ``uint64s`` call draws
-    every batch's words, and they are decoded at once: partial Fisher-Yates steps
-    across the batches, over the eligible identities, then over each chosen
-    identity's rows.
+    They are decoded at once: partial Fisher-Yates steps across the batches, over the
+    eligible identities, then over each chosen identity's rows.
     """
-    if p < 1 or k < 1 or count < 0:
-        raise ContractViolation("p and k must be >= 1, and count >= 0")
-    if count == 0:
-        return []
     eligible = _pk_eligible(ds, p, k)
     id_bounds = eligible.size - np.arange(p, dtype=np.uint64)
     row_bounds = ds.identity_sizes[eligible].astype(np.uint64)[:, None] - np.arange(
         k, dtype=np.uint64)                                 # per eligible identity
-    words = rng.uint64s(count * (p + p * k)).reshape(count, p + p * k)
     chosen = partial_shuffles(words[:, :p], id_bounds)
     picked = partial_shuffles(words[:, p:].reshape(-1, k), row_bounds[chosen.ravel()])
     entries = ds.identity_order[ds.identity_starts[eligible[chosen]].reshape(-1, 1) + picked]
@@ -269,11 +264,17 @@ def sample_pk_batches(
     return [PkBatch._built(p, k, e, c) for e, c in zip(entries.reshape(-1, p * k), labels)]
 
 
+def mining_words(strategy: str, p: int, k: int) -> int:
+    """The words ``mine_triplets`` reads for a p x k batch: two per anchor under
+    ``random_per_anchor`` (none at k = 1, where no anchor has a positive), else none."""
+    return 2 * p * k if strategy == "random_per_anchor" and k > 1 else 0
+
+
 def mine_triplets(
     batch: PkBatch,
     embeddings: np.ndarray,
     strategy: str = "semi_hard",
-    rng: Rng | None = None,
+    words: np.ndarray | None = None,
 ) -> np.ndarray:
     """Select (anchor, positive, negative) positions within a batch.
 
@@ -281,7 +282,10 @@ def mine_triplets(
 
     - ``all``: every valid combination, anchor-major then positive then
       negative ascending (matches a brute-force triple loop).
-    - ``random_per_anchor``: one random positive and negative per anchor.
+    - ``random_per_anchor``: one random positive and negative per anchor, from
+      the anchor's two ``words``: the positive's word mod k - 1 picks among its
+      positives ascending, then the negative's word mod B - k among its
+      negatives ascending.  ``mining_words`` gives their count.
     - ``semi_hard``: per (anchor, positive), the negative with the smallest
       d_an among those that violate, d_an > d_ap; if none violates, the
       farthest negative.  +inf violates a finite d_ap, NaN never violates,
@@ -308,6 +312,10 @@ def mine_triplets(
     """
     if strategy not in MINING_STRATEGIES:
         raise ContractViolation(f"unknown mining strategy {strategy!r}")
+    n_words, need = 0 if words is None else len(words), mining_words(strategy, batch.p, batch.k)
+    if n_words != need:
+        raise ContractViolation(f"{strategy} mining of a {batch.p} x {batch.k} batch reads "
+                                f"{need} words, got {n_words}")
     emb = np.asarray(embeddings, dtype=np.float64)
     b = batch.size
     if emb.ndim != 2 or emb.shape[0] != b:
@@ -327,12 +335,10 @@ def mine_triplets(
                                negatives[a_idx].ravel())
 
     if strategy == "random_per_anchor":
-        if rng is None:
-            raise ContractViolation("random_per_anchor mining requires an rng")
-        positives = p_idx.reshape(b, batch.k - 1)    # k = 1: no anchor has a positive
-        rows = [(a, pos[rng.randint(pos.size)], neg[rng.randint(neg.size)])
-                for a, (pos, neg) in enumerate(zip(positives, negatives)) if pos.size]
-        return np.array(rows, dtype=np.int64).reshape(-1, 3)
+        picks = np.asarray(words, dtype=np.uint64).reshape(-1, 2)   # k = 1: no anchors
+        anchors = np.arange(picks.shape[0])
+        positives = p_idx.reshape(b, batch.k - 1)[anchors, picks[:, 0] % (batch.k - 1)]
+        return _stack_triplets(anchors, positives, negatives[anchors, picks[:, 1] % (b - batch.k)])
 
     # semi_hard: one sort per Gram row certifies the row and ranks its negatives
     dmat, bound = gram_sq_euclidean(emb)

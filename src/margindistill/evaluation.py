@@ -28,7 +28,7 @@ from .errors import (
     InsufficientData,
 )
 from .mlp import MlpModel, embed
-from .numerics import Rng, Words, pairwise_sq_euclidean, partial_shuffles
+from .numerics import Rng, Words, pairwise_sq_euclidean, partial_shuffle, partial_shuffles
 from .teacher import TeacherOracle
 
 
@@ -120,7 +120,7 @@ def _collect(ds: IdentityDataset, want: int, same: bool, words: Words):
         valid = np.triu((ds.labels[:, None] == ds.labels) == same, k=1)
         valid.flat[found] = False
         r1, r2 = np.nonzero(valid)
-        picks = words.sample_indices(r1.size, want - found.size)
+        picks = partial_shuffle(words.take(want - found.size), r1.size)
         found = np.concatenate((found, r1[picks] * n + r2[picks]))
     return np.divmod(found, n)
 

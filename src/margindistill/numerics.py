@@ -210,20 +210,10 @@ class Rng:
         return self.next_uint64() % n
 
     def sample_indices(self, n: int, k: int) -> list[int]:
-        """k distinct indices from range(n), via partial Fisher-Yates.
-
-        Only the k swaps are kept, as the values displaced from their
-        positions, so a call costs O(k) whatever n is.
-        """
+        """k distinct indices from range(n), via partial Fisher-Yates on the next k words."""
         if k < 0 or k > n:
             raise ContractViolation(f"cannot sample {k} distinct items from {n}")
-        moved: dict[int, int] = {}
-        out = []
-        for i in range(k):
-            j = i + self.randint(n - i)
-            out.append(moved.get(j, j))
-            moved[j] = moved.get(i, i)
-        return out
+        return partial_shuffle(self.uint64s(k), n)
 
     def uint64s(self, n: int) -> np.ndarray:
         """The next n words of next_uint64 as a uint64 array.
@@ -291,12 +281,25 @@ class Rng:
         return top * (2.0 ** -53)
 
 
+def partial_shuffle(words: np.ndarray, n: int) -> list[int]:
+    """The distinct indices from range(n) that partial Fisher-Yates picks, one per word:
+    pick i swaps position i with position i + w mod (n - i).  Only the swaps are kept,
+    as the values displaced from their positions, so a call costs O(k) whatever n is."""
+    moved: dict[int, int] = {}
+    out = []
+    for i, word in enumerate(words.tolist()):
+        j = i + word % (n - i)
+        out.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return out
+
+
 def partial_shuffles(words: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Row r: ``Rng.sample_indices(n, k)`` for the words its k draws take, where
-    bounds (broadcast against words) holds n, n - 1, ..., n - k + 1.
+    """Row r: ``partial_shuffle(words[r], n)``, where bounds (broadcast against words)
+    holds n, n - 1, ..., n - k + 1.
 
     The swap targets j = i + w mod (n - i) depend on the words alone.  As in
-    ``sample_indices`` only displaced values are tracked: step i takes the
+    ``partial_shuffle`` only displaced values are tracked: step i takes the
     value at position j and moves the value at position i there, and a
     position holds what the last earlier step moved to it, or itself.
     """
@@ -315,20 +318,11 @@ def partial_shuffles(words: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 
 class Words:
-    """The words ahead of ``rng``: a block drawn by ``uint64s``, then ``rng``'s own,
-    read in order by ``take`` and ``next_uint64``.  ``randint`` and ``sample_indices``
-    are ``Rng``'s, on these words."""
-
-    randint, sample_indices = Rng.randint, Rng.sample_indices
+    """The words ahead of ``rng``, read in order by ``take``: a block drawn by
+    ``uint64s``, then ``rng``'s own."""
 
     def __init__(self, rng: Rng, ahead: int):
         self.rng, self.block, self.at = rng, rng.uint64s(ahead), 0
-
-    def next_uint64(self) -> int:
-        self.at += 1
-        if self.at > self.block.size:
-            return self.rng.next_uint64()
-        return int(self.block[self.at - 1])
 
     def take(self, n: int) -> np.ndarray:
         """The next n words as a uint64 array."""

@@ -190,20 +190,28 @@ def calibrate_margins(
     if not eligible_rows.size or ds.n_identities < 2:
         raise CapacityError("calibration needs >= 2 identities, one with >= 2 samples")
     vectors = oracle.embed_rows(ds, np.arange(ds.n_samples))
+    # 3 words per triplet: the anchor, the j-th of its identity's other rows and the i-th
+    # other-identity row, all ascending.  Identity g's rows ascending are order[q] for q
+    # from starts[g]; the t-th of them has order[q] - t other-identity rows before it.
+    words = rng.uint64s(3 * n_triplets).reshape(n_triplets, 3)
+    order, starts, sizes = ds.identity_order, ds.identity_starts, ds.identity_sizes
+    group = np.repeat(np.arange(sizes.size), sizes)                  # g of each q
+    rank = np.arange(order.size) - starts[group]                     # t of each q
+    a_rows = eligible_rows[words[:, 0] % eligible_rows.size]
+    q_a = np.argsort(order)[a_rows]
+    g = group[q_a]
+    j = (words[:, 1] % (sizes[g] - 1).astype(np.uint64)).astype(np.int64)
+    p_rows = order[starts[g] + j + (j >= rank[q_a])]
+    i = (words[:, 2] % (ds.n_samples - sizes[g]).astype(np.uint64)).astype(np.int64)
+    before = ds.n_samples * group + order - rank                     # ascending
+    n_rows = i + np.searchsorted(before, ds.n_samples * g + i, side="right") - starts[g]
+    # one np.dot per distance, recomputable bit for bit; differences 256 triplets at a time
     d_values = []
-    triplets = []
-    for _ in range(n_triplets):
-        a_row = int(eligible_rows[rng.randint(eligible_rows.size)])
-        same = ds.rows_of(int(ds.labels[a_row]))          # ascending rows
-        j = rng.randint(same.size - 1)                     # j-th of the others
-        p_row = int(same[j + (same[j] >= a_row)])
-        i = rng.randint(ds.n_samples - same.size)          # i-th other-identity row
-        n_row = i + int(np.searchsorted(same - np.arange(same.size), i, side="right"))
-        # one np.dot per distance: the report must be recomputable bit for bit
-        d_an = vectors[a_row] - vectors[n_row]
-        d_ap = vectors[a_row] - vectors[p_row]
-        d_values.append(max(float(np.dot(d_an, d_an)) - float(np.dot(d_ap, d_ap)), 0.0))
-        triplets.append(tuple(int(ds.sample_ids[r]) for r in (a_row, p_row, n_row)))
+    for at in range(0, n_triplets, 256):
+        a, p, n = (vectors[rows[at:at + 256]] for rows in (a_rows, p_rows, n_rows))
+        d_values += [max(float(np.dot(an, an)) - float(np.dot(ap, ap)), 0.0)
+                     for an, ap in zip(a - n, a - p)]
+    triplets = list(zip(*ds.sample_ids[np.stack((a_rows, p_rows, n_rows))].tolist()))
     d_min, d_max = min(d_values), max(d_values)
     return CalibrationReport(
         sample_count=n_triplets, d_values=d_values, d_min_observed=d_min,

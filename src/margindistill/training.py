@@ -12,28 +12,23 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import evaluation
-from .data import (
-    IdentityDataset,
-    MINING_STRATEGIES,
-    mine_triplets,
-    sample_pk_batch,
-    sample_pk_batches,
-)
+# sample_pk_batch and pairwise_sq_euclidean are unused here, but perfbench's tracer
+# looks both names up in this module to patch them
+from .data import (IdentityDataset, MINING_STRATEGIES, mine_triplets, mining_words, pk_batches,
+                   sample_pk_batch)  # noqa: F401
 from .errors import ContractViolation, DivergenceError
 from .loss import MarginConfig, batch_loss
 from .mlp import (MlpModel, backward_batch, check_sgd, forward_batch, init_mlp, init_sgd,
                   sgd_step)
-# pairwise_sq_euclidean is unused here, but perfbench's tracer patches this name
 from .numerics import Rng, derive_subseed, one_blas_thread, pairwise_sq_euclidean  # noqa: F401
 from .teacher import TeacherOracle, tabulate, triplet_gaps
 
-SCHEDULE_CHUNK = 1024        # iterations whose PK batches are drawn at once
+SCHEDULE_CHUNK = 1024        # iterations whose words are drawn at once
 
 
 def _check_loop(cfg) -> None:
@@ -109,16 +104,14 @@ class TrainLog:
 
 
 def _pk_batches(ds: IdentityDataset, cfg, rng: Rng):
-    """The loop's batches: one ``sample_pk_batch`` draw per iteration, in order.
-    Unless mining draws between batches, chunks of up to SCHEDULE_CHUNK iterations
-    are drawn at once by ``sample_pk_batches``, with the same batches and state."""
-    if cfg.mining == "random_per_anchor":
-        for _ in range(cfg.iterations):
-            yield sample_pk_batch(ds, cfg.p, cfg.k, rng)
-        return
+    """The loop's (batch, mining words) per iteration, in order: an iteration takes the
+    p + p * k words of ``sample_pk_batch``, then the words its mining reads.  Chunks of
+    up to SCHEDULE_CHUNK iterations are drawn by one ``uint64s`` call and decoded at once."""
+    width = cfg.p + cfg.p * cfg.k
+    row = width + mining_words(cfg.mining, cfg.p, cfg.k)
     for start in range(0, cfg.iterations, SCHEDULE_CHUNK):
-        yield from sample_pk_batches(ds, cfg.p, cfg.k, rng,
-                                     min(SCHEDULE_CHUNK, cfg.iterations - start))
+        words = rng.uint64s(min(SCHEDULE_CHUNK, cfg.iterations - start) * row).reshape(-1, row)
+        yield from zip(pk_batches(ds, cfg.p, cfg.k, words[:, :width]), words[:, width:])
 
 
 def _run_triplet_loop(
@@ -134,11 +127,11 @@ def _run_triplet_loop(
     log = TrainLog()
     sgd = init_sgd(model, cfg.learning_rate, cfg.momentum)
     with one_blas_thread():
-        for it, batch in enumerate(_pk_batches(ds, cfg, rng)):
+        for it, (batch, words) in enumerate(_pk_batches(ds, cfg, rng)):
             # overflow or NaN in the embeddings reaches the loss, which is checked below
             with np.errstate(over="ignore", invalid="ignore"):
                 emb, cache = forward_batch(model, ds.X[batch.entries])
-                triplets = mine_triplets(batch, emb, cfg.mining, rng)
+                triplets = mine_triplets(batch, emb, cfg.mining, words)
                 gaps = None
                 if margin.mode == "dynamic":
                     gaps = triplet_gaps(teacher_vectors[batch.entries], triplets)
@@ -187,9 +180,7 @@ def train_teacher(
             f"verification accuracy {accuracy:.3f} below floor {cfg.accuracy_floor:.3f}"
         )
     if reasons:
-        message = "under-trained teacher: " + "; ".join(reasons)
-        warnings.warn(message)
-        oracle.warning = message
+        oracle.warning = "under-trained teacher: " + "; ".join(reasons)
     return oracle, log
 
 

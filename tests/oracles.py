@@ -267,13 +267,17 @@ def per_triplet_calibration(vectors, ds, n_triplets, rng):
 
 
 def per_iteration_triplet_loop(model, ds, cfg, margin, rng, teacher_vectors=None):
-    """training._run_triplet_loop drawing one sample_pk_batch per iteration."""
+    """training._run_triplet_loop drawing one sample_pk_batch per iteration, and
+    random_per_anchor mining's words one randint at a time."""
     log = TrainLog()
     sgd = init_sgd(model, cfg.learning_rate, cfg.momentum)
     for it in range(cfg.iterations):
         batch = sample_pk_batch(ds, cfg.p, cfg.k, rng)
         emb, cache = forward_batch(model, ds.X[batch.entries])
-        triplets = mine_triplets(batch, emb, cfg.mining, rng)
+        if cfg.mining == "random_per_anchor":
+            triplets = per_anchor_mining(batch.labels, emb, cfg.mining, rng)
+        else:
+            triplets = mine_triplets(batch, emb, cfg.mining)
         gaps = None
         if margin.mode == "dynamic":
             gaps = triplet_gaps(teacher_vectors[batch.entries], triplets)

@@ -550,11 +550,15 @@ def test_a_signaling_nan_in_a_table_is_one_error_line_and_no_warning(tiny, tmp_p
     assert [str(w.message) for w in caught] == []
 
 
-def test_train_teacher_prints_the_under_trained_warning_line(tiny, tmp_path, capsys):
+def test_train_teacher_prints_the_under_trained_warning_line(tiny, tmp_path):
+    # the stdout line is the one report: a console run writes nothing to stderr
     config = _write_config(tmp_path, TINY_CONFIG, io_dot_dataset=tiny["dataset"],
                            teacher_dot_iterations=0, teacher_dot_accuracy_floor=1.0)
-    with pytest.warns(UserWarning, match="^under-trained teacher: "):
-        assert main(["train-teacher", "--config", config, "--out", str(tmp_path)]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", "import margindistill.cli as c; c.console_main()",
+                          "train-teacher", "--config", config, "--out", str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
     ds = load_dataset_jsonl(tiny["dataset"])
     table = load_embedding_table(_only_dir(tmp_path, "train-teacher") / "teacher_table.emb")
     floor_pairs = TeacherTrainConfig().floor_pairs
@@ -563,7 +567,7 @@ def test_train_teacher_prints_the_under_trained_warning_line(tiny, tmp_path, cap
                         Rng(derive_subseed(derive_subseed(0, "teacher"), "teacher-floor")))
     accuracy = verify(table, ds, pairs).best_accuracy
     assert accuracy < 1.0
-    assert capsys.readouterr().out.splitlines()[0] == (
+    assert run.stdout.splitlines()[0] == (
         f"warning: under-trained teacher: 0 iterations; verification accuracy "
         f"{accuracy:.3f} below floor 1.000")
 

@@ -17,6 +17,7 @@ from margindistill.data import (
     generate_hierarchical,
     load_dataset_jsonl,
     mine_triplets,
+    mining_words,
     sample_pk_batch,
     save_dataset_companion,
     save_dataset_jsonl,
@@ -63,6 +64,21 @@ def test_spec_validates_spread_ordering():
         small_spec(sample_noise=0.5)  # noise > identity
     with pytest.raises(ContractViolation):
         small_spec(samples_per_identity=0)
+
+
+def test_spec_of_numpy_values_saves_like_its_python_twin(tmp_path):
+    # the fields are stored as int and float, so the header's JSON takes them
+    spec = small_spec(n_superclusters=np.int64(2), identities_per_supercluster=np.uint8(3),
+                      input_dim=np.int32(5), supercluster_spread=np.float64(1.0),
+                      sample_noise=np.float32(0.06), seed=np.uint64(7))
+    twin = small_spec(sample_noise=float(np.float32(0.06)), seed=7)
+    assert spec == twin
+    assert [type(v) for v in vars(spec).values()] == [type(v) for v in vars(twin).values()]
+    paths = [tmp_path / "numpy.jsonl", tmp_path / "python.jsonl"]
+    for one, path in zip((spec, twin), paths):
+        save_dataset_jsonl(generate_hierarchical(one), path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert load_dataset_jsonl(paths[0]).spec == twin
 
 
 def test_degenerate_hierarchy_samples_cluster_tightly():
@@ -214,6 +230,11 @@ def _batch_and_embeddings(p=3, k=2, seed=0):
     return batch, emb
 
 
+def _words(batch, strategy, seed):
+    """The words mine_triplets reads for batch under strategy, drawn by Rng(seed)."""
+    return Rng(seed).uint64s(mining_words(strategy, batch.p, batch.k))
+
+
 def test_mine_all_count_p2_k2():
     batch, emb = _batch_and_embeddings(p=2, k=2)
     tri = mine_triplets(batch, emb, "all")
@@ -251,8 +272,8 @@ def test_mine_semi_hard_matches_brute_force():
 
 def test_mine_random_per_anchor_valid_and_deterministic():
     batch, emb = _batch_and_embeddings(p=3, k=3)
-    t1 = mine_triplets(batch, emb, "random_per_anchor", Rng(4))
-    t2 = mine_triplets(batch, emb, "random_per_anchor", Rng(4))
+    t1 = mine_triplets(batch, emb, "random_per_anchor", _words(batch, "random_per_anchor", 4))
+    t2 = mine_triplets(batch, emb, "random_per_anchor", _words(batch, "random_per_anchor", 4))
     np.testing.assert_array_equal(t1, t2)
     assert t1.shape == (batch.size, 3)
     labels = batch.labels
@@ -265,7 +286,7 @@ def test_mine_triplet_label_validity_all_strategies():
     batch, emb = _batch_and_embeddings(p=3, k=2, seed=2)
     labels = batch.labels
     for strategy in ("all", "semi_hard", "random_per_anchor"):
-        tri = mine_triplets(batch, emb, strategy, Rng(0))
+        tri = mine_triplets(batch, emb, strategy, _words(batch, strategy, 0))
         for a, p, n in tri:
             assert labels[a] == labels[p] != labels[n]
             assert a != p
@@ -288,7 +309,7 @@ def test_mine_rejects_embeddings_that_are_not_2d(strategy):
     batch, emb = _batch_and_embeddings()
     for bad in (emb[:, 0], emb[:, :, None]):       # one value per entry; a 3-D stack
         with pytest.raises(ContractViolation):
-            mine_triplets(batch, bad, strategy, Rng(0))
+            mine_triplets(batch, bad, strategy, _words(batch, strategy, 0))
 
 
 def test_semi_hard_picks_violators_at_inf():
@@ -354,10 +375,14 @@ def test_mining_matches_per_anchor_loop_bitwise(case):
     batch, emb, seed = case
     with np.errstate(over="ignore", invalid="ignore"):   # 1e154 overflows; inf - inf is NaN
         for strategy in ("semi_hard", "random_per_anchor"):
-            got = mine_triplets(batch, emb, strategy, Rng(seed))
-            want = per_anchor_mining(batch.labels, emb, strategy, Rng(seed))
+            # the words of one uint64s call, and as many as the loop's randint calls take
+            rng, ref = Rng(seed), Rng(seed)
+            got = mine_triplets(batch, emb, strategy,
+                                rng.uint64s(mining_words(strategy, batch.p, batch.k)))
+            want = per_anchor_mining(batch.labels, emb, strategy, ref)
             assert got.dtype == want.dtype and got.shape == want.shape
             np.testing.assert_array_equal(got, want)
+            assert rng._s == ref._s
         # the rule scanned pair by pair: NaN never violates, and a pair with no
         # violator takes the first NaN or the first maximal negative
         rule = brute_force_semi_hard(batch.labels.tolist(), pairwise_sq_euclidean(emb))
@@ -427,7 +452,7 @@ def test_identity_major_batches_take_the_cached_layout(monkeypatch):
 
     monkeypatch.setattr(data, "_label_layout", rebuild)
     for strategy in ("semi_hard", "random_per_anchor"):
-        got = mine_triplets(batch, emb, strategy, Rng(4))
+        got = mine_triplets(batch, emb, strategy, _words(batch, strategy, 4))
         np.testing.assert_array_equal(
             got, per_anchor_mining(batch.labels, emb, strategy, Rng(4)))
         assert got.flags.writeable
@@ -650,7 +675,7 @@ def test_mine_k1_batch_yields_no_triplets():
     batch = sample_pk_batch(ds, 2, 1, Rng(0))
     emb = ds.X[batch.entries]
     for strategy in ("all", "semi_hard", "random_per_anchor"):
-        tri = mine_triplets(batch, emb, strategy, Rng(1))
+        tri = mine_triplets(batch, emb, strategy, _words(batch, strategy, 1))
         assert tri.shape == (0, 3)
 
 
@@ -672,6 +697,7 @@ def test_dataset_header_spec_with_a_bad_seed_is_a_format_error(tmp_path, seed):
     lambda spec: spec.update(n_superclusters="four"),
     lambda spec: spec.update(input_dim=2.5),
     lambda spec: spec.update(identity_spread=5.0),
+    lambda spec: spec.update(supercluster_spread=10**400),
 ])
 def test_dataset_jsonl_bad_header_spec_rejected(tmp_path, edit):
     ds = generate_hierarchical(small_spec())
@@ -704,10 +730,20 @@ def _four_rows():
                  "batch must hold exactly p identities, k samples each", id="PkBatch-counts"),
     pytest.param(lambda: sample_pk_batch(_four_rows(), 0, 2, Rng(0)), ContractViolation,
                  "p and k must be >= 1", id="sample_pk_batch-p0"),
+    pytest.param(lambda: data.pk_batches(_four_rows(), 2, 0, np.zeros((1, 2), np.uint64)),
+                 ContractViolation, "p and k must be >= 1", id="pk_batches-k0"),
     pytest.param(lambda: mine_triplets(PkBatch(2, 2, [0, 1, 2, 3], [0, 0, 1, 1]), np.eye(4),
                                        "random_per_anchor"),
-                 ContractViolation, "random_per_anchor mining requires an rng",
-                 id="random_per_anchor-no-rng"),
+                 ContractViolation, "random_per_anchor mining of a 2 x 2 batch reads 8 words, "
+                 "got 0", id="random_per_anchor-no-words"),
+    pytest.param(lambda: mine_triplets(PkBatch(2, 2, [0, 1, 2, 3], [0, 0, 1, 1]), np.eye(4),
+                                       "random_per_anchor", np.zeros(9, dtype=np.uint64)),
+                 ContractViolation, "random_per_anchor mining of a 2 x 2 batch reads 8 words, "
+                 "got 9", id="random_per_anchor-extra-word"),
+    pytest.param(lambda: mine_triplets(PkBatch(2, 2, [0, 1, 2, 3], [0, 0, 1, 1]), np.eye(4),
+                                       "semi_hard", np.zeros(1, dtype=np.uint64)),
+                 ContractViolation, "semi_hard mining of a 2 x 2 batch reads 0 words, got 1",
+                 id="semi_hard-a-word"),
 ])
 def test_data_contract_errors(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -1,5 +1,5 @@
 """Style rules of src/, tools/ and tests/: lines of at most 99 columns, no ``;`` statements,
-no unused imports; the generator's state and next_uint64 touched only in numerics.py;
+no unused imports; the generator's state, next_uint64 and randint calls only in numerics.py;
 hashlib imported by the package only inside a function; and no package module importing
 another's ``_``-prefixed name."""
 
@@ -65,13 +65,15 @@ def test_generator_state_stays_in_numerics(path):
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.parent.name == "margindistill"
                                   and p.name != "numerics.py"], ids=lambda p: p.name)
 def test_raw_words_stay_in_numerics(path):
-    # one word per scalar draw is one rule, kept in numerics.py: other modules draw
-    # through randint, sample_indices, random or the bulk forms, never one word at a
-    # time themselves.  An attribute, or a name for getattr.
+    # every draw takes a fixed number of words, so other modules draw a loop's words
+    # with one bulk call and decode them as arrays: no next_uint64 and no .randint(
+    # call, one word at a time.  An attribute, or a name for getattr.
     rows = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute) and node.attr == "next_uint64"
-            or isinstance(node, ast.Constant) and node.value == "next_uint64"]
-    assert not rows, f"{path.name}: next_uint64 on lines {rows}"
+            or isinstance(node, ast.Constant) and node.value == "next_uint64"
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "randint"]
+    assert not rows, f"{path.name}: next_uint64 or randint calls on lines {rows}"
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.parent.name == "margindistill"],

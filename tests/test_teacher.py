@@ -8,7 +8,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from margindistill.data import (
     HierarchySpec,
@@ -23,6 +23,7 @@ from margindistill.errors import (
     FormatError,
     UnknownSampleError,
 )
+from margindistill import numerics
 from margindistill.mlp import EMBED_ROWS, forward_batch, init_mlp
 from margindistill.numerics import Rng, pairwise_sq_euclidean
 from margindistill.teacher import (
@@ -303,9 +304,11 @@ def test_calibrate_recomputation_oracle_seed0():
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 7), min_size=2, max_size=11),
-       st.integers(1, 60))
+       st.one_of(st.integers(1, 60), st.integers(107, 400)))
 def test_calibrate_matches_per_triplet_loop_bitwise(seed, sizes, n_triplets):
-    # shuffled rows, scattered sample ids and identity labels, singleton identities
+    # shuffled rows, scattered sample ids and identity labels, singleton identities;
+    # from 107 triplets on, the 3 words per triplet are drawn by lanes, not stepped
+    event(f"lane-drawn words: {3 * n_triplets >= numerics._STEPPED_WORDS}")
     gen = np.random.default_rng(seed)
     if max(sizes) < 2:
         sizes[0] = 2
@@ -340,6 +343,22 @@ def test_calibration_report_json_roundtrip():
     assert report.to_json() == json.dumps(asdict(report))
     with pytest.raises(FormatError):
         CalibrationReport.from_json("{}")
+
+
+@pytest.mark.parametrize("d_values, loads", [([0.0, 0.5], True), ([0.0, 0.0], True),
+                                              ([-0.25, 0.5], False), ([0.5, -1e-300], False)])
+def test_calibration_report_d_values_must_be_at_least_zero(d_values, loads):
+    # a d-value is a gap clipped at 0: 0.0 is one, a negative finite value is not
+    report = CalibrationReport(
+        sample_count=2, d_values=d_values, d_min_observed=min(d_values),
+        d_max_observed=max(d_values), suggested_m_min=0.0, suggested_m_max=0.5,
+        triplets=[(0, 1, 2), (3, 4, 5)],
+    )
+    if loads:
+        assert CalibrationReport.from_json(report.to_json()) == report
+    else:
+        with pytest.raises(FormatError, match="d_values must be finite and >= 0$"):
+            CalibrationReport.from_json(report.to_json())
 
 
 # ---------------------------------------------------------------------------

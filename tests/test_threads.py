@@ -40,7 +40,6 @@ SET, GET = numerics._blas_thread_setter(), _getter()
 pytestmark = [
     pytest.mark.skipif(SET is None, reason="numpy's BLAS has no openblas_set_num_threads_local"),
     pytest.mark.skipif(GET is None, reason="numpy's BLAS has no OpenBLAS thread-count getter"),
-    pytest.mark.filterwarnings("ignore:under-trained teacher"),
 ]
 
 

@@ -17,8 +17,9 @@ from margindistill.data import (
     PkBatch,
     generate_hierarchical,
     mine_triplets,
+    mining_words,
+    pk_batches,
     sample_pk_batch,
-    sample_pk_batches,
 )
 from margindistill.errors import CapacityError, ContractViolation
 from margindistill.evaluation import build_pairs, verify
@@ -109,8 +110,8 @@ def test_fast_steps_train_bitwise_like_per_anchor_add_at_and_matrix_gaps(monkeyp
         return result
 
     monkeypatch.setattr(training, "mine_triplets",
-                        lambda batch, emb, strategy, rng: per_anchor_mining(
-                            batch.labels, emb, strategy, rng))
+                        lambda batch, emb, strategy, words: per_anchor_mining(
+                            batch.labels, emb, strategy))
     monkeypatch.setattr(training, "batch_loss", add_at_loss)
     monkeypatch.setattr(training, "triplet_gaps", pairwise_matrix_gaps)
     reference = [distill(ds, teacher, student, cfg) for cfg in configs]
@@ -275,11 +276,12 @@ def test_every_pk_batch_mines_a_fixed_triplet_count(p, k, dim, shuffled, special
               "random_per_anchor": p * k}
     with np.errstate(over="ignore", invalid="ignore"):
         for strategy, count in counts.items():
-            assert mine_triplets(batch, emb, strategy, Rng(seed)).shape == (count, 3)
+            words = Rng(seed).uint64s(mining_words(strategy, p, k))
+            assert mine_triplets(batch, emb, strategy, words).shape == (count, 3)
 
 
 # ---------------------------------------------------------------------------
-# PK batches drawn a chunk of iterations at a time
+# the loop's words drawn a chunk of iterations at a time
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -329,49 +331,39 @@ def test_pk_schedule_equals_per_batch_draws(case, count):
     rng, ref = Rng(seed), Rng(seed)
     want = _per_batch_draws(ds, p, k, ref, count)
     sizes = ds.identity_sizes[ds.identity_sizes >= k]
-    event("too few eligible" if want is None else "exactly p eligible" if sizes.size == p
+    event("too few eligible" if sizes.size < p else "exactly p eligible" if sizes.size == p
           else "more than p eligible")
     event(f"an eligible identity of exactly k rows: {bool(np.any(sizes == k))}")
+    words = rng.uint64s(count * (p + p * k)).reshape(count, p + p * k)
     with mock.patch.object(data, "sample_pk_batch", _refuse):
-        if want is None:
+        if sizes.size < p:                       # refused even when no batch is decoded
             with pytest.raises(CapacityError):
-                sample_pk_batches(ds, p, k, rng, count)
+                pk_batches(ds, p, k, words)
             return
-        _assert_same_batches(sample_pk_batches(ds, p, k, rng, count), want)
+        _assert_same_batches(pk_batches(ds, p, k, words), want)
     assert rng._s == ref._s
-
-
-def test_pk_schedule_rejects_a_negative_count():
-    ds = tiny_dataset()
-    for p in (3, 6):                             # bulk draws, then per-batch draws
-        with pytest.raises(ContractViolation):
-            sample_pk_batches(ds, p, 3, Rng(0), -1)
 
 
 @settings(max_examples=40, deadline=None)
-@given(_pk_datasets(), st.sampled_from([1, 2, 1023, 1024, 1025]))
-def test_loop_batches_equal_per_iteration_draws_across_chunks(case, iterations):
+@given(_pk_datasets(), st.sampled_from([1, 2, 1023, 1024, 1025]),
+       st.sampled_from(["semi_hard", "random_per_anchor"]))
+def test_loop_batches_equal_per_iteration_draws_across_chunks(case, iterations, mining):
+    """Each iteration's batch, then the words its mining reads, as drawn one batch and
+    one mining at a time."""
     ds, p, k, seed = case
-    cfg = SimpleNamespace(p=p, k=k, iterations=iterations, mining="semi_hard")
+    cfg = SimpleNamespace(p=p, k=k, iterations=iterations, mining=mining)
     rng, ref = Rng(seed), Rng(seed)
-    want = _per_batch_draws(ds, p, k, ref, iterations)
-    if want is None:
+    if np.count_nonzero(ds.identity_sizes >= k) < p:
         with pytest.raises(CapacityError):
             list(training._pk_batches(ds, cfg, rng))
         return
-    _assert_same_batches(list(training._pk_batches(ds, cfg, rng)), want)
+    want = [(sample_pk_batch(ds, p, k, ref), ref.uint64s(mining_words(mining, p, k)))
+            for _ in range(iterations)]
+    got = list(training._pk_batches(ds, cfg, rng))
+    _assert_same_batches([batch for batch, _ in got], [batch for batch, _ in want])
+    for (_, words), (_, want_words) in zip(got, want):
+        assert words.dtype == np.uint64 and words.tolist() == want_words.tolist()
     assert rng._s == ref._s
-
-
-def _counting_sampler(monkeypatch, module=training):
-    calls = []
-
-    def counted(*args):
-        calls.append(1)
-        return sample_pk_batch(*args)
-
-    monkeypatch.setattr(module, "sample_pk_batch", counted)
-    return calls
 
 
 def test_rejected_first_word_gives_the_same_batches_and_state(monkeypatch):
@@ -385,26 +377,17 @@ def test_rejected_first_word_gives_the_same_batches_and_state(monkeypatch):
     rng._s, probe._s, ref._s = list(state), list(state), list(state)
     assert probe.next_uint64() == mask
     want = _per_batch_draws(ds, 3, 3, ref, 4)
-    calls = _counting_sampler(monkeypatch, data)
-    _assert_same_batches(sample_pk_batches(ds, 3, 3, rng, 4), want)
-    assert not calls and rng._s == ref._s
+    monkeypatch.setattr(data, "sample_pk_batch", _refuse)
+    _assert_same_batches(pk_batches(ds, 3, 3, rng.uint64s(4 * 12).reshape(4, 12)), want)
+    assert rng._s == ref._s
 
 
-def test_random_per_anchor_batches_are_drawn_between_minings():
-    ds = tiny_dataset()
-    cfg = SimpleNamespace(p=3, k=3, iterations=5, mining="random_per_anchor")
-    rng, ref = Rng(1), Rng(1)
-    first = next(training._pk_batches(ds, cfg, rng))
-    _assert_same_batches([first], [sample_pk_batch(ds, 3, 3, ref)])
-    assert rng._s == ref._s                      # nothing drawn ahead of mining
-
-
-@pytest.mark.filterwarnings("ignore:under-trained teacher")
 @pytest.mark.parametrize("mining", ["semi_hard", "all", "random_per_anchor"])
 def test_loop_trains_bitwise_like_per_iteration_sampling(monkeypatch, mining):
     """train_teacher and distill (fixed and dynamic) give the same weight bytes
     and TrainLogs as the loop that samples one batch per iteration with the
-    list-form sample_indices; chunks of 16 put four chunk boundaries in a run."""
+    list-form sample_indices and mines with one randint per pick; chunks of 16 put
+    four chunk boundaries in a run.  The loop never samples one batch at a time."""
     ds = tiny_dataset(seed=5)
     tcfg = TeacherTrainConfig(hidden_dims=(12,), embed_dim=6, iterations=70, p=3, k=3,
                               mining=mining, floor_pairs=20)
@@ -418,9 +401,9 @@ def test_loop_trains_bitwise_like_per_iteration_sampling(monkeypatch, mining):
         return [(teacher.model, teacher_log), *students], teacher.vectors
 
     monkeypatch.setattr(training, "SCHEDULE_CHUNK", 16)
-    calls = _counting_sampler(monkeypatch)
+    monkeypatch.setattr(training, "sample_pk_batch", _refuse)
+    monkeypatch.setattr(data, "sample_pk_batch", _refuse)
     fast, fast_vectors = run()
-    assert len(calls) == (210 if mining == "random_per_anchor" else 0)
     monkeypatch.setattr(training, "_run_triplet_loop", per_iteration_triplet_loop)
     monkeypatch.setattr(Rng, "sample_indices", list_sample_indices)
     reference, reference_vectors = run()
@@ -432,7 +415,6 @@ def test_loop_trains_bitwise_like_per_iteration_sampling(monkeypatch, mining):
         assert log == ref_log
 
 
-@pytest.mark.filterwarnings("ignore:under-trained teacher")
 def test_semi_hard_training_at_default_spec_draws_the_schedule(monkeypatch):
     # the loop's case: if it fell back to per-iteration sampling, the speedup is gone
     monkeypatch.setattr(training, "sample_pk_batch", _refuse)
@@ -478,9 +460,11 @@ def test_train_teacher_zero_iterations_warns():
     ds = tiny_dataset()
     cfg = TeacherTrainConfig(hidden_dims=(12,), embed_dim=6, iterations=0, p=3, k=3,
                              floor_pairs=20)
-    with pytest.warns(UserWarning, match="under-trained"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         oracle, log = train_teacher(ds, cfg, seed=0)
-    assert oracle.warning is not None
+    assert not caught                            # the oracle carries the one report
+    assert oracle.warning.startswith("under-trained teacher: 0 iterations")
     assert log.iterations == []
     # still a usable frozen oracle
     assert oracle.vectors.shape == (ds.n_samples, 6)
@@ -491,14 +475,12 @@ def test_train_teacher_warning_claims_only_what_holds(iterations, floor):
     ds = tiny_dataset()
     cfg = TeacherTrainConfig(hidden_dims=(12,), embed_dim=6, iterations=iterations, p=3, k=3,
                              floor_pairs=20, accuracy_floor=floor)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        oracle, _ = train_teacher(ds, cfg, seed=0)
+    oracle, _ = train_teacher(ds, cfg, seed=0)
     pos, neg = ds.pair_capacity()
     pairs = build_pairs(ds, min(20, pos), min(20, neg), Rng(derive_subseed(0, "teacher-floor")))
     accuracy = verify(oracle, ds, pairs).best_accuracy
     message = oracle.warning or ""
-    assert [str(w.message) for w in caught] == ([message] if message else [])
+    assert message.startswith("under-trained teacher: ") == bool(message)
     assert ("0 iterations" in message) == (iterations == 0)
     below = f"verification accuracy {accuracy:.3f} below floor {floor:.3f}"
     assert (below in message) == (accuracy < floor)
@@ -510,9 +492,7 @@ def test_train_teacher_warns_when_accuracy_really_is_below_its_floor(iterations)
     ds = tiny_dataset(sample_noise=0.25)      # identities overlap: accuracy stays below 1
     cfg = TeacherTrainConfig(hidden_dims=(12,), embed_dim=6, iterations=iterations, p=3, k=3,
                              floor_pairs=20, accuracy_floor=1.0)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        oracle, _ = train_teacher(ds, cfg, seed=0)
+    oracle, _ = train_teacher(ds, cfg, seed=0)
     pos, neg = ds.pair_capacity()
     pairs = build_pairs(ds, min(20, pos), min(20, neg), Rng(derive_subseed(0, "teacher-floor")))
     accuracy = verify(oracle, ds, pairs).best_accuracy
@@ -520,7 +500,6 @@ def test_train_teacher_warns_when_accuracy_really_is_below_its_floor(iterations)
     reasons = ["0 iterations"] * (iterations == 0)
     reasons.append(f"verification accuracy {accuracy:.3f} below floor 1.000")
     assert oracle.warning == "under-trained teacher: " + "; ".join(reasons)
-    assert [str(w.message) for w in caught] == [oracle.warning]
 
 
 # ---------------------------------------------------------------------------
