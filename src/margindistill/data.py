@@ -133,9 +133,7 @@ class IdentityDataset:
         self.identity_order = np.argsort(self.labels, kind="stable")
         self.identity_starts = np.cumsum(self.identity_sizes) - self.identity_sizes
         for array in (self.identity_order, self.identity_sizes, self.identity_starts):
-            array.flags.writeable = False               # and so are the views rows_of gives
-        self._rows_by_identity = dict(zip(self.identity_list, np.split(
-            self.identity_order, self.identity_starts[1:])))
+            array.flags.writeable = False
 
     @property
     def n_samples(self) -> int:
@@ -156,17 +154,13 @@ class IdentityDataset:
         """Dataset rows of an array of sample ids; UnknownSampleError if one is absent."""
         return self._index.positions(sample_ids)
 
-    def rows_of(self, identity: int) -> np.ndarray:
-        if identity not in self._rows_by_identity:
-            raise CapacityError(f"unknown identity {identity}")
-        return self._rows_by_identity[identity]
-
     def pair_capacity(self) -> tuple[int, int]:
         """Distinct unordered (same-identity, different-identity) sample pairs."""
         same = int(np.sum(self.identity_sizes * (self.identity_sizes - 1) // 2))
         return same, self.n_samples * (self.n_samples - 1) // 2 - same
 
 
+@np.errstate(over="ignore", invalid="ignore")     # spreads near the float64 limit overflow
 def generate_hierarchical(spec: HierarchySpec) -> IdentityDataset:
     """Sample a dataset from the three-level Gaussian hierarchy in spec."""
     rng = Rng(spec.seed)
@@ -180,6 +174,9 @@ def generate_hierarchical(spec: HierarchySpec) -> IdentityDataset:
     identity_centers = s_centers[supercluster_of] + spec.identity_spread * draw(spec.n_identities)
     labels = np.repeat(np.arange(spec.n_identities), spec.samples_per_identity)
     features = identity_centers[labels] + spec.sample_noise * draw(spec.n_samples)
+    if not np.isfinite(features).all():
+        raise ContractViolation("supercluster_spread, identity_spread and sample_noise "
+                                "give features that are not finite")
     return IdentityDataset(
         sample_ids=np.arange(spec.n_samples),
         labels=labels,
@@ -191,7 +188,7 @@ def generate_hierarchical(spec: HierarchySpec) -> IdentityDataset:
 
 @dataclass
 class PkBatch:
-    """P identities x K samples each, as dataset row indices grouped by identity."""
+    """P identities x K samples each: dataset rows in p blocks of k, one identity per block."""
 
     p: int
     k: int
@@ -208,6 +205,9 @@ class PkBatch:
         idents, counts = np.unique(self.labels, return_counts=True)
         if idents.size != self.p or not np.all(counts == self.k):
             raise ContractViolation("batch must hold exactly p identities, k samples each")
+        blocks = self.labels.reshape(self.p, self.k)
+        if np.any(blocks != blocks[:, :1]):
+            raise ContractViolation("batch labels must be p blocks of k equal labels")
 
     @classmethod
     def _built(cls, p: int, k: int, entries: np.ndarray, labels: np.ndarray) -> PkBatch:
@@ -234,23 +234,19 @@ def _pk_eligible(ds: IdentityDataset, p: int, k: int) -> np.ndarray:
 
 
 def sample_pk_batch(ds: IdentityDataset, p: int, k: int, rng: Rng) -> PkBatch:
-    """Uniform P identities (without replacement) and K samples per identity."""
-    eligible = ds._identities[_pk_eligible(ds, p, k)]
-    chosen = eligible[rng.sample_indices(eligible.size, p)]
-    entries = []
-    for ident in chosen:
-        rows = ds.rows_of(ident)
-        entries.append(rows[rng.sample_indices(rows.size, k)])
-    # distinct identities, k distinct rows of each: the batch invariants hold
-    return PkBatch._built(p, k, np.concatenate(entries), np.repeat(chosen, k))
+    """Uniform P identities (without replacement) and K samples per identity: the
+    ``pk_batches`` batch of rng's next p + p * k words.  Errors draw no word."""
+    _pk_eligible(ds, p, k)
+    return pk_batches(ds, p, k, rng.uint64s(p + p * k).reshape(1, -1))[0]
 
 
 def pk_batches(ds: IdentityDataset, p: int, k: int, words: np.ndarray) -> list[PkBatch]:
-    """The batches of ``sample_pk_batch(ds, p, k, rng)`` for the words its draws take,
-    one row of p + p * k words per batch, one per ``randint``.
+    """One batch per row of p + p * k words, decoded by partial Fisher-Yates
+    (``partial_shuffles``) across the rows at once.
 
-    They are decoded at once: partial Fisher-Yates steps across the batches, over the
-    eligible identities, then over each chosen identity's rows.
+    The eligible identities are those with k or more rows, ascending.  A row's first
+    p words pick p of them (step i: i + w mod (n_eligible - i)); then each chosen
+    identity, in pick order, picks k of its rows (listed ascending) from the next k.
     """
     eligible = _pk_eligible(ds, p, k)
     id_bounds = eligible.size - np.arange(p, dtype=np.uint64)
@@ -260,7 +256,7 @@ def pk_batches(ds: IdentityDataset, p: int, k: int, words: np.ndarray) -> list[P
     picked = partial_shuffles(words[:, p:].reshape(-1, k), row_bounds[chosen.ravel()])
     entries = ds.identity_order[ds.identity_starts[eligible[chosen]].reshape(-1, 1) + picked]
     labels = np.repeat(ds._identities[eligible[chosen]], k, axis=1)
-    # as in sample_pk_batch: distinct identities, k distinct rows of each
+    # distinct identities, k distinct rows of each, identity-major: the invariants hold
     return [PkBatch._built(p, k, e, c) for e, c in zip(entries.reshape(-1, p * k), labels)]
 
 
@@ -306,9 +302,8 @@ def mine_triplets(
     does not exceed d_ap becomes the farthest negative.  The selected
     triplets equal those of the rule on the exact matrix bit for bit.
 
-    The label masks and index arrays depend on the labels alone; for an
-    identity-major batch (k equal labels per block, as the samplers build)
-    they depend only on (p, k) and are cached.
+    The label masks and index arrays depend only on (p, k), since every batch is
+    identity-major, and are cached.
     """
     if strategy not in MINING_STRATEGIES:
         raise ContractViolation(f"unknown mining strategy {strategy!r}")
@@ -322,12 +317,8 @@ def mine_triplets(
         raise ContractViolation("embeddings must be a (B, dim) array, one row per batch entry")
     if batch.p < 2:
         raise NoTripletsError("mining needs at least two identities in the batch")
-    blocks = batch.labels.reshape(batch.p, batch.k)
-    if np.all(blocks == blocks[:, :1]):               # identity-major, as the samplers build
-        layout = _pk_layout(batch.p, batch.k)
-    else:
-        layout = _label_layout(batch.labels, batch.k)
-    negative, a_idx, p_idx, negatives, row_starts, pair_at, pair_last = layout
+    (negative, a_idx, p_idx, negatives,
+     row_starts, pair_at, pair_last) = _pk_layout(batch.p, batch.k)
 
     if strategy == "all":
         per_pair = b - batch.k
@@ -385,26 +376,21 @@ def _rows_certified(ranked: np.ndarray, bound: np.ndarray) -> bool:
                     and (ranked[:, 1:] - ranked[:, :-1] > 2.0 * bound[:, None]).all())
 
 
-def _label_layout(labels: np.ndarray, k: int):
-    """Masks and index arrays of a PK batch that depend on its labels alone:
-    the (B, B) other-identity mask, the (anchor, positive) pairs anchor-major
-    with positives ascending, each anchor's B - k negatives ascending, and the
-    flat offsets semi-hard mining reads with: each row's start in a flat
-    (B, B) matrix, each pair's entry there, and the position of each pair's
-    anchor's last negative in the flat anchor-major (B, B - k) negatives."""
-    b = labels.size
-    negative = labels[:, None] != labels[None, :]
+@functools.cache
+def _pk_layout(p: int, k: int):
+    """Masks and index arrays of every (p, k) batch, read-only and shared: the
+    (B, B) other-identity mask, the (anchor, positive) pairs anchor-major with
+    positives ascending, each anchor's B - k negatives ascending, and the flat
+    offsets semi-hard mining reads with: each row's start in a flat (B, B)
+    matrix, each pair's entry there, and the position of each pair's anchor's
+    last negative in the flat anchor-major (B, B - k) negatives."""
+    b, blocks = p * k, np.arange(p * k) // k
+    negative = blocks[:, None] != blocks[None, :]
     a_idx, p_idx = np.nonzero(~negative & ~np.eye(b, dtype=bool))
     negatives = np.nonzero(negative)[1].reshape(b, b - k)
     row_starts = np.arange(0, b * b, b)[:, None]
-    return (negative, a_idx, p_idx, negatives,
-            row_starts, a_idx * b + p_idx, (a_idx + 1) * (b - k) - 1)
-
-
-@functools.cache
-def _pk_layout(p: int, k: int):
-    """``_label_layout`` of every identity-major (p, k) batch, read-only and shared."""
-    arrays = _label_layout(np.arange(p * k) // k, k)
+    arrays = (negative, a_idx, p_idx, negatives,
+              row_starts, a_idx * b + p_idx, (a_idx + 1) * (b - k) - 1)
     for array in arrays:
         array.flags.writeable = False
     return arrays

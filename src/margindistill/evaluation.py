@@ -71,7 +71,7 @@ def build_pairs(
     """n_pos same-identity and n_neg different-identity sample-id pairs.
 
     No unordered pair repeats.  An attempt draws a random identity and two of its
-    rows (``sample_indices``; a one-row identity takes the two words too), or two
+    rows (a partial Fisher-Yates of two words, taken by a one-row identity too), or two
     random rows, refused on one row or one identity; a pair is kept at its first
     attempt.  After 200 * want + 10,000 attempts a deterministic enumeration
     fallback picks the rest, so tight requests stay feasible.  The draws are those

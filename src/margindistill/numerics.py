@@ -11,12 +11,12 @@ not use ``numpy.random`` here: numpy does not promise stream stability
 across versions.  Gaussian draws are produced from the stream via Box-Muller
 (two words per normal, no cached spare); they are deterministic per
 platform but may differ in the last ulp across libm implementations.  Every
-draw takes a fixed number of words: one per ``randint`` or ``random``, two per
-normal, k per ``sample_indices(n, k)``.
+draw takes a fixed number of words: one per uniform, two per normal, n per
+``uint64s(n)``; callers decode a loop's words as arrays (``partial_shuffles``).
 
 Bulk draws (``uint64s``, ``normals``, ``uniforms``) step many copies of the
 generator at once, each started at a jump-ahead offset of the stream, and
-yield exactly the words, floats and final state of one-at-a-time draws.
+yield exactly the words, floats and final state of ``next_uint64`` calls.
 Box-Muller's ``log`` and ``cos`` stay libm's (``math``), applied per value;
 the other array operations are exact.  The jump tables are powers of the
 GF(2) step matrix, built on first use and never at import.
@@ -198,23 +198,6 @@ class Rng:
         self._s = [s0, s1, s2, ((s3 << 45) | (s3 >> 19)) & _MASK64]   # s3 = rotl(s3, 45)
         return result
 
-    def random(self) -> float:
-        """Uniform float64 in [0, 1) from the top 53 bits of the stream."""
-        return (self.next_uint64() >> 11) * (2.0 ** -53)
-
-    def randint(self, n: int) -> int:
-        """Integer in [0, n): one word mod n, for every n, so a draw takes one word.
-        Each value's probability is within 2^-64 of 1/n."""
-        if n < 1:
-            raise ContractViolation("randint requires n >= 1")
-        return self.next_uint64() % n
-
-    def sample_indices(self, n: int, k: int) -> list[int]:
-        """k distinct indices from range(n), via partial Fisher-Yates on the next k words."""
-        if k < 0 or k > n:
-            raise ContractViolation(f"cannot sample {k} distinct items from {n}")
-        return partial_shuffle(self.uint64s(k), n)
-
     def uint64s(self, n: int) -> np.ndarray:
         """The next n words of next_uint64 as a uint64 array.
 
@@ -258,7 +241,7 @@ class Rng:
         return x
 
     def normals(self, count: int) -> np.ndarray:
-        """Standard normals via Box-Muller from two words each, u1 then u2, as random()
+        """Standard normals via Box-Muller from two words each, u1 then u2, as ``uniforms``
         reads them, except that a u1 of 0 reads as 2^-53: no word is ever skipped."""
         if count < 0:
             raise ContractViolation("normals requires count >= 0")
@@ -275,7 +258,7 @@ class Rng:
         return out
 
     def uniforms(self, count: int) -> np.ndarray:
-        """count draws of random(), as one array."""
+        """count uniforms in [0, 1), each one word's top 53 bits times 2^-53."""
         top = self.uint64s(count)
         top >>= 11
         return top * (2.0 ** -53)

@@ -16,9 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from margindistill import data
-from margindistill.data import (IdentityDataset, json_field, mine_triplets, read_text,
-                                sample_pk_batch)
-from margindistill.errors import ContractViolation, FormatError
+from margindistill.data import IdentityDataset, PkBatch, json_field, mine_triplets, read_text
+from margindistill.errors import CapacityError, ContractViolation, FormatError
 from margindistill.evaluation import PairSet
 from margindistill.loss import batch_loss
 from margindistill.mlp import backward_batch, forward_batch, init_sgd, sgd_step
@@ -132,6 +131,21 @@ def exhaustive_sweep_best_accuracy(distances, same):
     return best, achieved
 
 
+def randint(rng, n):
+    """An integer in [0, n): one word mod n."""
+    return rng.next_uint64() % n
+
+
+def uniform(rng):
+    """A float in [0, 1): one word's top 53 bits times 2^-53."""
+    return (rng.next_uint64() >> 11) * 2.0**-53
+
+
+def rows_of(ds, identity):
+    """The dataset rows of one identity, ascending."""
+    return np.flatnonzero(ds.labels == identity)
+
+
 def unit_vector(rng, dim):
     v = rng.normals(dim)
     return v / math.sqrt(float(np.dot(v, v)))
@@ -195,7 +209,7 @@ def per_anchor_mining(labels, emb, strategy, rng=None):
             if pos.size == 0:
                 continue
             neg = positions[labels != labels[a]]
-            rows.append((a, pos[rng.randint(pos.size)], neg[rng.randint(neg.size)]))
+            rows.append((a, pos[randint(rng, pos.size)], neg[randint(rng, neg.size)]))
         return np.array(rows, dtype=np.int64).reshape(-1, 3)
     assert strategy == "semi_hard"
     dmat = pairwise_sq_euclidean(np.asarray(emb, dtype=np.float64))
@@ -248,17 +262,17 @@ def per_triplet_calibration(vectors, ds, n_triplets, rng):
     Returns (d_values, row triplets)."""
     eligible_rows = [
         r for r in range(ds.n_samples)
-        if ds.rows_of(int(ds.labels[r])).size >= 2
+        if rows_of(ds, ds.labels[r]).size >= 2
     ]
     d_values = []
     rows = []
     for _ in range(n_triplets):
-        a_row = eligible_rows[rng.randint(len(eligible_rows))]
+        a_row = eligible_rows[randint(rng, len(eligible_rows))]
         ident = int(ds.labels[a_row])
-        same = [int(r) for r in ds.rows_of(ident) if r != a_row]
-        p_row = same[rng.randint(len(same))]
+        same = [int(r) for r in rows_of(ds, ident) if r != a_row]
+        p_row = same[randint(rng, len(same))]
         other = np.where(ds.labels != ident)[0]
-        n_row = int(other[rng.randint(other.size)])
+        n_row = int(other[randint(rng, other.size)])
         d_an = vectors[a_row] - vectors[n_row]
         d_ap = vectors[a_row] - vectors[p_row]
         d_values.append(max(float(np.dot(d_an, d_an)) - float(np.dot(d_ap, d_ap)), 0.0))
@@ -267,12 +281,12 @@ def per_triplet_calibration(vectors, ds, n_triplets, rng):
 
 
 def per_iteration_triplet_loop(model, ds, cfg, margin, rng, teacher_vectors=None):
-    """training._run_triplet_loop drawing one sample_pk_batch per iteration, and
-    random_per_anchor mining's words one randint at a time."""
+    """training._run_triplet_loop drawing one per_batch_pk_sample per iteration, and
+    random_per_anchor mining's words one at a time."""
     log = TrainLog()
     sgd = init_sgd(model, cfg.learning_rate, cfg.momentum)
     for it in range(cfg.iterations):
-        batch = sample_pk_batch(ds, cfg.p, cfg.k, rng)
+        batch = per_batch_pk_sample(ds, cfg.p, cfg.k, rng)
         emb, cache = forward_batch(model, ds.X[batch.entries])
         if cfg.mining == "random_per_anchor":
             triplets = per_anchor_mining(batch.labels, emb, cfg.mining, rng)
@@ -312,12 +326,32 @@ def sq_euclidean(a, b):
 # ---------------------------------------------------------------------------
 
 def list_sample_indices(rng, n, k):
-    """Rng.sample_indices swapping entries of a full list(range(n))."""
+    """k distinct indices from range(n): partial Fisher-Yates on the next k words,
+    swapping entries of a full list(range(n))."""
     idx = list(range(n))
     for i in range(k):
-        j = i + rng.randint(n - i)
+        j = i + randint(rng, n - i)
         idx[i], idx[j] = idx[j], idx[i]
     return idx[:k]
+
+
+def per_batch_pk_sample(ds, p, k, rng):
+    """sample_pk_batch one word at a time: p of the identities with k or more rows,
+    ascending, by list_sample_indices, then k of each chosen identity's rows,
+    ascending, the same way.  Errors draw no word."""
+    if p < 1 or k < 1:
+        raise ContractViolation("p and k must be >= 1")
+    identities, sizes = np.unique(ds.labels, return_counts=True)
+    eligible = identities[sizes >= k]
+    if eligible.size < p:
+        raise CapacityError(
+            f"need {p} identities with >= {k} samples, dataset has {eligible.size}")
+    chosen = eligible[list_sample_indices(rng, eligible.size, p)]
+    entries = []
+    for ident in chosen:
+        rows = rows_of(ds, ident)
+        entries.append(rows[list_sample_indices(rng, rows.size, k)])
+    return PkBatch(p, k, np.concatenate(entries), np.repeat(chosen, k))
 
 
 def scalar_words(next_word, n):
@@ -370,7 +404,7 @@ def nested_loop_generate(spec):
 
 def per_pair_centroid_matrix(emb, ds):
     """Centroid distance matrix with one np.dot per identity pair."""
-    centroids = np.stack([emb[ds.rows_of(i)].mean(axis=0) for i in ds.identity_list])
+    centroids = np.stack([emb[rows_of(ds, i)].mean(axis=0) for i in ds.identity_list])
     n = len(centroids)
     mat = np.zeros((n, n), dtype=np.float64)
     for i in range(n):
@@ -394,16 +428,16 @@ def loop_build_pairs(ds, n_pos, n_neg, rng):
         while len(seen) < want and attempts < budget:
             attempts += 1
             if want_same:
-                ident = ds.identity_list[rng.randint(ds.n_identities)]
-                rows = ds.rows_of(ident)
+                ident = ds.identity_list[randint(rng, ds.n_identities)]
+                rows = rows_of(ds, ident)
                 if rows.size < 2:                     # refused after its two row words
                     rng.next_uint64(), rng.next_uint64()
                     continue
-                i, j = rng.sample_indices(rows.size, 2)
+                i, j = list_sample_indices(rng, rows.size, 2)
                 r1, r2 = int(rows[i]), int(rows[j])
             else:
-                r1 = rng.randint(ds.n_samples)
-                r2 = rng.randint(ds.n_samples)
+                r1 = randint(rng, ds.n_samples)
+                r2 = randint(rng, ds.n_samples)
                 if r1 == r2 or ds.labels[r1] == ds.labels[r2]:
                     continue
             key = (min(r1, r2), max(r1, r2))
@@ -422,7 +456,7 @@ def loop_build_pairs(ds, n_pos, n_neg, rng):
                     if (r1, r2) in seen:
                         continue
                     remaining.append((r1, r2))
-            for idx in rng.sample_indices(len(remaining), want - len(seen)):
+            for idx in list_sample_indices(rng, len(remaining), want - len(seen)):
                 r1, r2 = remaining[idx]
                 a_ids.append(int(ds.sample_ids[r1]))
                 b_ids.append(int(ds.sample_ids[r2]))

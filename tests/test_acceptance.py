@@ -28,7 +28,9 @@ from oracles import (
     brute_force_all_triplets,
     central_diff_grad,
     exhaustive_sweep_best_accuracy,
+    randint,
     sq_euclidean,
+    uniform,
     unit_vector,
 )
 
@@ -104,7 +106,7 @@ def test_criterion_1_gradient_suite():
             rng = Rng(seed)
             seed += 1
             points = np.stack([unit_vector(rng, 8) for _ in range(3)])
-            gaps = np.array([rng.random(), 1.0])
+            gaps = np.array([uniform(rng), 1.0])
             res = batch_loss(np.vstack([points, far]), triplets, gaps, cfg)
             assert res.d_max == 1.0 and not res.active[1]
             a, p, n = points
@@ -215,7 +217,7 @@ def test_criterion_2_unit_properties_grid():
         assert active.any() and not active.all()
 
         rng = Rng(99)
-        cases = np.array([(rng.random() * 4.0, rng.random() * 4.0, rng.random() * d_cap)
+        cases = np.array([(uniform(rng) * 4.0, uniform(rng) * 4.0, uniform(rng) * d_cap)
                           for _ in range(10_000)])
         _, active = _hinge_cases(cases[:, 0], cases[:, 1], cases[:, 2], d_cap, cfg)
         assert active.any() and not active.all()
@@ -412,7 +414,7 @@ def test_criterion_7_oracle_equivalence():
         # verify's threshold sweep vs the exhaustive split oracle, 200 pairs
         rng = Rng(9)
         distances = np.concatenate([rng.uniforms(150) * 2.0, np.round(rng.uniforms(50), 1)])
-        same = np.array([rng.randint(2) == 1 for _ in range(200)])
+        same = np.array([randint(rng, 2) == 1 for _ in range(200)])
         report = md.threshold_sweep(distances, same)
         best, _ = exhaustive_sweep_best_accuracy(distances.tolist(), same.tolist())
         assert report.best_accuracy == best

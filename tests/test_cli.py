@@ -352,6 +352,16 @@ def test_gen_data_invalid_spec_diagnostic(tmp_path, capsys):
     assert "identity_spread" in captured.err
 
 
+def test_gen_data_overflowing_spreads_are_one_error_line(tmp_path):
+    # a child process, so numpy's warnings reach stderr as they would for a user
+    config = _write_config(tmp_path, data_dot_supercluster_spread="1e308",
+                           data_dot_identity_spread="1e307")
+    code, err = _finish(_child("import margindistill.cli as c; c.console_main()",
+                               "gen-data", "--config", config, "--out", tmp_path / "runs"))
+    assert code == 1 and err.count("\n") == 1, err
+    assert err.startswith("error: supercluster_spread, identity_spread and sample_noise ")
+
+
 def test_missing_upstream_artifact_diagnostic(tmp_path, capsys):
     config = _write_config(tmp_path, **{"io_dot_dataset": str(tmp_path / "nope.jsonl")})
     rc = main(["train-teacher", "--config", config, "--out", str(tmp_path / "runs")])

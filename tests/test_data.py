@@ -2,6 +2,7 @@ import json
 import re
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -64,6 +65,19 @@ def test_spec_validates_spread_ordering():
         small_spec(sample_noise=0.5)  # noise > identity
     with pytest.raises(ContractViolation):
         small_spec(samples_per_identity=0)
+
+
+@pytest.mark.parametrize("spreads", [(1e308, 1e307, 0.06), (1e308, 1e307, 1e306),
+                                     (1.7e308, 0.35, 0.06)])
+def test_overflowing_spreads_are_one_contract_violation(spreads):
+    spec = small_spec(supercluster_spread=spreads[0], identity_spread=spreads[1],
+                      sample_noise=spreads[2])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ContractViolation, match="^supercluster_spread, identity_spread "
+                                                    "and sample_noise give features"):
+            generate_hierarchical(spec)
+    assert [str(w.message) for w in caught] == []
 
 
 def test_spec_of_numpy_values_saves_like_its_python_twin(tmp_path):
@@ -174,8 +188,7 @@ def test_dataset_invariants_enforced():
 def test_dataset_grouping_is_read_only():
     # the PK schedule, build_pairs and identity means all read this one grouping
     ds = generate_hierarchical(small_spec())
-    rows = ds.rows_of(ds.identity_list[0])
-    for array in (ds.identity_order, ds.identity_sizes, ds.identity_starts, rows):
+    for array in (ds.identity_order, ds.identity_sizes, ds.identity_starts):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
     ds.X[0, 0] = 1.0                             # the features stay writable
@@ -219,6 +232,10 @@ def test_pk_batch_capacity_errors():
 def test_pk_batch_invariant_validation():
     with pytest.raises(ContractViolation):
         PkBatch(p=2, k=2, entries=np.array([0, 1, 2, 2]), labels=np.array([5, 5, 6, 6]))
+    # identity-major only: p blocks of k equal labels, each block a different identity
+    for labels in ([5, 6, 6, 5], [5, 5, 5, 5], [5, 5, 6, 6, 5, 5]):
+        with pytest.raises(ContractViolation):
+            PkBatch(p=len(labels) // 2, k=2, entries=np.arange(len(labels)), labels=labels)
 
 
 def _batch_and_embeddings(p=3, k=2, seed=0):
@@ -343,7 +360,7 @@ def test_flat_certification_equals_the_row_wise_minimum(rows, width, sort, data_
 
 @st.composite
 def _pk_cases(draw):
-    """A PK batch (identity-major or shuffled, k may be 1), embeddings of dim
+    """An identity-major PK batch (k may be 1), embeddings of dim
     1-64 (random reals, or a small grid full of exact distance ties and signed
     zeros) at a scale from 1e-160 (products underflow) to 1e154 (sums
     overflow), perhaps with one row set to NaN or one coordinate to +-inf,
@@ -354,8 +371,6 @@ def _pk_cases(draw):
                               st.floats(-160, 154)))
     gen = np.random.default_rng(seed)
     labels = np.repeat(np.arange(p) * 7 + 3, k)
-    if draw(st.booleans()):
-        labels = gen.permutation(labels)
     batch = PkBatch(p=p, k=k, entries=np.arange(p * k) + 100, labels=labels)
     if draw(st.booleans()):
         emb = gen.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(p * k, dim))
@@ -428,29 +443,23 @@ def test_semi_hard_tie_grid_takes_exact_rows():
 
 @settings(max_examples=150, deadline=None)
 @given(p=st.integers(2, 8), k=st.integers(2, 6), dim=st.integers(1, 33),
-       shuffled=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_semi_hard_sorted_rows_match_per_anchor_loop(p, k, dim, shuffled, seed):
+       seed=st.integers(0, 2**32 - 1))
+def test_semi_hard_sorted_rows_match_per_anchor_loop(p, k, dim, seed):
     # random real embeddings certify every row: the selection from sorted rows
     gen = np.random.default_rng(seed)
     labels = np.repeat(np.arange(p) * 5 + 2, k)
-    if shuffled:
-        labels = gen.permutation(labels)
     batch = PkBatch(p=p, k=k, entries=np.arange(p * k), labels=labels)
     emb = gen.standard_normal((p * k, dim))
     got, exact_rows = _exact_rows(batch, emb)
     assert exact_rows == 0 and got.shape == (p * k * (k - 1), 3)
 
 
-def test_identity_major_batches_take_the_cached_layout(monkeypatch):
-    # the sampler's batches must not rebuild their label masks on every call
+def test_identity_major_batches_take_the_cached_layout():
+    # batches must not rebuild their label masks on every call
     batch, emb = _pk8x8(), np.random.default_rng(3).standard_normal((64, 16))
     layout = data._pk_layout(8, 8)
     assert not any(array.flags.writeable for array in layout)
-
-    def rebuild(*args):
-        raise AssertionError("label layout rebuilt for an identity-major batch")
-
-    monkeypatch.setattr(data, "_label_layout", rebuild)
+    misses = data._pk_layout.cache_info().misses
     for strategy in ("semi_hard", "random_per_anchor"):
         got = mine_triplets(batch, emb, strategy, _words(batch, strategy, 4))
         np.testing.assert_array_equal(
@@ -459,6 +468,7 @@ def test_identity_major_batches_take_the_cached_layout(monkeypatch):
     got = mine_triplets(batch, emb, "all")
     np.testing.assert_array_equal(got, brute_force_all_triplets(batch.labels.tolist()))
     assert got.flags.writeable
+    assert data._pk_layout.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("dim", [16, 32])
@@ -722,12 +732,12 @@ def _four_rows():
                  "dataset must contain at least one sample", id="dataset-empty"),
     pytest.param(lambda: IdentityDataset([0, 1], [0], np.zeros((2, 2))), ContractViolation,
                  "sample_ids/labels must align with features", id="dataset-misaligned"),
-    pytest.param(lambda: _four_rows().rows_of(7), CapacityError, "unknown identity 7",
-                 id="rows_of-unknown"),
     pytest.param(lambda: PkBatch(2, 2, [0, 1, 2], [0, 0, 1]), ContractViolation,
                  "batch arrays must have p*k entries", id="PkBatch-length"),
     pytest.param(lambda: PkBatch(2, 2, [0, 1, 2, 3], [0, 0, 0, 1]), ContractViolation,
                  "batch must hold exactly p identities, k samples each", id="PkBatch-counts"),
+    pytest.param(lambda: PkBatch(2, 2, [0, 1, 2, 3], [0, 1, 0, 1]), ContractViolation,
+                 "batch labels must be p blocks of k equal labels", id="PkBatch-interleaved"),
     pytest.param(lambda: sample_pk_batch(_four_rows(), 0, 2, Rng(0)), ContractViolation,
                  "p and k must be >= 1", id="sample_pk_batch-p0"),
     pytest.param(lambda: data.pk_batches(_four_rows(), 2, 0, np.zeros((1, 2), np.uint64)),

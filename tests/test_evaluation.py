@@ -41,6 +41,8 @@ from oracles import (
     per_identity_means,
     per_pair_centroid_matrix,
     per_record_load_pairs,
+    randint,
+    rows_of,
     save_pairs_jsonl,
     sq_euclidean,
     unit_vector,
@@ -112,7 +114,7 @@ def test_build_pairs_exhausts_all_available():
 
 class _StuckRng(Rng):
     """An Rng whose words are all 0 once ``live`` words are drawn, one at a time or
-    by ``uint64s``.  randint(n) then gives 0 for every n, so with identity_list[0]
+    by ``uint64s``.  A word then decodes to 0 mod every n, so with identity_list[0]
     a singleton every later rejection-sampling attempt in build_pairs is refused
     (a singleton identity, or r1 == r2), and a request for more pairs than
     ``live`` words can collect must end in the enumeration fallback."""
@@ -199,7 +201,7 @@ def test_build_pairs_equals_scalar_draws(sizes, shuffle, pos, neg, live, seed):
                                    [1, 4, 2, 1]])
 def test_build_pairs_with_one_and_two_row_identities_equals_scalar_draws(sizes, seed):
     """A one-row identity's attempt takes its identity word and two row words and is
-    refused; a two-row identity's second row draw is randint(1), which takes a word.
+    refused; a two-row identity's second row draw is a word mod 1, which takes a word.
     Every pair of both kinds is requested, and half of them."""
     labels = np.repeat(np.arange(len(sizes)), sizes)
     ds = IdentityDataset(np.arange(labels.size) + 7, labels, np.ones((labels.size, 2)))
@@ -256,7 +258,7 @@ def test_threshold_sweep_matches_exhaustive_oracle():
         d = rng.uniforms(n) * 2.0
         if trial % 2:
             d = np.round(d, 1)  # force ties
-        same = np.array([rng.randint(2) == 1 for _ in range(n)])
+        same = np.array([randint(rng, 2) == 1 for _ in range(n)])
         report = threshold_sweep(d, same)
         best, achieved = exhaustive_sweep_best_accuracy(d.tolist(), same.tolist())
         assert report.best_accuracy == pytest.approx(best, abs=1e-12)
@@ -299,7 +301,7 @@ def test_threshold_sweep_rejects_non_finite_distances():
 def test_best_accuracy_invariant_under_monotone_transform():
     rng = Rng(41)
     d = rng.uniforms(60) * 1.5
-    same = np.array([rng.randint(2) == 1 for _ in range(60)])
+    same = np.array([randint(rng, 2) == 1 for _ in range(60)])
     base = threshold_sweep(d, same).best_accuracy
     assert threshold_sweep(3.0 * d + 0.2, same).best_accuracy == base
     assert threshold_sweep(d**3, same).best_accuracy == base
@@ -369,9 +371,9 @@ def test_centroid_matrix_matches_double_loop():
     np.testing.assert_array_equal(mat, mat.T)
     assert not np.diag(mat).any()
     for i, ident_i in enumerate(idents):
-        ci = vecs[ds.rows_of(ident_i)].mean(axis=0)
+        ci = vecs[rows_of(ds, ident_i)].mean(axis=0)
         for j, ident_j in enumerate(idents):
-            cj = vecs[ds.rows_of(ident_j)].mean(axis=0)
+            cj = vecs[rows_of(ds, ident_j)].mean(axis=0)
             if i != j:
                 assert mat[i, j] == pytest.approx(sq_euclidean(ci, cj), abs=1e-12)
 

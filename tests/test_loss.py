@@ -8,7 +8,14 @@ from margindistill.errors import ContractViolation
 from margindistill.loss import MarginConfig, batch_loss
 from margindistill.numerics import Rng
 
-from oracles import add_at_batch_grad, central_diff_grad, sq_euclidean, unit_vector
+from oracles import (
+    add_at_batch_grad,
+    central_diff_grad,
+    randint,
+    sq_euclidean,
+    uniform,
+    unit_vector,
+)
 
 DYN = MarginConfig.dynamic(0.2, 0.5)
 
@@ -174,7 +181,7 @@ def test_dynamic_loss_matches_finite_differences_unit_vectors():
     for seed in range(10):
         rng = Rng(seed)
         points = np.stack([unit_vector(rng, 8) for _ in range(3)])
-        d_teacher = rng.random() * d_max
+        d_teacher = uniform(rng) * d_max
         loss, margin, active, grads = _pinned(points, d_teacher, d_max)
         hinge = sq_euclidean(points[0], points[1]) - sq_euclidean(points[0], points[2]) + margin
         assert loss == pytest.approx(max(hinge, 0.0), abs=1e-15)
@@ -311,7 +318,7 @@ def test_batch_loss_matches_naive_loop_50_triplets(mode):
     rng = Rng(2)
     emb = np.stack([rng.normals(8) for _ in range(20)])
     triplets = np.array(
-        [[rng.randint(20), rng.randint(20), rng.randint(20)] for _ in range(50)]
+        [[randint(rng, 20), randint(rng, 20), randint(rng, 20)] for _ in range(50)]
     )
     gaps = rng.uniforms(50) * 1.7
     cfg = DYN if mode == "dynamic" else MarginConfig.fixed(0.4)
@@ -337,7 +344,7 @@ def test_batch_loss_rejects_empty():
 def test_batch_loss_margins_within_bounds():
     rng = Rng(14)
     emb = np.stack([rng.normals(4) for _ in range(10)])
-    triplets = np.array([[rng.randint(10), rng.randint(10), rng.randint(10)] for _ in range(40)])
+    triplets = np.array([[randint(rng, 10) for _ in range(3)] for _ in range(40)])
     gaps = rng.uniforms(40) * 3.0
     res = batch_loss(emb, triplets, gaps, DYN)
     assert np.all(res.margins >= 0.2) and np.all(res.margins <= 0.5)

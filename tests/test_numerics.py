@@ -19,11 +19,13 @@ from margindistill.numerics import (
     derive_subseed,
     gram_sq_euclidean,
     pairwise_sq_euclidean,
+    partial_shuffle,
 )
 
 from oracles import (
     list_sample_indices,
     one_shot_sq_euclidean,
+    randint,
     scalar_normals,
     scalar_uniforms,
     scalar_words,
@@ -211,10 +213,12 @@ def test_rng_matches_reference_implementation(seed):
 
 
 def test_randint_single_outcome():
+    # a draw in [0, 1) takes its word too, as the array decodes read it
     rng, ref = Rng(3), Rng(3)
-    assert all(rng.randint(1) == 0 for _ in range(10))
-    ref.uint64s(10)                              # each draw took its word
+    assert all(randint(rng, 1) == 0 for _ in range(10))
+    words = ref.uint64s(10)                      # each draw took its word
     assert rng._s == ref._s
+    assert (words % np.uint64(1)).tolist() == [0] * 10
 
 
 def _state_before(word):
@@ -227,52 +231,47 @@ def _state_before(word):
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 10, 2**32 + 1, 2**63 + 1, 2**64 - 1])
 @pytest.mark.parametrize("word", [None, 0, 2**64 - 1])
 def test_randint_is_one_word_mod_n(n, word):
-    """randint(n) takes exactly one word, randint(1) and 2^64 - 1 included, and gives
-    that word mod n."""
+    """A draw in [0, n) is one word mod n, n = 1 and 2^64 - 1 included: the oracles'
+    randint, a uint64 array's ``%`` and a one-pick partial_shuffle agree, and
+    uint64s leaves the state of one word per draw."""
     rng, ref = Rng(n % 1000), Rng(n % 1000)
     if word is not None:
         rng._s, ref._s = _state_before(word), _state_before(word)
+    words = rng.uint64s(5)
     drawn = []
-    for _ in range(5):
-        drawn.append(ref.next_uint64())
-        assert rng.randint(n) == drawn[-1] % n
-        assert rng._s == ref._s
-    assert word in (None, drawn[0])
-
-
-def test_randint_validates():
-    with pytest.raises(ContractViolation):
-        Rng(0).randint(0)
+    for i in range(5):
+        drawn.append(randint(ref, n))
+        assert partial_shuffle(words[i:i + 1], n) == [drawn[-1]]
+    assert rng._s == ref._s
+    assert (words % np.uint64(n)).tolist() == drawn
+    assert word in (None, int(words[0]))
 
 
 def test_same_seed_same_permutation():
-    perm = Rng(123).sample_indices(40, 40)
+    perm = partial_shuffle(Rng(123).uint64s(40), 40)
     assert sorted(perm) == list(range(40))
-    assert perm == Rng(123).sample_indices(40, 40)
-    assert perm != Rng(124).sample_indices(40, 40)
+    assert perm == partial_shuffle(Rng(123).uint64s(40), 40)
+    assert perm != partial_shuffle(Rng(124).uint64s(40), 40)
 
 
 def test_randint_chi_square_uniformity():
-    # direct-counting oracle: 1e5 draws over 10 buckets, alpha = 0.001
-    rng = Rng(2024)
+    # direct-counting oracle: 1e5 one-word draws over 10 buckets, alpha = 0.001
     n, buckets = 100_000, 10
-    counts = [0] * buckets
-    for _ in range(n):
-        counts[rng.randint(buckets)] += 1
+    counts = np.bincount(Rng(2024).uint64s(n) % np.uint64(buckets), minlength=buckets)
     expected = n / buckets
     stat = sum((c - expected) ** 2 / expected for c in counts)
     assert stat < chi2.ppf(0.999, buckets - 1)
 
 
 def test_shuffle_chi_square_uniformity():
-    # every ordering of sample_indices(3, 3), the full partial Fisher-Yates
+    # every ordering of partial_shuffle(words, 3) on 3 words, the full Fisher-Yates
     rng = Rng(99)
     from itertools import permutations
 
     perms = {p: 0 for p in permutations(range(3))}
     n = 6000
     for _ in range(n):
-        perms[tuple(rng.sample_indices(3, 3))] += 1
+        perms[tuple(partial_shuffle(rng.uint64s(3), 3))] += 1
     expected = n / 6
     stat = sum((c - expected) ** 2 / expected for c in perms.values())
     assert stat < chi2.ppf(0.999, 5)
@@ -281,7 +280,7 @@ def test_shuffle_chi_square_uniformity():
 def test_sample_indices_distinct_and_in_range():
     rng = Rng(5)
     for _ in range(50):
-        out = rng.sample_indices(20, 7)
+        out = partial_shuffle(rng.uint64s(7), 20)
         assert len(set(out)) == 7
         assert all(0 <= v < 20 for v in out)
 
@@ -291,12 +290,12 @@ def test_sample_indices_distinct_and_in_range():
 def test_sample_indices_equals_full_list_shuffle(seed, n, data):
     k = data.draw(st.integers(0, n))
     fast, ref = Rng(seed), Rng(seed)
-    assert fast.sample_indices(n, k) == list_sample_indices(ref, n, k)
+    assert partial_shuffle(fast.uint64s(k), n) == list_sample_indices(ref, n, k)
     assert fast._s == ref._s
 
 
 def test_sample_indices_cost_does_not_grow_with_n():
-    out = Rng(3).sample_indices(2**62, 4)       # a list of 2^62 entries would not fit
+    out = partial_shuffle(Rng(3).uint64s(4), 2**62)   # a list of 2^62 entries would not fit
     assert len(set(out)) == 4 and all(0 <= v < 2**62 for v in out)
 
 
@@ -511,14 +510,12 @@ def test_normals_read_a_zero_u1_as_the_smallest_u1(count, zero_words):
             assert got[pos // 2] == want
 
 
-_WIDTHS = {"randint": lambda n: 1, "random": lambda: 1, "normals": lambda count: 2 * count,
-           "sample_indices": lambda n, k: k, "uint64s": lambda n: n}
+_WIDTHS = {"next_uint64": lambda: 1, "normals": lambda count: 2 * count,
+           "uniforms": lambda count: count, "uint64s": lambda n: n}
 _DRAWS = st.one_of(
-    st.tuples(st.just("randint"), st.integers(1, _MASK64)),
-    st.tuples(st.just("random")),
+    st.tuples(st.just("next_uint64")),
     st.tuples(st.just("normals"), st.integers(0, 700)),
-    st.integers(0, 40).flatmap(
-        lambda n: st.tuples(st.just("sample_indices"), st.just(n), st.integers(0, n))),
+    st.tuples(st.just("uniforms"), st.integers(0, 700)),
     st.tuples(st.just("uint64s"), st.integers(0, 700)),
 )
 
@@ -607,8 +604,6 @@ def test_normalize_rescale_leaves_other_rows_bitwise():
 
 
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: Rng(0).sample_indices(3, 4), "cannot sample 4 distinct items from 3",
-                 id="sample_indices-k-above-n"),
     pytest.param(lambda: Rng(0).normals(-1), "normals requires count >= 0", id="normals-negative"),
 ])
 def test_numerics_contract_errors(call, message):

@@ -37,11 +37,13 @@ from margindistill.teacher import (
 )
 
 from oracles import (
+    list_sample_indices,
     pairwise_matrix_gaps,
     per_triplet_calibration,
+    randint,
     sq_euclidean,
-    struct_embedding_table_bytes,
     straightline_mlp_forward,
+    struct_embedding_table_bytes,
     unit_vector,
 )
 
@@ -140,7 +142,7 @@ def test_teacher_gap_matches_naive_recomputation():
         return pairwise_sq_euclidean(u[None], v[None])[0, 0]
 
     for _ in range(20):
-        a, p, n = rng.randint(20), rng.randint(20), rng.randint(20)
+        a, p, n = randint(rng, 20), randint(rng, 20), randint(rng, 20)
         if idents[p] != idents[a] or idents[n] == idents[a] or a == p:
             continue
         (got,) = triplet_gaps(oracle.vectors, [(a, p, n)])
@@ -190,7 +192,7 @@ def test_oracle_immutability_hash_stable():
 
     first = digest()
     for _ in range(500):
-        oracle.embed(rng.randint(9))
+        oracle.embed(randint(rng, 9))
     assert digest() == first
 
 
@@ -423,7 +425,7 @@ def test_embedding_table_ids_past_u32_are_refused(tmp_path, sample_id, identity)
 def test_embedding_table_bytes_match_record_writer(tmp_path):
     ds = generate_hierarchical(HierarchySpec(seed=3))
     oracle = tabulate(TeacherOracle.from_model(init_mlp((ds.input_dim, 8, 5), True, Rng(1))), ds)
-    perm = np.array(Rng(2).sample_indices(ds.n_samples, ds.n_samples))
+    perm = np.array(list_sample_indices(Rng(2), ds.n_samples, ds.n_samples))
     shuffled = TeacherOracle.from_table(
         oracle.sample_ids[perm], oracle.identities[perm], oracle.vectors[perm]
     )

@@ -38,9 +38,9 @@ from margindistill.training import (
 from oracles import (
     add_at_batch_grad,
     central_diff_grad,
-    list_sample_indices,
     pairwise_matrix_gaps,
     per_anchor_mining,
+    per_batch_pk_sample,
     per_iteration_triplet_loop,
 )
 
@@ -259,15 +259,13 @@ def test_optimizer_settings_are_checked_when_the_config_is_built(iterations, set
 
 
 @settings(max_examples=200, deadline=None)
-@given(p=st.integers(2, 6), k=st.integers(2, 6), dim=st.integers(1, 8), shuffled=st.booleans(),
+@given(p=st.integers(2, 6), k=st.integers(2, 6), dim=st.integers(1, 8),
        special=st.sampled_from([0.0, 0.1, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
-def test_every_pk_batch_mines_a_fixed_triplet_count(p, k, dim, shuffled, special, seed):
+def test_every_pk_batch_mines_a_fixed_triplet_count(p, k, dim, special, seed):
     # the loop trains on every batch it draws: with p, k >= 2 no strategy mines
     # zero triplets, whatever the embeddings hold
     gen = np.random.default_rng(seed)
     labels = np.repeat(np.arange(p) * 3 + 1, k)
-    if shuffled:
-        labels = gen.permutation(labels)
     batch = PkBatch(p=p, k=k, entries=np.arange(p * k), labels=labels)
     emb = gen.standard_normal((p * k, dim))
     where = gen.random(emb.shape) < special          # this share of NaN and +-inf
@@ -311,11 +309,35 @@ def _assert_same_batches(got, want):
 
 
 def _per_batch_draws(ds, p, k, rng, count):
-    """count sample_pk_batch calls, or None if the dataset cannot fill a batch."""
+    """count per_batch_pk_sample calls, or None if the dataset cannot fill a batch."""
     try:
-        return [sample_pk_batch(ds, p, k, rng) for _ in range(count)]
+        return [per_batch_pk_sample(ds, p, k, rng) for _ in range(count)]
     except CapacityError:
         return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pk_datasets())
+def test_sample_pk_batch_equals_the_per_batch_oracle(case):
+    """sample_pk_batch's batch, error and final state are the scalar loop's, also where
+    an eligible identity has exactly k rows or exactly p identities are eligible; its
+    state is that of a copy that drew uint64s(p + p * k), and an error draws nothing."""
+    ds, p, k, seed = case
+    rng, ref, copy = Rng(seed), Rng(seed), Rng(seed)
+    sizes = ds.identity_sizes[ds.identity_sizes >= k]
+    event("too few eligible" if sizes.size < p else "exactly p eligible" if sizes.size == p
+          else "more than p eligible")
+    event(f"an eligible identity of exactly k rows: {bool(np.any(sizes == k))}")
+    try:
+        want = per_batch_pk_sample(ds, p, k, ref)
+    except CapacityError as exc:
+        with pytest.raises(CapacityError, match=f"^{re.escape(str(exc))}$"):
+            sample_pk_batch(ds, p, k, rng)
+        assert rng._s == ref._s == copy._s
+        return
+    _assert_same_batches([sample_pk_batch(ds, p, k, rng)], [want])
+    copy.uint64s(p + p * k)
+    assert rng._s == ref._s == copy._s
 
 
 def _refuse(*args):
@@ -326,7 +348,7 @@ def _refuse(*args):
 @given(_pk_datasets(), st.integers(0, 9))
 def test_pk_schedule_equals_per_batch_draws(case, count):
     """Every batch is decoded from the bulk words, also where an eligible identity has
-    exactly k rows or exactly p identities are eligible: randint(1) takes a word."""
+    exactly k rows or exactly p identities are eligible: a pick of 1 takes its word."""
     ds, p, k, seed = case
     rng, ref = Rng(seed), Rng(seed)
     want = _per_batch_draws(ds, p, k, ref, count)
@@ -357,7 +379,7 @@ def test_loop_batches_equal_per_iteration_draws_across_chunks(case, iterations, 
         with pytest.raises(CapacityError):
             list(training._pk_batches(ds, cfg, rng))
         return
-    want = [(sample_pk_batch(ds, p, k, ref), ref.uint64s(mining_words(mining, p, k)))
+    want = [(per_batch_pk_sample(ds, p, k, ref), ref.uint64s(mining_words(mining, p, k)))
             for _ in range(iterations)]
     got = list(training._pk_batches(ds, cfg, rng))
     _assert_same_batches([batch for batch, _ in got], [batch for batch, _ in want])
@@ -386,7 +408,7 @@ def test_rejected_first_word_gives_the_same_batches_and_state(monkeypatch):
 def test_loop_trains_bitwise_like_per_iteration_sampling(monkeypatch, mining):
     """train_teacher and distill (fixed and dynamic) give the same weight bytes
     and TrainLogs as the loop that samples one batch per iteration with the
-    list-form sample_indices and mines with one randint per pick; chunks of 16 put
+    scalar per_batch_pk_sample and mines with one word per pick; chunks of 16 put
     four chunk boundaries in a run.  The loop never samples one batch at a time."""
     ds = tiny_dataset(seed=5)
     tcfg = TeacherTrainConfig(hidden_dims=(12,), embed_dim=6, iterations=70, p=3, k=3,
@@ -405,7 +427,6 @@ def test_loop_trains_bitwise_like_per_iteration_sampling(monkeypatch, mining):
     monkeypatch.setattr(data, "sample_pk_batch", _refuse)
     fast, fast_vectors = run()
     monkeypatch.setattr(training, "_run_triplet_loop", per_iteration_triplet_loop)
-    monkeypatch.setattr(Rng, "sample_indices", list_sample_indices)
     reference, reference_vectors = run()
     assert fast_vectors.tobytes() == reference_vectors.tobytes()
     for (model, log), (ref_model, ref_log) in zip(fast, reference):
