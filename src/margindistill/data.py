@@ -541,12 +541,11 @@ def _spec_from_header(path, spec) -> HierarchySpec | None:
 TEXT_BLOCK = 1 << 18          # bytes of dataset text decoded and parsed at a time
 
 
-def _text_blocks(path, fh, size: int | None):
+def _text_blocks(path, fh):
     """The non-blank lines of the rest of binary file ``fh`` as UTF-8 text, one list
-    per block of about ``size`` bytes (None: one block).  A block ends after a
-    newline, so a ``splitlines`` break never spans two and the lines are the
-    whole text's."""
-    while chunk := fh.read() if size is None else fh.read(size) + fh.readline():
+    per block of about ``TEXT_BLOCK`` bytes.  A block ends after a newline, so a
+    ``splitlines`` break never spans two and the lines are the whole text's."""
+    while chunk := fh.read(TEXT_BLOCK) + fh.readline():
         try:
             text = chunk.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -566,23 +565,19 @@ def _record_arrays(path, sample_ids, labels, feats):
 
 def _parse_records(path, blocks, n_declared):
     """(sample ids, identities, features) of the record lines of a dataset file,
-    given as lists of lines.  A block becomes arrays once the next one is parsed,
-    and the count is checked before the last block becomes arrays: in one block,
-    the checks run in the order of a parse of the whole file at once."""
+    given as lists of lines.  Each block becomes arrays as soon as it is parsed;
+    the count is checked after the last block, and the blocks' arrays are then
+    joined.  No records give empty arrays, whose features are not 2-D."""
     parts = []
-    parsed = ([], [], [])
     found = 0
     for lines in filter(None, blocks):
-        if found:
-            parts.append(_record_arrays(path, *parsed))
-        parsed = read_json_records(path, lines, "record", lambda rec: (
-            json_field(rec["sample"], int), json_field(rec["identity"], int), rec["x"]))
+        parts.append(_record_arrays(path, *read_json_records(path, lines, "record", lambda r: (
+            json_field(r["sample"], int), json_field(r["identity"], int), r["x"]))))
         found += len(lines)
     if found != n_declared:
         raise FormatError(f"{path}: header declares {n_declared} samples, found {found}")
-    parts.append(_record_arrays(path, *parsed))
-    if len(parts) == 1:
-        return parts[0]
+    if not parts:
+        return _record_arrays(path, [], [], [])
     try:
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
     except ValueError as exc:
@@ -592,21 +587,13 @@ def _parse_records(path, blocks, n_declared):
 def load_dataset_jsonl(path) -> IdentityDataset:
     """The dataset in JSON-lines file ``path``.  A companion whose digest matches
     the file's bytes supplies the arrays; otherwise the records are parsed, one
-    ``TEXT_BLOCK`` of text at a time."""
-    try:
-        return _load_dataset(path, TEXT_BLOCK)
-    except FormatError:
-        # blocks meet faults in another order than one parse of the whole file, which
-        # decodes all of it first and parses every record before it converts any;
-        # parsing a faulty file once more in one block raises that parse's error
-        return _load_dataset(path, None)
-
-
-def _load_dataset(path, block: int | None) -> IdentityDataset:
+    ``TEXT_BLOCK`` of text at a time.  A faulty file raises the ``FormatError`` of
+    the first fault met in that order: per block its UTF-8 text, its records, then
+    their arrays; the record count after the last block, then the join."""
     # with a companion the bytes are save_dataset_jsonl's, so the header line is enough
     header_line, arrays = _companion_arrays(path) or (None, None)
     with io.BytesIO(header_line) if arrays is not None else open(path, "rb") as fh:
-        blocks = _text_blocks(path, fh, block)
+        blocks = _text_blocks(path, fh)
         lines = next(filter(None, blocks), None)
         if lines is None:
             raise FormatError(f"{path}: empty dataset file")

@@ -28,7 +28,7 @@ from .errors import (
     InsufficientData,
 )
 from .mlp import MlpModel, embed
-from .numerics import Rng, Words, pairwise_sq_euclidean, partial_shuffle, partial_shuffles
+from .numerics import Rng, pairwise_sq_euclidean, partial_shuffle, partial_shuffles
 from .teacher import TeacherOracle
 
 
@@ -74,8 +74,8 @@ def build_pairs(
     rows (a partial Fisher-Yates of two words, taken by a one-row identity too), or two
     random rows, refused on one row or one identity; a pair is kept at its first
     attempt.  After 200 * want + 10,000 attempts a deterministic enumeration
-    fallback picks the rest, so tight requests stay feasible.  The draws are those
-    of one draw at a time."""
+    fallback picks the rest, so tight requests stay feasible.  Every word comes
+    from ``rng`` in stream order, the positive pairs' first."""
     if n_pos < 0 or n_neg < 0:
         raise ContractViolation("pair counts must be >= 0")
     pos_available, neg_available = ds.pair_capacity()
@@ -83,24 +83,23 @@ def build_pairs(
         raise CapacityError(f"requested {n_pos} positive pairs, only {pos_available} exist")
     if n_neg > neg_available:
         raise CapacityError(f"requested {n_neg} negative pairs, only {neg_available} exist")
-    # at least `want` attempts run, so the words of both kinds' first rounds come in one draw
-    words = Words(rng, n_pos * 3 + n_neg * 2)
-    lo, hi = np.concatenate([_collect(ds, n_pos, True, words),
-                             _collect(ds, n_neg, False, words)], axis=1)
+    lo, hi = np.concatenate([_collect(ds, n_pos, True, rng),
+                             _collect(ds, n_neg, False, rng)], axis=1)
     return PairSet(a_ids=ds.sample_ids[lo], b_ids=ds.sample_ids[hi],
                    same=np.repeat([True, False], [n_pos, n_neg]))
 
 
-def _collect(ds: IdentityDataset, want: int, same: bool, words: Words):
+def _collect(ds: IdentityDataset, want: int, same: bool, rng: Rng):
     """(lower rows, higher rows) of ``build_pairs``' ``want`` pairs of one kind.  A round
-    takes the words of the attempts that must still run at once, 3 per same-identity
-    attempt and 2 per different-identity one, and decodes them as arrays."""
+    draws the words of the attempts that must still run with one ``rng.uint64s`` call,
+    3 per same-identity attempt and 2 per different-identity one, and decodes them as
+    arrays; the fallback draws one word per pair still missing."""
     n, sizes = ds.n_samples, ds.identity_sizes
     found = np.empty(0, dtype=np.int64)         # pair codes: lower row * n + higher row
     attempts, budget = 0, 200 * want + 10_000
     while found.size < want and attempts < budget:
         count = min(want - found.size, budget - attempts)
-        w = words.take(count * (2 + same)).reshape(count, 2 + same)
+        w = rng.uint64s(count * (2 + same)).reshape(count, 2 + same)
         if same:
             ident = (w[:, 0] % np.uint64(ds.n_identities)).astype(np.intp)
             size = sizes[ident, None]
@@ -120,7 +119,7 @@ def _collect(ds: IdentityDataset, want: int, same: bool, words: Words):
         valid = np.triu((ds.labels[:, None] == ds.labels) == same, k=1)
         valid.flat[found] = False
         r1, r2 = np.nonzero(valid)
-        picks = partial_shuffle(words.take(want - found.size), r1.size)
+        picks = partial_shuffle(rng.uint64s(want - found.size), r1.size)
         found = np.concatenate((found, r1[picks] * n + r2[picks]))
     return np.divmod(found, n)
 

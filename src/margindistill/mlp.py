@@ -290,9 +290,12 @@ def load_checkpoint(path) -> MlpModel:
     if not np.isfinite(np.frombuffer(blob, dtype="<f4", offset=off)).all():
         raise FormatError(f"{path}: checkpoint weights must be finite")
     layers = np.frombuffer(blob, dtype=_layer_record(dims), count=1, offset=off)[0]
-    return MlpModel(
-        layer_dims=dims,
-        weights=[layers[f"w{i}"].astype(np.float64) for i in range(n_dims - 1)],
-        biases=[layers[f"b{i}"].astype(np.float64) for i in range(n_dims - 1)],
-        normalize_output=bool(flag),
-    )
+    try:
+        return MlpModel(
+            layer_dims=dims,
+            weights=[layers[f"w{i}"].astype(np.float64) for i in range(n_dims - 1)],
+            biases=[layers[f"b{i}"].astype(np.float64) for i in range(n_dims - 1)],
+            normalize_output=bool(flag),
+        )
+    except ContractViolation as exc:
+        raise FormatError(f"{path}: {exc}") from exc

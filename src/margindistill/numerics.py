@@ -300,20 +300,6 @@ def partial_shuffles(words: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return taken.T
 
 
-class Words:
-    """The words ahead of ``rng``, read in order by ``take``: a block drawn by
-    ``uint64s``, then ``rng``'s own."""
-
-    def __init__(self, rng: Rng, ahead: int):
-        self.rng, self.block, self.at = rng, rng.uint64s(ahead), 0
-
-    def take(self, n: int) -> np.ndarray:
-        """The next n words as a uint64 array."""
-        ahead = self.block[self.at:self.at + n]
-        self.at += n
-        return np.concatenate((ahead, self.rng.uint64s(n - ahead.size)))
-
-
 # ---------------------------------------------------------------------------
 # bulk draws: xoshiro256** lanes
 # ---------------------------------------------------------------------------

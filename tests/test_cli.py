@@ -483,15 +483,20 @@ def _no_d_values(text):
     return json.dumps({k: v for k, v in json.loads(text).items() if k != "d_values"})
 
 
+def _zero_layer_dim(blob):
+    return blob[:6] + struct.pack("<3I?", 2, 16, 0, True)      # dims 16, 0 and no weights
+
+
 @pytest.mark.parametrize("kind, change, message", [
     ("dataset", _no_records, "features must be a (n, input_dim) array"),
     ("dataset", _repeated_id, "duplicate sample id in dataset"),
     ("table", _non_unit_vector, "table vectors must be unit-norm"),
     ("calibration", _no_d_values, "bad calibration report: 'd_values'"),
+    ("ckpt", _zero_layer_dim, "layer_dims needs >= 2 positive entries"),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_a_loaded_file_fault_names_the_file(tiny, tmp_path, kind, change, message):
     # a fault the constructors find in a loaded file is a FormatError that names it
-    old = tiny[kind].read_bytes() if kind == "table" else tiny[kind].read_text()
+    old = tiny[kind].read_bytes() if kind in ("table", "ckpt") else tiny[kind].read_text()
     path = _input(tiny, tmp_path, kind, change(old))
     assert _cli_reading(tiny, kind, path) == (1, f"error: {path}: {message}\n")
 

@@ -592,8 +592,11 @@ _FAULTS = {
                                 st.booleans()), max_size=3),
        ending=st.sampled_from([b"\n", b"\r\n", b"\r"]), block=st.integers(1, 400),
        drop=st.integers(0, 2))
-def test_text_load_in_blocks_equals_one_parse_of_the_whole_file(edits, ending, block, drop):
-    """Blocks give the arrays, or the error, of one parse of the whole text."""
+def test_text_load_in_blocks_loads_what_one_parse_of_the_whole_file_loads(edits, ending,
+                                                                          block, drop):
+    """Blocks load a file, with the same bits, exactly when one parse of the whole text
+    does; otherwise both raise a FormatError that names the file.  The records are
+    parsed once per load."""
     ds = generate_hierarchical(small_spec(samples_per_identity=5))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ds.jsonl"
@@ -605,14 +608,32 @@ def test_text_load_in_blocks_equals_one_parse_of_the_whole_file(edits, ending, b
         path.write_bytes(b"".join(line + ending for line in lines))
         results = []
         with mock.patch.object(data, "TEXT_BLOCK", block), \
-                mock.patch.object(data, "_load_dataset", wraps=data._load_dataset) as loads:
+                mock.patch.object(data, "_parse_records", wraps=data._parse_records) as parse:
             for load in (load_dataset_jsonl, whole_text_load_dataset):
                 try:
                     results.append(_bits(load(path)))
                 except MarginDistillError as exc:
-                    results.append((type(exc), str(exc)))
-    assert results[0] == results[1]
-    assert loads.call_count == (2 if results[0][0] is FormatError else 1)   # a retry only then
+                    results.append(exc)
+    blocks, whole = results
+    if isinstance(whole, tuple):
+        assert blocks == whole
+    else:
+        for exc in (blocks, whole):
+            assert type(exc) is FormatError and str(exc).startswith(f"{path}: ")
+    assert parse.call_count <= 1
+
+
+def test_text_load_raises_the_first_fault_of_its_blocks(tmp_path):
+    # a bad record in an early block is met before bad UTF-8 in the last one
+    ds = generate_hierarchical(small_spec(samples_per_identity=5))
+    path = tmp_path / "ds.jsonl"
+    save_dataset_jsonl(ds, path)
+    lines = path.read_bytes().splitlines()
+    lines[3], lines[-1] = b"{not json", b"\xff\xfe"
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    with mock.patch.object(data, "TEXT_BLOCK", 200), \
+            pytest.raises(FormatError, match=f"^{re.escape(str(path))}: bad record: "):
+        load_dataset_jsonl(path)
 
 
 def test_stale_companion_falls_back_to_the_text(tmp_path):

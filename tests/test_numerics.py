@@ -417,23 +417,6 @@ def test_uint64s_validates():
     assert Rng(0).uint64s(np.int64(3)).tolist() == Rng(0).uint64s(3).tolist()
 
 
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, _MASK64), ahead=st.integers(0, 400),
-       reads=st.lists(st.one_of(st.integers(0, 2), st.integers(0, 400)), max_size=6))
-def test_words_read_the_stream_in_order(seed, ahead, reads):
-    """A block of ``ahead`` words, then reads of n words by ``take``, within the block,
-    across its end and past it, give the generator's words in order; the generator is
-    left where the block and the reads past it leave it."""
-    rng, ref = Rng(seed), Rng(seed)
-    words = numerics.Words(rng, ahead)
-    got = [words.take(n) for n in reads]
-    want = scalar_words(ref.next_uint64, max(ahead, sum(reads))).tolist()
-    for value, n in zip(got, reads):
-        assert value.dtype == np.uint64 and value.tolist() == want[:n]
-        del want[:n]
-    assert rng._s == ref._s
-
-
 @pytest.mark.parametrize("m", range(12))
 def test_jump_table_advances_2_to_the_m_steps(m):
     # 33 states in one apply, the last with all 256 bits set: its product entries

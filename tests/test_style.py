@@ -54,8 +54,7 @@ def test_no_unused_imports(path):
                                   and p.name != "numerics.py"], ids=lambda p: p.name)
 def test_generator_state_stays_in_numerics(path):
     # Rng's state is read and written only where the draws are; elsewhere draws go
-    # through Rng's methods, and words read ahead through numerics.Words.  An
-    # attribute, or a name for getattr.
+    # through Rng's methods.  An attribute, or a name for getattr.
     rows = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute) and node.attr == "_s"
             or isinstance(node, ast.Constant) and node.value == "_s"]
